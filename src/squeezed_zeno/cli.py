@@ -19,6 +19,8 @@ import sys
 import numpy as np
 
 from . import (
+    EXCITED,
+    GROUND,
     BathParams,
     Direction,
     MeasurementSchedule,
@@ -34,7 +36,6 @@ from . import (
     repeated_measurement_survival,
     s_eigensystem,
     second_order_rate,
-    sigma_mu,
     survival_functional_grid,
     survival_rate,
     uncertainty_product,
@@ -145,37 +146,26 @@ def resolve_direction(spec, bath: BathParams) -> Direction:
     raise ConfigError(f"direction must be a name or [theta, phi], got {spec!r}")
 
 
+def resolve_pure_state(name: str, bath: BathParams) -> np.ndarray:
+    """Amplitudes of a named pure initial state."""
+    named = {
+        "excited": lambda: EXCITED,
+        "ground": lambda: GROUND,
+        "zeno-plus": lambda: zeno_states(bath)[0],
+        "zeno-minus": lambda: eigenstates_mu(zeno_directions(bath).mu1)[1],
+    }
+    if name in named:
+        return named[name]()
+    raise ConfigError(f"unknown state {name!r}")
+
+
 def resolve_state(spec, bath: BathParams) -> np.ndarray:
     """Initial density matrix from a named state or an explicit Bloch vector."""
     if isinstance(spec, str):
-        if spec == "excited":
-            return bloch_to_matrix([0.0, 0.0, 1.0])
-        if spec == "ground":
-            return bloch_to_matrix([0.0, 0.0, -1.0])
-        if spec == "zeno-plus":
-            return pure_state_matrix(zeno_states(bath)[0])
-        if spec == "zeno-minus":
-            _, minus = eigenstates_mu(zeno_directions(bath).mu1)
-            return pure_state_matrix(minus)
-        raise ConfigError(f"unknown state {spec!r}")
+        return pure_state_matrix(resolve_pure_state(spec, bath))
     if isinstance(spec, (list, tuple)) and len(spec) == 3:
         return bloch_to_matrix([float(x) for x in spec])
     raise ConfigError(f"state must be a name or [x, y, z], got {spec!r}")
-
-
-def resolve_pure_state(spec, bath: BathParams) -> np.ndarray:
-    """Initial pure state (amplitudes) for survival experiments."""
-    if isinstance(spec, str):
-        if spec == "excited":
-            return np.array([1.0, 0.0], dtype=complex)
-        if spec == "ground":
-            return np.array([0.0, 1.0], dtype=complex)
-        if spec == "zeno-plus":
-            return zeno_states(bath)[0]
-        if spec == "zeno-minus":
-            return eigenstates_mu(zeno_directions(bath).mu1)[1]
-        raise ConfigError(f"unknown state {spec!r}")
-    raise ConfigError("zeno requires a named pure initial state")
 
 
 def write_table(path: str | None, columns, rows, fmt: str):
@@ -268,6 +258,8 @@ def cmd_evolve(config: dict) -> int:
 
 def cmd_zeno(config: dict) -> int:
     bath = bath_from_config(config)
+    if not isinstance(config["state"], str):
+        raise ConfigError("zeno requires a named pure initial state")
     state = resolve_pure_state(config["state"], bath)
     sched = MeasurementSchedule(float(config["dt"]), int(config["count"]))
     n_traj = int(config["n_traj"])

@@ -1,31 +1,18 @@
 """Time evolution with and without frequent measurements.
 
-Free evolution is integrated with fixed-step RK4 on the affine Bloch
-system and cross-checked against the closed-form solution. Evolution
-under continuous monitoring of a spin component reduces exactly to a
-scalar linear ODE for the measured expectation value, which is solved
-in closed form.
+Free evolution is the closed-form solution of the affine Bloch system.
+Evolution under continuous monitoring of a spin component reduces
+exactly to a scalar linear ODE for the measured expectation value,
+which is solved in closed form.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import BathParams, bloch_rates, liouvillian
+from .bath import BathParams, bloch_rates
 from .errors import ParameterError
-from .pauli import (
-    Direction,
-    IDENTITY,
-    bloch_to_matrix,
-    matrix_to_bloch,
-    sigma_mu,
-    validate_density_matrix,
-)
-
-# Fraction of the fastest relaxation time above which fixed-step RK4 is
-# refused (stability guard), and the default internal step.
-STABILITY_STEP_FRACTION = 0.1
-DEFAULT_STEP_FRACTION = 1e-3
+from .pauli import Direction, matrix_to_bloch, validate_density_matrix
 
 
 @dataclass(frozen=True)
@@ -62,48 +49,16 @@ class TimeSeries:
         object.__setattr__(self, "values", np.asarray(self.values))
 
 
-def evolve_free(
-    bath: BathParams,
-    rho0: np.ndarray,
-    grid: TimeGrid,
-    max_step: float | None = None,
-) -> TimeSeries:
-    """Integrate the master equation without measurements.
+def evolve_free(bath: BathParams, rho0: np.ndarray, grid: TimeGrid) -> TimeSeries:
+    """Free evolution of the master equation without measurements.
 
-    Returns a TimeSeries of Bloch vectors sampled on the grid. Each grid
-    interval is subdivided so the internal RK4 step stays at or below
-    max_step (default 1e-3 of the fastest relaxation time).
+    Returns a TimeSeries of Bloch vectors sampled on the grid, from the
+    closed-form solution (analytic_free).
     """
     validate_density_matrix(rho0)
-    rate_scale = bath.gamma * (2 * bath.n + 1)
-    guard = STABILITY_STEP_FRACTION / rate_scale
-    if max_step is None:
-        max_step = DEFAULT_STEP_FRACTION / rate_scale
-    if max_step > guard:
-        raise ParameterError(
-            f"max_step {max_step} exceeds stability guard {guard}"
-        )
-    a, c = bloch_rates(bath)
-
-    def deriv(v):
-        return a @ v + c
-
     times = grid.times
-    v = matrix_to_bloch(rho0)
-    out = np.empty((len(times), 3))
-    out[0] = v
-    for i in range(1, len(times)):
-        dt = times[i] - times[i - 1]
-        n_sub = max(1, int(np.ceil(dt / max_step)))
-        h = dt / n_sub
-        for _ in range(n_sub):
-            k1 = deriv(v)
-            k2 = deriv(v + 0.5 * h * k1)
-            k3 = deriv(v + 0.5 * h * k2)
-            k4 = deriv(v + h * k3)
-            v = v + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[i] = v
-    return TimeSeries(times, out)
+    v0 = matrix_to_bloch(rho0)
+    return TimeSeries(times, analytic_free(bath, v0, times - times[0]))
 
 
 def analytic_free(bath: BathParams, v0, t):
@@ -133,12 +88,13 @@ def measured_coefficients(bath: BathParams, d: Direction):
     """Drift and relaxation coefficients of the monitored scalar ODE.
 
     d<sigma_mu>/dt = alpha + beta <sigma_mu> with
-    alpha = Tr(L{1} sigma_mu) / 2 and beta = Tr(L{sigma_mu} sigma_mu) / 2.
+    alpha = Tr(L{1} sigma_mu) / 2 = mu . c and
+    beta = Tr(L{sigma_mu} sigma_mu) / 2 = mu . A mu,
+    projections of the affine Bloch generator (A, c) onto mu.
     """
-    smu = sigma_mu(d)
-    alpha = 0.5 * np.trace(liouvillian(bath, IDENTITY) @ smu).real
-    beta = 0.5 * np.trace(liouvillian(bath, smu) @ smu).real
-    return alpha, beta
+    a, c = bloch_rates(bath)
+    mu = d.unit_vector
+    return float(mu @ c), float(mu @ a @ mu)
 
 
 def evolve_measured(
@@ -172,28 +128,3 @@ def evolve_measured(
     else:
         values = rho_mu0 + alpha * t
     return TimeSeries(grid.times, values), dephased
-
-
-def measurement_modified_rhs(
-    bath: BathParams, d: Direction, rho: np.ndarray
-) -> np.ndarray:
-    """Right-hand side of the monitored master equation.
-
-    P L{rho} P + (1 - P) L{rho} (1 - P) with P the projector onto the
-    +1 eigenstate of sigma_mu. Kept for trace-identity verification;
-    the production path uses the scalar reduction.
-    """
-    from .pauli import eigenstates_mu, pure_state_matrix
-
-    plus, _ = eigenstates_mu(d)
-    p = pure_state_matrix(plus)
-    q = IDENTITY - p
-    image = liouvillian(bath, rho)
-    return p @ image @ p + q @ image @ q
-
-
-def project_to_measured_basis(d: Direction, rho: np.ndarray) -> np.ndarray:
-    """Dephase rho in the sigma_mu eigenbasis (drop off-axis Bloch components)."""
-    mu = d.unit_vector
-    v = matrix_to_bloch(rho)
-    return bloch_to_matrix((v @ mu) * mu)

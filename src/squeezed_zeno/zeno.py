@@ -10,13 +10,11 @@ states, and exact / Monte Carlo repeated-measurement survival curves.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.optimize import minimize
 
 from .bath import BathParams, bloch_rates, liouvillian
-from .dynamics import TimeSeries
+from .dynamics import TimeSeries, analytic_free
 from .errors import DomainError, ParameterError
-from .pauli import Direction, eigenstates_mu, pure_state_matrix
+from .pauli import Direction, matrix_to_bloch, pure_state_matrix
 
 FIRST_ORDER_ZERO_TOL = 1e-10
 
@@ -132,14 +130,15 @@ def zeno_directions(bath: BathParams) -> ZenoDirections:
     )
 
 
-def find_zeno_directions_grid(
-    bath: BathParams, n_theta: int = 256, n_phi: int = 256, polish: bool = True
-):
+def find_zeno_directions_grid(bath: BathParams, n_theta: int = 256, n_phi: int = 256):
     """Locate the survival-functional maxima by grid scan plus local polish.
 
     Returns a list of (Direction, F value), one per local maximum found
     (the global maximum and any grid point within 1e-9 of it).
     """
+    # Imported here so that importing the package does not load scipy.
+    from scipy.optimize import minimize
+
     thetas, phis, f = survival_functional_grid(bath, n_theta, n_phi)
     fmax = f.max()
     candidates = np.argwhere(f >= fmax - 1e-9 * max(1.0, abs(fmax)))
@@ -155,16 +154,15 @@ def find_zeno_directions_grid(
             for r in results
         ):
             continue
-        if polish:
-            res = minimize(
-                lambda x: -survival_functional_F(
-                    bath, Direction(float(np.clip(x[0], 0, np.pi)), float(x[1]))
-                ),
-                x0=[th, ph],
-                method="Nelder-Mead",
-                options={"xatol": 1e-12, "fatol": 1e-14},
-            )
-            th, ph = float(np.clip(res.x[0], 0, np.pi)), float(res.x[1])
+        res = minimize(
+            lambda x: -survival_functional_F(
+                bath, Direction(float(np.clip(x[0], 0, np.pi)), float(x[1]))
+            ),
+            x0=[th, ph],
+            method="Nelder-Mead",
+            options={"xatol": 1e-12, "fatol": 1e-14},
+        )
+        th, ph = float(np.clip(res.x[0], 0, np.pi)), float(res.x[1])
         d = Direction(th, ph)
         results.append((d, survival_functional_F(bath, d)))
     return results
@@ -189,29 +187,15 @@ def zeno_states(bath: BathParams):
     return z1, z2
 
 
-def _bloch_propagator(bath: BathParams, t: float):
-    """Exact affine propagator: v(t) = P v(0) + q for the free Bloch system."""
-    a, c = bloch_rates(bath)
-    aug = np.zeros((4, 4))
-    aug[:3, :3] = a
-    aug[:3, 3] = c
-    phi = expm(aug * t)
-    return phi[:3, :3], phi[:3, 3]
-
-
 def step_survival_probability(bath: BathParams, state, dt: float) -> float:
     """Probability that one measurement after time dt returns the initial state.
 
     The projector is evolved exactly for dt under the free master
-    equation (matrix exponential of the affine Bloch system) and the
-    overlap with the initial state is read off.
+    equation (closed-form affine Bloch propagator, analytic_free) and
+    the overlap with the initial state is read off.
     """
-    state = np.asarray(state, dtype=complex)
-    from .pauli import matrix_to_bloch
-
     v0 = matrix_to_bloch(pure_state_matrix(state))
-    p_mat, q = _bloch_propagator(bath, dt)
-    v_dt = p_mat @ v0 + q
+    v_dt = analytic_free(bath, v0, dt)
     return float(0.5 * (1.0 + v0 @ v_dt))
 
 
@@ -280,9 +264,3 @@ def monte_carlo_survival(
         stderr[k] = np.sqrt(frac * (1.0 - frac) / n_traj)
     times = np.arange(sched.count + 1) * sched.dt
     return SurvivalCurve(TimeSeries(times, fractions), stderr=stderr)
-
-
-def survival_rate_of_direction(bath: BathParams, d: Direction, branch: str = "+") -> float:
-    """Survival rate of the +1 or -1 eigenstate of sigma_mu(d)."""
-    plus, minus = eigenstates_mu(d)
-    return survival_rate(bath, plus if branch == "+" else minus)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,6 +185,17 @@ class TestZeno:
         header = out1.read_text().splitlines()[0]
         assert header.endswith("P_mc,P_mc_stderr")
 
+    @pytest.mark.parametrize(
+        "state, message",
+        [
+            ("[0,0,1]", "zeno requires a named pure initial state"),
+            ("bogus", "unknown state 'bogus'"),
+        ],
+    )
+    def test_state_rejected(self, tmp_path, capsys, state, message):
+        assert run(tmp_path, "zeno", extra=["--set", f"state={state}"]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
 
 class TestIntelligent:
     def test_report_n1(self, tmp_path):
@@ -235,3 +250,22 @@ class TestOverridesAndDeterminism:
     def test_bad_format_rejected(self, tmp_path):
         code = run(tmp_path, "surface", {"N": 1.0, "format": "xml"})
         assert code == 2
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, squeezed_zeno.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"

@@ -9,16 +9,20 @@ from squeezed_zeno import (
     eigenstates_mu,
     evolve_free,
     evolve_measured,
+    matrix_to_bloch,
+    maximal_m,
     measured_coefficients,
     pure_state_matrix,
     sigma_mu,
+    step_survival_probability,
     zeno_directions,
     zeno_states,
 )
-from squeezed_zeno.dynamics import measurement_modified_rhs, project_to_measured_basis
 from squeezed_zeno.errors import ParameterError
 from squeezed_zeno.pauli import Direction
 from squeezed_zeno.bath import liouvillian
+
+from oracles import expm_propagator, measurement_modified_rhs, rk4_free
 
 
 def random_bloch(rng, surface=False):
@@ -47,7 +51,7 @@ class TestEvolveFree:
         zd = zeno_directions(b)
         z1, _ = zeno_states(b)
         # slowest mode relaxes at gamma(N + 1/2 - M) ~ 0.086, so go far out
-        ts = evolve_free(b, pure_state_matrix(z1), TimeGrid(0, 200, 40), max_step=0.01)
+        ts = evolve_free(b, pure_state_matrix(z1), TimeGrid(0, 200, 40))
         mu = zd.mu1.unit_vector
         proj = ts.values @ mu
         assert proj[0] == pytest.approx(1.0, abs=1e-12)
@@ -55,11 +59,6 @@ class TestEvolveFree:
         # long-time value approaches mu . v_steady
         v_steady = np.array([0, 0, -1 / 3])
         assert proj[-1] == pytest.approx(mu @ v_steady, abs=1e-3)
-
-    def test_step_guard(self):
-        b = BathParams(gamma=1.0, n=0.0, m=0.0)
-        with pytest.raises(ParameterError):
-            evolve_free(b, bloch_to_matrix([0, 0, 1]), TimeGrid(0, 1, 10), max_step=0.5)
 
 
 class TestAnalyticFree:
@@ -89,9 +88,51 @@ class TestAnalyticFree:
             b = BathParams.maximal(1.0, n, rng.uniform(0, 2 * np.pi))
             v0 = random_bloch(rng, surface=bool(rng.integers(2)))
             grid = TimeGrid(0, 5.0, 25)
-            ts = evolve_free(b, bloch_to_matrix(v0), grid)
+            numeric = rk4_free(b, bloch_to_matrix(v0), grid)
             exact = analytic_free(b, v0, grid.times)
-            assert np.max(np.abs(ts.values - exact)) < 1e-8
+            assert np.max(np.abs(numeric - exact)) < 1e-8
+
+
+class TestAgainstMatrixExponential:
+    """Closed-form propagator against expm of the augmented Bloch generator.
+
+    Covers sub-maximal correlation M and gamma != 1, which the tests
+    built on BathParams.maximal do not reach.
+    """
+
+    TIMES = (1e-3, 0.1, 1.0, 7.0)
+
+    @staticmethod
+    def random_baths(rng, count=20):
+        for _ in range(count):
+            n = rng.uniform(0, 3)
+            yield BathParams(
+                gamma=rng.uniform(0.2, 3.0),
+                n=n,
+                m=rng.uniform(0, 1) * maximal_m(n),
+                psi=rng.uniform(0, 2 * np.pi),
+            )
+
+    def test_evolve_free(self):
+        rng = np.random.default_rng(15)
+        for b in self.random_baths(rng):
+            v0 = random_bloch(rng)
+            for t in self.TIMES:
+                grid = TimeGrid(0.5, 0.5 + t, 1)
+                p_mat, q = expm_propagator(b, grid.times[1] - grid.times[0])
+                ts = evolve_free(b, bloch_to_matrix(v0), grid)
+                assert np.max(np.abs(ts.values[1] - (p_mat @ v0 + q))) < 1e-12
+
+    def test_step_survival_probability(self):
+        rng = np.random.default_rng(16)
+        for b in self.random_baths(rng):
+            raw = rng.normal(size=2) + 1j * rng.normal(size=2)
+            state = raw / np.linalg.norm(raw)
+            v0 = matrix_to_bloch(pure_state_matrix(state))
+            for t in self.TIMES:
+                p_mat, q = expm_propagator(b, t)
+                expected = 0.5 * (1.0 + v0 @ (p_mat @ v0 + q))
+                assert abs(step_survival_probability(b, state, t) - expected) < 1e-12
 
 
 class TestMeasuredCoefficients:
@@ -186,13 +227,6 @@ class TestTraceIdentity:
             lhs = np.trace(measurement_modified_rhs(b, d, rho) @ smu).real
             rhs = np.trace(liouvillian(b, rho) @ smu).real
             assert abs(lhs - rhs) < 1e-12
-
-
-def test_project_to_measured_basis():
-    d = Direction(0.0, 0.0)
-    rho = bloch_to_matrix([0.5, 0.2, 0.3])
-    proj = project_to_measured_basis(d, rho)
-    assert np.allclose(proj, bloch_to_matrix([0, 0, 0.3]))
 
 
 def test_timegrid_validation():

@@ -37,6 +37,11 @@ class BathParams:
     psi: float = 0.0
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.gamma, self.n, self.m, self.psi])):
+            raise ParameterError(
+                f"bath parameters must be finite, got gamma={self.gamma}, "
+                f"n={self.n}, m={self.m}, psi={self.psi}"
+            )
         if self.gamma <= 0:
             raise ParameterError(f"gamma must be positive, got {self.gamma}")
         if self.n < 0:

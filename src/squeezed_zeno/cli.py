@@ -13,6 +13,8 @@ config (including the seed). Exit codes: 0 success, 2 config error,
 """
 
 import argparse
+import contextlib
+import itertools
 import json
 import sys
 
@@ -43,13 +45,16 @@ from . import (
     zeno_states,
 )
 from .bath import lindblad_s_operator
-from .errors import ParameterError
+from .errors import InvalidStateError, ParameterError
 from .intelligent import SqueezeFrame, j_minus_alpha
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
+
+# CSV rows formatted by one %-operation each.
+ROWS_PER_CHUNK = 4096
 
 COMMON_KEYS = {"gamma", "N", "M", "psi", "out", "format", "seed"}
 ALLOWED_KEYS = {
@@ -77,13 +82,43 @@ DEFAULTS = {
     "n_traj": 0,
 }
 
+# Keys holding a finite real number ("M" also accepts "maximal").
+REAL_KEYS = {"gamma", "N", "M", "psi", "t_end", "dt"}
+# Keys holding an integer, with the smallest value each accepts.
+INTEGER_MINIMUM = {"seed": 0, "n_theta": 1, "n_phi": 1, "n_steps": 1, "count": 1, "n_traj": 0}
+
 
 class ConfigError(Exception):
     pass
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _real(key: str, value) -> float:
+    """A finite JSON number as float; bools, strings and null are not numbers."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not -sys.float_info.max <= value <= sys.float_info.max
+    ):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(key: str, value, minimum: int) -> int:
+    """An integer >= minimum; integral floats such as 1e3 are accepted."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{key} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+@contextlib.contextmanager
+def _config_checked(what: str):
+    """Report a parameter the library rejects as a config error."""
+    try:
+        yield
+    except (ParameterError, InvalidStateError) as exc:
+        raise ConfigError(f"invalid {what}: {exc}")
 
 
 def load_config(path: str | None, overrides, command: str) -> dict:
@@ -113,22 +148,26 @@ def load_config(path: str | None, overrides, command: str) -> dict:
         )
     merged = {k: DEFAULTS[k] for k in ALLOWED_KEYS[command] if k in DEFAULTS}
     merged.update(config)
+    for key in sorted(merged):
+        if key in INTEGER_MINIMUM:
+            merged[key] = _integer(key, merged[key], INTEGER_MINIMUM[key])
+        elif key in REAL_KEYS and not (key == "M" and merged[key] == "maximal"):
+            merged[key] = _real(key, merged[key])
     return merged
 
 
 def bath_from_config(config: dict) -> BathParams:
-    n = float(config["N"])
-    m_raw = config["M"]
-    m = maximal_m(n) if m_raw == "maximal" else float(m_raw)
-    try:
+    n, m = config["N"], config["M"]
+    with _config_checked("bath parameters"):
         return BathParams(
-            gamma=float(config["gamma"]), n=n, m=m, psi=float(config["psi"])
+            gamma=config["gamma"],
+            n=n,
+            m=maximal_m(n) if m == "maximal" else m,
+            psi=config["psi"],
         )
-    except (ParameterError, ValueError) as exc:
-        raise ConfigError(f"invalid bath parameters: {exc}")
 
 
-def resolve_direction(spec, bath: BathParams) -> Direction:
+def resolve_direction(spec, bath: BathParams, key: str) -> Direction:
     named = {
         "mu1": lambda: zeno_directions(bath).mu1,
         "mu2": lambda: zeno_directions(bath).mu2,
@@ -142,7 +181,8 @@ def resolve_direction(spec, bath: BathParams) -> Direction:
             return named[spec]()
         raise ConfigError(f"unknown direction {spec!r}")
     if isinstance(spec, (list, tuple)) and len(spec) == 2:
-        return Direction(float(spec[0]), float(spec[1]))
+        with _config_checked(key):
+            return Direction(_real(key, spec[0]), _real(key, spec[1]))
     raise ConfigError(f"direction must be a name or [theta, phi], got {spec!r}")
 
 
@@ -155,7 +195,8 @@ def resolve_pure_state(name: str, bath: BathParams) -> np.ndarray:
         "zeno-minus": lambda: eigenstates_mu(zeno_directions(bath).mu1)[1],
     }
     if name in named:
-        return named[name]()
+        with _config_checked("state"):
+            return named[name]()
     raise ConfigError(f"unknown state {name!r}")
 
 
@@ -164,47 +205,46 @@ def resolve_state(spec, bath: BathParams) -> np.ndarray:
     if isinstance(spec, str):
         return pure_state_matrix(resolve_pure_state(spec, bath))
     if isinstance(spec, (list, tuple)) and len(spec) == 3:
-        return bloch_to_matrix([float(x) for x in spec])
+        with _config_checked("state"):
+            return bloch_to_matrix([_real("state", x) for x in spec])
     raise ConfigError(f"state must be a name or [x, y, z], got {spec!r}")
 
 
-def write_table(path: str | None, columns, rows, fmt: str):
-    if fmt == "csv":
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join(_fmt(x) for x in row))
-        text = "\n".join(lines) + "\n"
-    else:
-        payload = {
-            "columns": list(columns),
-            "rows": [[float(x) for x in row] for row in rows],
-        }
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    _write_text(path, text)
+def write_table(path: str | None, table: dict, fmt: str):
+    """Write named columns of equal length as CSV (%.17g) or JSON {"columns", "rows"}."""
+    values = np.column_stack(list(table.values()))
+    if fmt == "json":
+        _write_json(path, {"columns": list(table), "rows": values.tolist()})
+        return
+    row = ",".join(["%.17g"] * len(table)) + "\n"
+    blocks = (values[i : i + ROWS_PER_CHUNK] for i in range(0, len(values), ROWS_PER_CHUNK))
+    chunks = ((row * len(block)) % tuple(block.ravel().tolist()) for block in blocks)
+    _write_text(path, itertools.chain([",".join(table) + "\n"], chunks))
 
 
-def _write_text(path: str | None, text: str):
+def _write_json(path: str | None, obj):
+    _write_text(path, [json.dumps(obj, sort_keys=True, indent=2) + "\n"])
+
+
+def _write_text(path: str | None, parts):
+    """Write an iterable of strings to path, or to stdout when path is None."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
         return
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(parts)
     except OSError as exc:
         raise IOError(f"cannot write {path}: {exc}")
 
 
 def cmd_surface(config: dict) -> int:
     bath = bath_from_config(config)
-    n_theta, n_phi = int(config["n_theta"]), int(config["n_phi"])
+    n_theta, n_phi = config["n_theta"], config["n_phi"]
     thetas, phis, f = survival_functional_grid(bath, n_theta, n_phi)
-    rows = [
-        (thetas[i], phis[j], f[i, j])
-        for i in range(n_theta)
-        for j in range(n_phi)
-    ]
+    table = {"theta": np.repeat(thetas, n_phi), "phi": np.tile(phis, n_theta), "F": f.ravel()}
     out = config.get("out")
-    write_table(out, ["theta", "phi", "F"], rows, config["format"])
+    write_table(out, table, config["format"])
     zd = zeno_directions(bath)
     sidecar = {
         "cos_theta_max": float(np.cos(zd.theta)),
@@ -212,11 +252,7 @@ def cmd_surface(config: dict) -> int:
         "phi2": zd.mu2.phi,
         "theta": zd.theta,
     }
-    sidecar_text = json.dumps(sidecar, sort_keys=True, indent=2) + "\n"
-    if out is not None:
-        _write_text(str(out) + ".maxima.json", sidecar_text)
-    else:
-        sys.stdout.write(sidecar_text)
+    _write_json(None if out is None else str(out) + ".maxima.json", sidecar)
     return EXIT_OK
 
 
@@ -224,35 +260,27 @@ def cmd_evolve(config: dict) -> int:
     bath = bath_from_config(config)
     rho0 = resolve_state(config["state"], bath)
     measure = config["measure"]
-    observable = config.get("observable")
-    if observable is None:
-        observable = measure if measure != "none" else "mu1"
-    d_obs = resolve_direction(observable, bath)
-    grid = TimeGrid(0.0, float(config["t_end"]), int(config["n_steps"]))
+    if config.get("observable") is not None:
+        d_obs = resolve_direction(config["observable"], bath, "observable")
+    else:
+        d_obs = resolve_direction("mu1" if measure == "none" else measure, bath, "measure")
+    with _config_checked("time grid"):
+        grid = TimeGrid(0.0, config["t_end"], config["n_steps"])
 
     free = evolve_free(bath, rho0, grid)
     mu = d_obs.unit_vector
-    free_vals = free.values @ mu
+    table = {"t": grid.times, "sigma_mu_free": free.values @ mu}
 
-    if measure == "none":
-        rows = list(zip(grid.times, free_vals))
-        write_table(config.get("out"), ["t", "sigma_mu_free"], rows, config["format"])
-        return EXIT_OK
-
-    d_meas = resolve_direction(measure, bath)
-    if not np.allclose(d_meas.unit_vector, mu, atol=1e-12):
-        raise ConfigError(
-            "observable must coincide with the measured direction "
-            "(the monitored dynamics closes only on the measured component)"
-        )
-    measured, _ = evolve_measured(bath, d_meas, rho0, grid)
-    rows = list(zip(grid.times, free_vals, measured.values))
-    write_table(
-        config.get("out"),
-        ["t", "sigma_mu_free", "sigma_mu_measured"],
-        rows,
-        config["format"],
-    )
+    if measure != "none":
+        d_meas = resolve_direction(measure, bath, "measure")
+        if not np.allclose(d_meas.unit_vector, mu, atol=1e-12):
+            raise ConfigError(
+                "observable must coincide with the measured direction "
+                "(the monitored dynamics closes only on the measured component)"
+            )
+        measured, _ = evolve_measured(bath, d_meas, rho0, grid)
+        table["sigma_mu_measured"] = measured.values
+    write_table(config.get("out"), table, config["format"])
     return EXIT_OK
 
 
@@ -261,8 +289,8 @@ def cmd_zeno(config: dict) -> int:
     if not isinstance(config["state"], str):
         raise ConfigError("zeno requires a named pure initial state")
     state = resolve_pure_state(config["state"], bath)
-    sched = MeasurementSchedule(float(config["dt"]), int(config["count"]))
-    n_traj = int(config["n_traj"])
+    with _config_checked("measurement schedule"):
+        sched = MeasurementSchedule(config["dt"], config["count"])
 
     exact = repeated_measurement_survival(bath, state, sched)
     times = exact.times
@@ -273,20 +301,26 @@ def cmd_zeno(config: dict) -> int:
         p_second = np.exp(rate2 * times)
     else:
         p_second = np.full_like(times, np.nan)
-
-    columns = ["t", "P_exact", "P_first_order", "P_second_order"]
-    cols = [times, exact.probabilities, p_first, p_second]
-    if n_traj > 0:
-        mc = monte_carlo_survival(bath, state, sched, n_traj, int(config["seed"]))
-        columns += ["P_mc", "P_mc_stderr"]
-        cols += [mc.probabilities, mc.stderr]
-    rows = list(zip(*cols))
-    write_table(config.get("out"), columns, rows, config["format"])
+    table = {
+        "t": times,
+        "P_exact": exact.probabilities,
+        "P_first_order": p_first,
+        "P_second_order": p_second,
+    }
+    if config["n_traj"] > 0:
+        mc = monte_carlo_survival(bath, state, sched, config["n_traj"], config["seed"])
+        table["P_mc"] = mc.probabilities
+        table["P_mc_stderr"] = mc.stderr
+    write_table(config.get("out"), table, config["format"])
     return EXIT_OK
 
 
 def cmd_intelligent(config: dict) -> int:
     bath = bath_from_config(config)
+    if not bath.is_maximal:
+        raise ConfigError(
+            f"intelligent requires maximal M = sqrt(N(N+1)) = {maximal_m(bath.n)}, got M={bath.m}"
+        )
     report: dict = {"N": bath.n, "M": bath.m, "gamma": bath.gamma, "psi": bath.psi}
     eig = s_eigensystem(bath)
     report["degenerate"] = eig.degenerate
@@ -315,8 +349,7 @@ def cmd_intelligent(config: dict) -> int:
         report["factorization_residual"] = float(residual)
         report["alpha_ratio"] = frame.alpha_ratio
         report["squeeze_amplitude"] = frame.r
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    _write_text(config.get("out"), text)
+    _write_json(config.get("out"), report)
     return EXIT_OK
 
 

@@ -24,6 +24,10 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.t_start, self.t_end])):
+            raise ParameterError(
+                f"t_start and t_end must be finite, got {self.t_start}, {self.t_end}"
+            )
         if self.t_end <= self.t_start:
             raise ParameterError("t_end must exceed t_start")
         if self.n_steps < 1:

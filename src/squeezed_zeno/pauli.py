@@ -43,6 +43,10 @@ class Direction:
     phi: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.theta, self.phi])):
+            raise InvalidStateError(
+                f"theta and phi must be finite, got {self.theta}, {self.phi}"
+            )
         if not 0.0 <= self.theta <= np.pi:
             raise InvalidStateError(f"theta must lie in [0, pi], got {self.theta}")
         object.__setattr__(self, "phi", float(np.mod(self.phi, 2 * np.pi)))
@@ -59,6 +63,8 @@ class Direction:
 def bloch_to_matrix(v) -> np.ndarray:
     """Density matrix rho = (1 + v . sigma) / 2 for a Bloch vector v."""
     v = np.asarray(v, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise InvalidStateError(f"Bloch vector {v} is not finite")
     norm = np.linalg.norm(v)
     if norm > 1.0 + BLOCH_NORM_TOL:
         raise InvalidStateError(f"Bloch vector norm {norm} exceeds 1")

@@ -27,8 +27,8 @@ class MeasurementSchedule:
     count: int
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ParameterError("dt must be positive")
+        if not np.isfinite(self.dt) or self.dt <= 0:
+            raise ParameterError(f"dt must be positive and finite, got {self.dt}")
         if self.count < 1:
             raise ParameterError("count must be >= 1")
 
@@ -254,13 +254,11 @@ def monte_carlo_survival(
     rng = np.random.Generator(np.random.Philox(seed))
     alive = np.ones(n_traj, dtype=bool)
     fractions = np.empty(sched.count + 1)
-    stderr = np.empty(sched.count + 1)
-    fractions[0], stderr[0] = 1.0, 0.0
+    fractions[0] = 1.0
     for k in range(1, sched.count + 1):
         draws = rng.random(n_traj)
         alive &= draws < p
-        frac = alive.sum() / n_traj
-        fractions[k] = frac
-        stderr[k] = np.sqrt(frac * (1.0 - frac) / n_traj)
+        fractions[k] = alive.sum() / n_traj
+    stderr = np.sqrt(fractions * (1.0 - fractions) / n_traj)
     times = np.arange(sched.count + 1) * sched.dt
     return SurvivalCurve(TimeSeries(times, fractions), stderr=stderr)

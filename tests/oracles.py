@@ -3,6 +3,8 @@
 None of this is on the package's runtime or import path.
 """
 
+import json
+
 import numpy as np
 from scipy.linalg import expm
 
@@ -66,3 +68,17 @@ def measurement_modified_rhs(bath: BathParams, d: Direction, rho: np.ndarray) ->
     q = IDENTITY - p
     image = liouvillian(bath, rho)
     return p @ image @ p + q @ image @ q
+
+
+def reference_csv(columns, rows) -> str:
+    """CSV text with every value formatted on its own by format(float(x), ".17g")."""
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(format(float(x), ".17g") for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def reference_json(columns, rows) -> str:
+    """JSON table {"columns", "rows"} with every value converted by float()."""
+    payload = {"columns": list(columns), "rows": [[float(x) for x in row] for row in rows]}
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"

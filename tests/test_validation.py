@@ -1,0 +1,125 @@
+"""Input checks: non-numeric, non-finite and out-of-range values, in the library and the CLI."""
+
+import numpy as np
+import pytest
+
+from squeezed_zeno import (
+    BathParams,
+    Direction,
+    MeasurementSchedule,
+    TimeGrid,
+    bloch_to_matrix,
+)
+from squeezed_zeno.cli import main
+from squeezed_zeno.errors import InvalidStateError, ParameterError
+
+nan, inf = np.nan, np.inf
+
+
+def run_cli(capsys, command, *items):
+    argv = [command]
+    for item in items:
+        argv += ["--set", item]
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "command, item, key",
+    [
+        ("surface", "N=abc", "N"),
+        ("surface", "M=max", "M"),
+        ("zeno", "dt=null", "dt"),
+        ("surface", "n_theta=-1", "n_theta"),
+        ("surface", "n_phi=0", "n_phi"),
+        ("zeno", "seed=1.5", "seed"),
+        ("zeno", "seed=-1", "seed"),
+        ("evolve", "n_steps=2.7", "n_steps"),
+        ("surface", "psi=true", "psi"),
+        ("zeno", "n_traj=-1", "n_traj"),
+        ("zeno", "count=[5]", "count"),
+        ("intelligent", 'gamma="1"', "gamma"),
+        ("evolve", 'state=[0,"a",0]', "state"),
+        ("evolve", "measure=[1,null]", "measure"),
+        ("evolve", "observable=[true,0]", "observable"),
+    ],
+)
+def test_non_numeric_value_is_config_error(capsys, command, item, key):
+    code, out, err = run_cli(capsys, command, item)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"config error: {key} must be ")
+
+
+@pytest.mark.parametrize(
+    "make, error",
+    [
+        (lambda: BathParams(gamma=1.0, n=nan, m=0.0), ParameterError),
+        (lambda: BathParams(gamma=1.0, n=inf, m=0.0), ParameterError),
+        (lambda: BathParams(gamma=inf, n=1.0, m=0.0), ParameterError),
+        (lambda: BathParams(gamma=1.0, n=1.0, m=nan), ParameterError),
+        (lambda: BathParams(gamma=1.0, n=1.0, m=1.0, psi=inf), ParameterError),
+        (lambda: BathParams.maximal(1.0, 1e200), ParameterError),
+        (lambda: TimeGrid(0.0, nan, 10), ParameterError),
+        (lambda: TimeGrid(0.0, inf, 10), ParameterError),
+        (lambda: TimeGrid(-inf, 1.0, 10), ParameterError),
+        (lambda: MeasurementSchedule(nan, 5), ParameterError),
+        (lambda: MeasurementSchedule(inf, 5), ParameterError),
+        (lambda: Direction(nan, 0.0), InvalidStateError),
+        (lambda: Direction(0.5, inf), InvalidStateError),
+        (lambda: Direction(0.5, nan), InvalidStateError),
+        (lambda: bloch_to_matrix([nan, 0.0, 0.0]), InvalidStateError),
+    ],
+)
+def test_library_rejects_non_finite(make, error):
+    with pytest.raises(error, match="finite"):
+        make()
+
+
+@pytest.mark.parametrize(
+    "command, items",
+    [
+        ("zeno", ["N=nan"]),
+        ("zeno", ["N=NaN"]),
+        ("zeno", ["N=inf"]),
+        ("zeno", ["N=Infinity"]),
+        ("zeno", ["N=1e400"]),
+        ("zeno", ["N=1e200"]),
+        ("zeno", ["dt=NaN"]),
+        ("zeno", ["gamma=Infinity"]),
+        ("evolve", ["t_end=NaN"]),
+        ("evolve", ["t_end=Infinity"]),
+        ("evolve", ["psi=-Infinity"]),
+        ("evolve", ["state=[NaN,0,0]"]),
+        ("evolve", ["measure=[1,Infinity]"]),
+        ("surface", ["M=NaN", "n_theta=2", "n_phi=2"]),
+    ],
+)
+def test_cli_rejects_non_finite(capsys, command, items):
+    code, out, err = run_cli(capsys, command, *items)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: ")
+
+
+@pytest.mark.parametrize(
+    "command, item, code, prefix",
+    [
+        ("evolve", "n_steps=0", 2, "config error: "),
+        ("evolve", "t_end=0", 2, "config error: "),
+        ("zeno", "count=0", 2, "config error: "),
+        ("zeno", "dt=-0.01", 2, "config error: "),
+        ("evolve", "state=[1,1,1]", 2, "config error: "),
+        ("evolve", "measure=[4,0]", 2, "config error: "),
+        ("intelligent", "M=0.5", 2, "config error: "),
+        ("zeno", "N=0", 2, "config error: "),
+        # alpha_ratio rounds to 1: a numeric failure on a valid config.
+        ("intelligent", "N=1e-300", 3, "numeric contract violation: "),
+    ],
+)
+def test_out_of_range_exit_codes(capsys, command, item, code, prefix):
+    got, out, err = run_cli(capsys, command, item)
+    assert got == code
+    assert out == ""
+    assert err.startswith(prefix)

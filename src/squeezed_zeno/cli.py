@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import itertools
 import json
+import math
 import sys
 
 import numpy as np
@@ -86,6 +87,8 @@ DEFAULTS = {
 REAL_KEYS = {"gamma", "N", "M", "psi", "t_end", "dt"}
 # Keys holding an integer, with the smallest value each accepts.
 INTEGER_MINIMUM = {"seed": 0, "n_theta": 1, "n_phi": 1, "n_steps": 1, "count": 1, "n_traj": 0}
+# Integer keys with an upper bound: up to 2**53 every survivor count is an exact float.
+INTEGER_MAXIMUM = {"n_traj": 2**53}
 
 
 class ConfigError(Exception):
@@ -103,12 +106,14 @@ def _real(key: str, value) -> float:
     return float(value)
 
 
-def _integer(key: str, value, minimum: int) -> int:
-    """An integer >= minimum; integral floats such as 1e3 are accepted."""
+def _integer(key: str, value, minimum: int, maximum: float) -> int:
+    """An integer in [minimum, maximum]; integral floats such as 1e3 are accepted."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ConfigError(f"{key} must be an integer >= {minimum}, got {value!r}")
+    if value > maximum:
+        raise ConfigError(f"{key} must be at most {maximum}, got {value!r}")
     return value
 
 
@@ -148,9 +153,13 @@ def load_config(path: str | None, overrides, command: str) -> dict:
         )
     merged = {k: DEFAULTS[k] for k in ALLOWED_KEYS[command] if k in DEFAULTS}
     merged.update(config)
+    if "out" in merged and not (isinstance(merged["out"], str) and merged["out"]):
+        raise ConfigError(f"out must be a non-empty path, got {merged['out']!r}")
     for key in sorted(merged):
         if key in INTEGER_MINIMUM:
-            merged[key] = _integer(key, merged[key], INTEGER_MINIMUM[key])
+            merged[key] = _integer(
+                key, merged[key], INTEGER_MINIMUM[key], INTEGER_MAXIMUM.get(key, math.inf)
+            )
         elif key in REAL_KEYS and not (key == "M" and merged[key] == "maximal"):
             merged[key] = _real(key, merged[key])
     return merged

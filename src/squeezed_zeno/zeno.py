@@ -78,11 +78,15 @@ def closed_system_survival(h, state, sched: MeasurementSchedule) -> float:
 
 
 def survival_rate(bath: BathParams, state) -> float:
-    """First-order survival rate <a| L{|a><a|} |a> (real, <= 0)."""
+    """First-order survival rate <a| L{|a><a|} |a> (real, <= 0).
+
+    For a frozen state rounding can leave it about 1e-16 gamma above 0,
+    which would make exp(rate t) exceed 1, so it is clipped at 0.
+    """
     state = np.asarray(state, dtype=complex)
     rho = pure_state_matrix(state)
     value = np.vdot(state, liouvillian(bath, rho) @ state)
-    return float(value.real)
+    return min(float(value.real), 0.0)
 
 
 def survival_functional_F(bath: BathParams, d: Direction) -> float:
@@ -192,11 +196,13 @@ def step_survival_probability(bath: BathParams, state, dt: float) -> float:
 
     The projector is evolved exactly for dt under the free master
     equation (closed-form affine Bloch propagator, analytic_free) and
-    the overlap with the initial state is read off.
+    the overlap with the initial state is read off. Rounding can put
+    0.5 (1 + v0 . v_dt) an ulp or two above 1 for a nearly frozen
+    state, so the result is clipped to [0, 1].
     """
     v0 = matrix_to_bloch(pure_state_matrix(state))
     v_dt = analytic_free(bath, v0, dt)
-    return float(0.5 * (1.0 + v0 @ v_dt))
+    return float(np.clip(0.5 * (1.0 + v0 @ v_dt), 0.0, 1.0))
 
 
 def repeated_measurement_survival(
@@ -220,7 +226,11 @@ def repeated_measurement_survival(
 def second_order_rate(bath: BathParams, state, dt: float) -> float:
     """Second-order survival rate <a| L{L{|a><a|}} |a> dt / 2.
 
-    Only valid when the first-order rate vanishes for this state.
+    Only valid when the first-order rate vanishes for this state. Where
+    it is below the tolerance but not zero (the ground state at N = 1e-14
+    has rate -1e-14), <a| L{L{|a><a|}} |a> can come out positive (gamma^2 N
+    for that state); the law would then exceed 1, so the rate is clipped
+    at 0.
     """
     state = np.asarray(state, dtype=complex)
     first = survival_rate(bath, state)
@@ -231,7 +241,7 @@ def second_order_rate(bath: BathParams, state, dt: float) -> float:
     rho = pure_state_matrix(state)
     double = liouvillian(bath, liouvillian(bath, rho))
     value = np.vdot(state, double @ state).real
-    return float(0.5 * value * dt)
+    return float(0.5 * min(value, 0.0) * dt)
 
 
 def monte_carlo_survival(
@@ -243,22 +253,22 @@ def monte_carlo_survival(
 ) -> SurvivalCurve:
     """Stochastic estimate of the repeated-measurement survival curve.
 
-    Uses a counter-based Philox generator keyed by the seed; step k
-    consumes one uniform draw per trajectory in trajectory order, so the
-    output is bit-identical for a fixed seed regardless of platform.
+    Each trajectory alive before measurement k survives it on its own
+    with probability p, so the number alive after step k is
+    Binomial(alive before, p). Step k consumes one binomial draw from a
+    counter-based Philox generator keyed by the seed, so the cost does
+    not depend on n_traj and reruns with a fixed seed are bit-identical.
     Returns per-step survival fractions with binomial standard errors.
     """
     if n_traj < 1:
         raise ParameterError("n_traj must be >= 1")
     p = step_survival_probability(bath, state, sched.dt)
     rng = np.random.Generator(np.random.Philox(seed))
-    alive = np.ones(n_traj, dtype=bool)
-    fractions = np.empty(sched.count + 1)
-    fractions[0] = 1.0
+    alive = np.empty(sched.count + 1, dtype=np.int64)
+    alive[0] = n_traj
     for k in range(1, sched.count + 1):
-        draws = rng.random(n_traj)
-        alive &= draws < p
-        fractions[k] = alive.sum() / n_traj
+        alive[k] = rng.binomial(alive[k - 1], p)
+    fractions = alive / n_traj
     stderr = np.sqrt(fractions * (1.0 - fractions) / n_traj)
     times = np.arange(sched.count + 1) * sched.dt
     return SurvivalCurve(TimeSeries(times, fractions), stderr=stderr)

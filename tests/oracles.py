@@ -8,7 +8,15 @@ import json
 import numpy as np
 from scipy.linalg import expm
 
-from squeezed_zeno import BathParams, TimeGrid, bloch_rates, liouvillian, validate_density_matrix
+from squeezed_zeno import (
+    BathParams,
+    MeasurementSchedule,
+    TimeGrid,
+    bloch_rates,
+    liouvillian,
+    step_survival_probability,
+    validate_density_matrix,
+)
 from squeezed_zeno.pauli import IDENTITY, Direction, eigenstates_mu, matrix_to_bloch, pure_state_matrix
 
 # Internal RK4 step as a fraction of the fastest relaxation time 1 / (gamma (2N + 1)).
@@ -68,6 +76,28 @@ def measurement_modified_rhs(bath: BathParams, d: Direction, rho: np.ndarray) ->
     q = IDENTITY - p
     image = liouvillian(bath, rho)
     return p @ image @ p + q @ image @ q
+
+
+def per_trajectory_survival(
+    bath: BathParams, state, sched: MeasurementSchedule, n_traj: int, seed: int
+) -> np.ndarray:
+    """Survivor counts a_0..a_count from one uniform draw per trajectory per measurement.
+
+    The direct unravelling of repeated measurement: a trajectory alive
+    before step k survives it when its uniform draw from the Philox
+    stream keyed by seed falls below the one-step survival probability.
+    The package draws the count itself (monte_carlo_survival); both have
+    the same law.
+    """
+    p = step_survival_probability(bath, state, sched.dt)
+    rng = np.random.Generator(np.random.Philox(seed))
+    alive = np.ones(n_traj, dtype=bool)
+    counts = np.empty(sched.count + 1, dtype=np.int64)
+    counts[0] = n_traj
+    for k in range(1, sched.count + 1):
+        alive &= rng.random(n_traj) < p
+        counts[k] = alive.sum()
+    return counts
 
 
 def reference_csv(columns, rows) -> str:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,7 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from squeezed_zeno import maximal_m
 from squeezed_zeno.cli import main
 
 
@@ -195,6 +200,66 @@ class TestZeno:
     def test_state_rejected(self, tmp_path, capsys, state, message):
         assert run(tmp_path, "zeno", extra=["--set", f"state={state}"]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def run_zeno(config: dict):
+    """Exit code and the named CSV columns that zeno writes to stdout."""
+    argv = ["zeno"]
+    for key, value in config.items():
+        argv += ["--set", f"{key}={json.dumps(value)}"]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(argv)
+    lines = stdout.getvalue().splitlines()
+    data = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+    return code, dict(zip(lines[0].split(","), data.T))
+
+
+def assert_survival_invariants(columns: dict):
+    """Every P_* value lies in [0, 1]; the exact and Monte Carlo curves never increase.
+
+    P_second_order is all NaN where the first-order rate does not vanish.
+    """
+    for name, values in columns.items():
+        if name == "P_second_order" and np.all(np.isnan(values)):
+            continue
+        if name.startswith("P_"):
+            assert np.all((values >= 0) & (values <= 1)), name
+    for name in ("P_exact", "P_mc"):
+        if name in columns:
+            assert np.all(np.diff(columns[name]) <= 0), name
+
+
+class TestZenoInvariants:
+    def test_nearly_frozen_state_stays_in_unit_interval(self):
+        # One-step survival rounded to 1 + 1 ulp here; P_exact printed values above 1.
+        code, columns = run_zeno(
+            {"gamma": 0.0416, "N": 0.000602, "psi": 5.179, "dt": 1e-6, "count": 3, "n_traj": 10}
+        )
+        assert code == 0
+        assert_survival_invariants(columns)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_valid_configs(self, data):
+        state = data.draw(st.sampled_from(["excited", "ground", "zeno-plus", "zeno-minus"]))
+        n = data.draw(st.floats(0.0 if state in ("excited", "ground") else 1e-6, 50.0))
+        config = {
+            "gamma": data.draw(st.floats(1e-3, 1e3)),
+            "N": n,
+            "M": data.draw(
+                st.one_of(st.just("maximal"), st.floats(0.0, 1.0).map(lambda f: f * maximal_m(n)))
+            ),
+            "psi": data.draw(st.floats(0.0, 2 * np.pi)),
+            "state": state,
+            "dt": data.draw(st.floats(1e-6, 10.0)),
+            "count": data.draw(st.integers(1, 200)),
+            "n_traj": data.draw(st.integers(0, 10**6)),
+            "seed": data.draw(st.integers(0, 2**64 - 1)),
+        }
+        code, columns = run_zeno(config)
+        assert code == 0
+        assert_survival_invariants(columns)
 
 
 class TestIntelligent:

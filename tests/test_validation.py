@@ -38,6 +38,12 @@ def run_cli(capsys, command, *items):
         ("evolve", "n_steps=2.7", "n_steps"),
         ("surface", "psi=true", "psi"),
         ("zeno", "n_traj=-1", "n_traj"),
+        ("zeno", "n_traj=1e20", "n_traj"),
+        ("zeno", "n_traj=9007199254740993", "n_traj"),
+        ("surface", "out=1", "out"),
+        ("surface", "out=null", "out"),
+        ("surface", 'out=""', "out"),
+        ("evolve", "out=[1]", "out"),
         ("zeno", "count=[5]", "count"),
         ("intelligent", 'gamma="1"', "gamma"),
         ("evolve", 'state=[0,"a",0]', "state"),

@@ -1,5 +1,8 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from scipy.stats import binom, chi2
 
 from squeezed_zeno import (
     BathParams,
@@ -12,6 +15,7 @@ from squeezed_zeno import (
     monte_carlo_survival,
     repeated_measurement_survival,
     second_order_rate,
+    step_survival_probability,
     survival_functional_F,
     survival_functional_grid,
     survival_rate,
@@ -19,6 +23,8 @@ from squeezed_zeno import (
     zeno_states,
 )
 from squeezed_zeno.errors import DomainError, ParameterError
+
+from oracles import per_trajectory_survival
 
 EXCITED = np.array([1.0, 0.0], dtype=complex)
 GROUND = np.array([0.0, 1.0], dtype=complex)
@@ -224,6 +230,21 @@ class TestRepeatedMeasurementSurvival:
         assert rates[0] / rates[1] == pytest.approx(2.0, rel=0.05)
 
 
+class TestStepSurvivalProbability:
+    def test_within_unit_interval_for_frozen_states(self):
+        # Before the result was clipped, rounding put 0.5 (1 + v0 . v_dt)
+        # up to 2 ulp above 1 in 78 of these 4000 nearly frozen cases.
+        rng = np.random.default_rng(404)
+        for _ in range(2000):
+            b = BathParams.maximal(
+                10 ** rng.uniform(-3, 2), 10 ** rng.uniform(-4, 2), rng.uniform(0, 2 * np.pi)
+            )
+            dt = 10 ** rng.uniform(-8, 0)
+            for state in zeno_states(b):
+                p = step_survival_probability(b, state, dt)
+                assert 0.0 <= p <= 1.0, (b, dt, p)
+
+
 class TestSecondOrderRate:
     def test_vacuum_ground_zero(self):
         b = BathParams(gamma=1.0, n=0.0, m=0.0)
@@ -276,6 +297,44 @@ class TestMonteCarloSurvival:
         c = monte_carlo_survival(b, z1, sched, 5000, 7)
         assert np.array_equal(a.probabilities, c.probabilities)
         assert np.array_equal(a.stderr, c.stderr)
+
+    def test_largest_n_traj(self):
+        # One bool per trajectory would take 9 PB here; the count chain takes count + 1 ints.
+        b = BathParams.maximal(1.0, 1.0, 0.7)
+        for state in (EXCITED, zeno_states(b)[0]):
+            f = monte_carlo_survival(b, state, MeasurementSchedule(0.01, 500), 2**53, 3).probabilities
+            assert f[0] == 1.0
+            assert np.all((f >= 0) & (f <= 1))
+            assert np.all(np.diff(f) <= 0)
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            lambda *args: np.rint(monte_carlo_survival(*args).probabilities * args[3]),
+            per_trajectory_survival,
+        ],
+        ids=["binomial_chain", "per_trajectory"],
+    )
+    def test_joint_law_of_survivor_counts(self, counts):
+        # Survivor counts form a Markov chain: a_k ~ Binomial(a_{k-1}, p).
+        # Chi-square of (a1, a2, a3) over 5000 seeds against that exact law.
+        b = BathParams(gamma=1.0, n=0.0, m=0.0)
+        sched, n_traj = MeasurementSchedule(0.5, 3), 3
+        p = np.exp(-0.5)
+        seen = Counter(tuple(int(a) for a in counts(b, EXCITED, sched, n_traj, seed)[1:])
+                       for seed in range(5000))
+        cells = [(a1, a2, a3) for a1 in range(n_traj + 1) for a2 in range(a1 + 1)
+                 for a3 in range(a2 + 1)]
+        expected = 5000 * np.array(
+            [binom.pmf(a1, n_traj, p) * binom.pmf(a2, a1, p) * binom.pmf(a3, a2, p)
+             for a1, a2, a3 in cells]
+        )
+        observed = np.array([seen[c] for c in cells])
+        assert observed.sum() == 5000
+        # Every one of the 20 cells expects at least 15 draws, so none needs pooling.
+        assert expected.min() >= 5
+        stat = np.sum((observed - expected) ** 2 / expected)
+        assert chi2.sf(stat, len(expected) - 1) > 1e-6
 
     def test_n_traj_validated(self):
         b = BathParams(gamma=1.0, n=0.0, m=0.0)

@@ -14,7 +14,6 @@ config (including the seed). Exit codes: 0 success, 2 config error,
 
 import argparse
 import contextlib
-import itertools
 import json
 import math
 import sys
@@ -54,7 +53,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
-# CSV rows formatted by one %-operation each.
+# Rows per block of the table writer; each block is formatted by one %-operation.
 ROWS_PER_CHUNK = 4096
 
 COMMON_KEYS = {"gamma", "N", "M", "psi", "out", "format", "seed"}
@@ -87,8 +86,10 @@ DEFAULTS = {
 REAL_KEYS = {"gamma", "N", "M", "psi", "t_end", "dt"}
 # Keys holding an integer, with the smallest value each accepts.
 INTEGER_MINIMUM = {"seed": 0, "n_theta": 1, "n_phi": 1, "n_steps": 1, "count": 1, "n_traj": 0}
+# Rows of one table at most: a larger request is a config error, not a failed allocation.
+MAX_ROWS = 2**22
 # Integer keys with an upper bound: up to 2**53 every survivor count is an exact float.
-INTEGER_MAXIMUM = {"n_traj": 2**53}
+INTEGER_MAXIMUM = {"n_traj": 2**53, "count": MAX_ROWS, "n_steps": MAX_ROWS}
 
 
 class ConfigError(Exception):
@@ -162,6 +163,11 @@ def load_config(path: str | None, overrides, command: str) -> dict:
             )
         elif key in REAL_KEYS and not (key == "M" and merged[key] == "maximal"):
             merged[key] = _real(key, merged[key])
+    if "n_theta" in merged and merged["n_theta"] * merged["n_phi"] > MAX_ROWS:
+        raise ConfigError(
+            f"n_theta*n_phi must be at most {MAX_ROWS}, "
+            f"got {merged['n_theta']}*{merged['n_phi']}"
+        )
     return merged
 
 
@@ -220,15 +226,66 @@ def resolve_state(spec, bath: BathParams) -> np.ndarray:
 
 
 def write_table(path: str | None, table: dict, fmt: str):
-    """Write named columns of equal length as CSV (%.17g) or JSON {"columns", "rows"}."""
-    values = np.column_stack(list(table.values()))
-    if fmt == "json":
-        _write_json(path, {"columns": list(table), "rows": values.tolist()})
+    """Write named float columns of equal length as CSV or JSON {"columns", "rows"}.
+
+    CSV is a header line, then one line per row with every value as %.17g. JSON is
+    byte for byte json.dumps({"columns": ..., "rows": ...}, sort_keys=True, indent=2)
+    plus a newline. Both are formatted and written one block of rows at a time.
+    """
+    names = list(table)
+    columns = [np.asarray(column, dtype=np.float64) for column in table.values()]
+    parts = _json_table(names, columns) if fmt == "json" else _csv_table(names, columns)
+    _write_text(path, parts)
+
+
+def _csv_table(names: list, columns: list):
+    """CSV text: the header line, then the rows block by block."""
+    yield ",".join(names) + "\n"
+    for n_rows, specs, values in _blocks(columns, "%.17g"):
+        yield (",".join(specs) + "\n") * n_rows % tuple(values)
+
+
+def _json_table(names: list, columns: list):
+    """JSON text: json.dumps's own "columns" entry, then "rows" (sorted after it) by block."""
+    head = json.dumps({"columns": names}, indent=2)[: -len("\n}")] + ',\n  "rows": ['
+    if not len(columns[0]):
+        yield head + "]\n}\n"
         return
-    row = ",".join(["%.17g"] * len(table)) + "\n"
-    blocks = (values[i : i + ROWS_PER_CHUNK] for i in range(0, len(values), ROWS_PER_CHUNK))
-    chunks = ((row * len(block)) % tuple(block.ravel().tolist()) for block in blocks)
-    _write_text(path, itertools.chain([",".join(table) + "\n"], chunks))
+    yield head + "\n"
+    separator = ""
+    for n_rows, specs, values in _blocks(columns, "%r"):
+        row = "    [\n      " + ",\n      ".join(specs) + "\n    ]"
+        text = ",\n".join([row] * n_rows) % tuple(values)
+        # float.__repr__ writes nan, inf and -inf where JSON has NaN, Infinity and -Infinity.
+        yield separator + text.replace("nan", "NaN").replace("inf", "Infinity")
+        separator = ",\n"
+    yield "\n  ]\n}\n"
+
+
+def _blocks(columns: list, spec: str):
+    """Per block of ROWS_PER_CHUNK rows: its length, one %-spec per column, the values row-major.
+
+    A column with at most half of a full block's values distinct is formatted once per
+    distinct bit pattern (so 0.0 and -0.0 stay apart) and spliced in with %s; the
+    floats of any other column go to `spec` as they are. Only full blocks are
+    searched: the first np.unique in a process maps in about 0.5 MiB of numpy's
+    sorting code, which a table shorter than one block cannot win back.
+    """
+    width = len(columns)
+    for start in range(0, len(columns[0]), ROWS_PER_CHUNK):
+        blocks = [column[start : start + ROWS_PER_CHUNK] for column in columns]
+        specs, values = [], [None] * (len(blocks[0]) * width)
+        for index, block in enumerate(blocks):
+            if len(block) == ROWS_PER_CHUNK:
+                bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
+                if 2 * len(bits) <= len(block):
+                    texts = [spec % x for x in bits.view(np.float64).tolist()]
+                    values[index::width] = np.array(texts, dtype=object)[inverse].tolist()
+                    specs.append("%s")
+                    continue
+            values[index::width] = block.tolist()
+            specs.append(spec)
+        yield len(blocks[0]), specs, values
 
 
 def _write_json(path: str | None, obj):
@@ -278,7 +335,8 @@ def cmd_evolve(config: dict) -> int:
 
     free = evolve_free(bath, rho0, grid)
     mu = d_obs.unit_vector
-    table = {"t": grid.times, "sigma_mu_free": free.values @ mu}
+    # <sigma_mu> lies in [-1, 1]; rounding puts a frozen state's value a few ulp outside.
+    table = {"t": grid.times, "sigma_mu_free": np.clip(free.values @ mu, -1.0, 1.0)}
 
     if measure != "none":
         d_meas = resolve_direction(measure, bath, "measure")
@@ -288,7 +346,7 @@ def cmd_evolve(config: dict) -> int:
                 "(the monitored dynamics closes only on the measured component)"
             )
         measured, _ = evolve_measured(bath, d_meas, rho0, grid)
-        table["sigma_mu_measured"] = measured.values
+        table["sigma_mu_measured"] = np.clip(measured.values, -1.0, 1.0)
     write_table(config.get("out"), table, config["format"])
     return EXIT_OK
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from squeezed_zeno import maximal_m
-from squeezed_zeno.cli import main
+from squeezed_zeno.cli import ALLOWED_KEYS, main
 
 
 def run(tmp_path, command, config=None, extra=None):
@@ -261,6 +261,136 @@ class TestZenoInvariants:
         assert code == 0
         assert_survival_invariants(columns)
 
+
+# Texts that no key accepts: not a number, not finite, or not a name.
+NOT_A_NUMBER = ["NaN", "Infinity", "-Infinity", "1e400", '"1"', "true", "null", "abc", "[1]"]
+# Texts that no integer key accepts: below every minimum, fractional, or above every cap.
+NOT_A_COUNT = ["-1", "2.5", "1e15", "4194305", '"5"', "true", "null"]
+DIRECTION_NAMES = ["mu1", "mu2", "x", "y", "z", "-z"]
+# Per key: a strategy of valid values (kept small, so each run is cheap) and the
+# invalid --set texts that must end in exit 2.
+KEY_VALUES = {
+    "gamma": (st.floats(1e-3, 1e3), ["0", "-1"] + NOT_A_NUMBER),
+    "N": (st.floats(0.0, 50.0), ["-1"] + NOT_A_NUMBER),
+    "M": (st.one_of(st.just("maximal"), st.floats(0.0, 1.0)), ["1e9", '"max"'] + NOT_A_NUMBER),
+    "psi": (st.floats(-10.0, 10.0), NOT_A_NUMBER),
+    "seed": (st.integers(0, 2**64 - 1), ["-1", "1.5", "true"]),
+    "format": (st.sampled_from(["csv", "json"]), ['"xml"', "1"]),
+    "out": (st.nothing(), ["1", "null", '""']),
+    "n_theta": (st.integers(1, 24), NOT_A_COUNT),
+    "n_phi": (st.integers(1, 24), NOT_A_COUNT),
+    "state": (
+        st.one_of(
+            st.sampled_from(["excited", "ground", "zeno-plus", "zeno-minus"]),
+            st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).map(
+                lambda v: [x / max(1.0, float(np.linalg.norm(v))) for x in v]
+            ),
+        ),
+        ['"bogus"', "[2,0,0]", "[NaN,0,0]", "[1,1]", "null"],
+    ),
+    "measure": (
+        st.one_of(
+            st.sampled_from(DIRECTION_NAMES + ["none"]),
+            st.tuples(st.floats(0.0, np.pi), st.floats(-10.0, 10.0)).map(list),
+        ),
+        ['"w"', "[4,0]", "[1]", "[0,NaN]", "null"],
+    ),
+    "observable": (
+        st.one_of(st.none(), st.sampled_from(DIRECTION_NAMES)),
+        ['"w"', "[4,0]", "[0]"],
+    ),
+    "t_end": (st.floats(1e-3, 20.0), ["0", "-1"] + NOT_A_NUMBER),
+    "n_steps": (st.integers(1, 64), NOT_A_COUNT),
+    "dt": (st.floats(1e-6, 10.0), ["0", "-0.01"] + NOT_A_NUMBER),
+    "count": (st.integers(1, 64), NOT_A_COUNT),
+    "n_traj": (st.integers(0, 10**6), ["-1", "1e20", "2.5"]),
+}
+# Keys whose default would make a run expensive; they are always set.
+SIZE_KEYS = {"n_theta", "n_phi", "n_steps", "count"}
+
+
+def parse_output(text: str, fmt: str) -> list:
+    """What a command wrote to stdout: each table as {name: column}, each JSON document as is."""
+    documents = []
+    if fmt == "csv" and not text.startswith("{"):
+        end = text.find("\n{") + 1 or len(text)
+        lines = text[:end].splitlines()
+        rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+        documents.append(dict(zip(lines[0].split(","), rows.T)))
+        text = text[end:]
+    while text:
+        document, end = json.JSONDecoder().raw_decode(text)
+        if isinstance(document, dict) and set(document) == {"columns", "rows"}:
+            rows = np.array(document["rows"], dtype=float)
+            document = dict(zip(document["columns"], rows.T))
+        documents.append(document)
+        text = text[end:].lstrip("\n")
+    return documents
+
+
+def numbers(document):
+    """Every number in a JSON document, as a flat float array."""
+    if isinstance(document, dict):
+        return np.concatenate([numbers(v) for v in document.values()] + [np.empty(0)])
+    if isinstance(document, list):
+        return np.concatenate([numbers(v) for v in document] + [np.empty(0)])
+    if isinstance(document, (int, float)) and not isinstance(document, bool):
+        return np.array([float(document)])
+    return np.empty(0)
+
+
+class TestCliInvariants:
+    """Random configs of every subcommand, valid and invalid, across the whole key space."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_any_config(self, data):
+        command = data.draw(st.sampled_from(sorted(ALLOWED_KEYS)))
+        keys = sorted(ALLOWED_KEYS[command])
+        argv, config = [command], {}
+        for key in keys:
+            valid, invalid = KEY_VALUES[key]
+            # About one config in four has an invalid value; "out" is set only then.
+            if data.draw(st.integers(0, 4 * len(keys) - 1)) == 0:
+                text = data.draw(st.sampled_from(invalid))
+            elif key == "out" or key not in SIZE_KEYS and not data.draw(st.booleans()):
+                continue
+            else:
+                config[key] = data.draw(valid)
+                text = json.dumps(config[key])
+            argv += ["--set", f"{key}={text}"]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        out, err = stdout.getvalue(), stderr.getvalue()
+        assert code in (0, 2, 3), err
+        if code:
+            assert out == ""
+            assert err.startswith("config error: " if code == 2 else "numeric contract violation: ")
+            return
+        assert err == ""
+        documents = parse_output(out, config.get("format", "csv"))
+        if command == "intelligent":
+            assert np.all(np.isfinite(numbers(documents[0])))
+            return
+        table = documents[0]
+        for name, column in table.items():
+            if name == "P_second_order" and np.all(np.isnan(column)):
+                continue
+            assert np.all(np.isfinite(column)), name
+        if command == "surface":
+            assert len(table["F"]) == config["n_theta"] * config["n_phi"]
+            # F is the survival rate of the measured state: survival never increases.
+            assert np.all(table["F"] <= 0.0)
+            assert np.all(np.isfinite(numbers(documents[1])))
+        elif command == "evolve":
+            assert len(table["t"]) == config["n_steps"] + 1
+            for name in ("sigma_mu_free", "sigma_mu_measured"):
+                if name in table:
+                    assert np.all(np.abs(table[name]) <= 1.0), name
+        else:
+            assert len(table["t"]) == config["count"] + 1
+            assert_survival_invariants(table)
 
 class TestIntelligent:
     def test_report_n1(self, tmp_path):

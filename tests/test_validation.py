@@ -110,6 +110,38 @@ def test_cli_rejects_non_finite(capsys, command, items):
 
 
 @pytest.mark.parametrize(
+    "command, items, message",
+    [
+        ("zeno", ["count=1e15"], "count must be at most 4194304, got 1000000000000000"),
+        ("zeno", ["count=4194305"], "count must be at most 4194304, got 4194305"),
+        ("evolve", ["n_steps=1e15"], "n_steps must be at most 4194304, got 1000000000000000"),
+        ("evolve", ["n_steps=4194305"], "n_steps must be at most 4194304, got 4194305"),
+        (
+            "surface",
+            ["n_theta=1e7", "n_phi=1e7"],
+            "n_theta*n_phi must be at most 4194304, got 10000000*10000000",
+        ),
+        (
+            "surface",
+            ["n_theta=2049", "n_phi=2048"],
+            "n_theta*n_phi must be at most 4194304, got 2049*2048",
+        ),
+        (
+            "surface",
+            ["n_theta=4194305", "n_phi=1"],
+            "n_theta*n_phi must be at most 4194304, got 4194305*1",
+        ),
+    ],
+)
+def test_request_size_caps(capsys, command, items, message):
+    # Every case is rejected while the config is read, before anything is allocated.
+    code, out, err = run_cli(capsys, command, *items)
+    assert code == 2
+    assert out == ""
+    assert err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "command, item, code, prefix",
     [
         ("evolve", "n_steps=0", 2, "config error: "),

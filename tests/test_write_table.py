@@ -4,10 +4,12 @@ import contextlib
 import io
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from squeezed_zeno import BathParams, survival_functional_grid, zeno_directions
@@ -34,9 +36,33 @@ ROW_COUNTS = st.one_of(
 )
 
 
+# 0.0, -0.0 and NaNs of four payloads and signs: six bit patterns, three printed texts.
+SIGNED = np.concatenate(
+    [
+        [0.0, -0.0],
+        np.array(
+            [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001],
+            dtype=np.uint64,
+        ).view(np.float64),
+    ]
+)
+COLUMN_KINDS = ["pool", "distinct", "repeat", "tile", "switch", "signed"]
+
+
+def random_bits(rng, size: int) -> np.ndarray:
+    """Floats with uniformly random bit patterns: all distinct, with the odd NaN or inf."""
+    return np.frombuffer(rng.bytes(8 * size), dtype=np.float64)
+
+
 @st.composite
 def tables(draw):
-    """1-6 named float columns of one drawn length, filled from a drawn pool of values."""
+    """1-6 named float columns of one drawn length, each of a drawn kind.
+
+    The kinds steer the writer's two paths per full block: "distinct" columns take the
+    raw path, "pool", "repeat" and "signed" ones (few distinct values per block) the
+    cached path, "tile" either, and "switch" changes path after the first block.
+    "signed" mixes 0.0, -0.0 and NaNs of different payloads in every block.
+    """
     names = draw(
         st.lists(st.text("abtxyzFP_01", min_size=1, max_size=6), min_size=1, max_size=6, unique=True)
     )
@@ -44,9 +70,42 @@ def tables(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     table = {}
     for name in names:
+        kind = draw(st.sampled_from(COLUMN_KINDS))
         pool = np.array(draw(st.lists(VALUES, min_size=1, max_size=12)), dtype=float)
-        table[name] = rng.choice(pool, size=n_rows)
+        if kind == "pool":
+            column = rng.choice(pool, size=n_rows)
+        elif kind == "distinct":
+            column = random_bits(rng, n_rows)
+        elif kind == "repeat":
+            times = draw(st.integers(1, 600))
+            column = np.repeat(random_bits(rng, n_rows // times + 1), times)[:n_rows]
+        elif kind == "tile":
+            period = draw(st.integers(1, 3000))
+            column = np.tile(random_bits(rng, period), n_rows // period + 1)[:n_rows]
+        elif kind == "switch":
+            first_block = np.arange(n_rows) < ROWS_PER_CHUNK
+            pooled_first = draw(st.booleans())
+            column = np.where(
+                first_block == pooled_first, rng.choice(pool, size=n_rows), random_bits(rng, n_rows)
+            )
+        else:
+            column = rng.choice(SIGNED, size=n_rows)
+        table[name] = column
     return table
+
+
+def mixed_table(n_rows: int = 2 * ROWS_PER_CHUNK + 5) -> dict:
+    """One column of each kind over three blocks; the switch column goes from cached to raw."""
+    rng = np.random.default_rng(7)
+    return {
+        "distinct": random_bits(rng, n_rows),
+        "repeat": np.repeat(random_bits(rng, n_rows // 512 + 1), 512)[:n_rows],
+        "tile": np.tile(random_bits(rng, 512), n_rows // 512 + 1)[:n_rows],
+        "switch": np.where(
+            np.arange(n_rows) < ROWS_PER_CHUNK, rng.choice(SIGNED, n_rows), random_bits(rng, n_rows)
+        ),
+        "signed": rng.choice(SIGNED, size=n_rows),
+    }
 
 
 def _reference(table: dict, fmt: str) -> str:
@@ -56,6 +115,8 @@ def _reference(table: dict, fmt: str) -> str:
 
 @settings(max_examples=100, deadline=None)
 @given(table=tables(), fmt=st.sampled_from(["csv", "json"]))
+@example(table=mixed_table(), fmt="csv")
+@example(table=mixed_table(), fmt="json")
 def test_write_table_matches_reference(table, fmt):
     expected = _reference(table, fmt)
     with tempfile.TemporaryDirectory() as tmp:
@@ -90,3 +151,30 @@ def test_surface_stdout_is_table_then_sidecar(capsys):
     captured = capsys.readouterr()
     assert captured.out == expected
     assert captured.err == ""
+
+
+def surface_like_table(n_rows: int) -> dict:
+    """A theta-major angle grid with 512 phi values, and one distinct value per cell."""
+    rng = np.random.default_rng(3)
+    return {
+        "theta": np.repeat(rng.random(n_rows // 512), 512),
+        "phi": np.tile(rng.random(512), n_rows // 512),
+        "F": rng.random(n_rows),
+    }
+
+
+def traced_peak(path: Path, table: dict, fmt: str) -> int:
+    """Peak bytes traced by tracemalloc while write_table writes the table to path."""
+    tracemalloc.start()
+    try:
+        write_table(str(path), table, fmt)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_memory_is_bounded_by_the_block(tmp_path, fmt):
+    # The writer holds a block at a time, so 16 times the rows must not double its peak.
+    small, large = (traced_peak(tmp_path / "table", surface_like_table(2**k), fmt) for k in (14, 18))
+    assert large <= 2 * small, (small, large)

@@ -6,7 +6,7 @@ Units: hbar = 1; rates in units of the vacuum decay constant gamma unless
 stated otherwise.
 """
 
-from .bath import BathParams, bloch_rates, lindblad_s_operator, liouvillian, liouvillian_from_s, maximal_m
+from .bath import BathParams, bloch_rates, lindblad_s_operator, maximal_m
 from .dynamics import (
     TimeGrid,
     TimeSeries,
@@ -52,7 +52,6 @@ from .zeno import (
     SurvivalCurve,
     ZenoDirections,
     closed_system_survival,
-    find_zeno_directions_grid,
     monte_carlo_survival,
     repeated_measurement_survival,
     second_order_rate,

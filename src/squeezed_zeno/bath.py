@@ -1,9 +1,8 @@
 """The squeezed-vacuum dissipator for a two-level atom.
 
-Provides the superoperator in its three-term form, the equivalent
-single-jump-operator (Lindblad) form valid at maximal two-photon
-correlation, and the affine Bloch-vector equations of motion derived
-from the superoperator.
+Provides the bath parameters, the affine Bloch-vector equations of
+motion of the dissipator in closed form, and its single jump operator
+(Lindblad form), valid at maximal two-photon correlation.
 """
 
 from dataclasses import dataclass
@@ -11,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .pauli import IDENTITY, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z
+from .pauli import SIGMA_MINUS, SIGMA_PLUS
 
 MAXIMAL_M_TOL = 1e-9
 
@@ -67,27 +66,6 @@ class BathParams:
         return float(np.arcsinh(np.sqrt(self.n)))
 
 
-def liouvillian(bath: BathParams, rho: np.ndarray) -> np.ndarray:
-    """Apply the squeezed-vacuum dissipator to a Hermitian operator.
-
-    L{rho} = gamma/2 (N+1)(2 s rho s+ - s+ s rho - rho s+ s)
-           + gamma/2  N   (2 s+ rho s - s s+ rho - rho s s+)
-           - gamma M e^{i psi} s+ rho s+ - gamma M e^{-i psi} s rho s
-
-    The trace of rho need not be 1; the map is linear and trace-free.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    g, n, m, psi = bath.gamma, bath.n, bath.m, bath.psi
-    sm, sp = SIGMA_MINUS, SIGMA_PLUS
-    down = 0.5 * g * (n + 1) * (2 * sm @ rho @ sp - sp @ sm @ rho - rho @ sp @ sm)
-    up = 0.5 * g * n * (2 * sp @ rho @ sm - sm @ sp @ rho - rho @ sm @ sp)
-    squeeze = (
-        -g * m * np.exp(1j * psi) * sp @ rho @ sp
-        - g * m * np.exp(-1j * psi) * sm @ rho @ sm
-    )
-    return down + up + squeeze
-
-
 def lindblad_s_operator(bath: BathParams) -> np.ndarray:
     """Jump operator S = sqrt(N+1) sigma - sqrt(N) e^{i psi} sigma+.
 
@@ -104,27 +82,22 @@ def lindblad_s_operator(bath: BathParams) -> np.ndarray:
     ) * SIGMA_PLUS
 
 
-def liouvillian_from_s(bath: BathParams, rho: np.ndarray) -> np.ndarray:
-    """Dissipator in single-jump form: gamma/2 (2 S rho S+ - rho S+ S - S+ S rho)."""
-    rho = np.asarray(rho, dtype=complex)
-    s = lindblad_s_operator(bath)
-    sd = s.conj().T
-    return 0.5 * bath.gamma * (2 * s @ rho @ sd - rho @ sd @ s - sd @ s @ rho)
-
-
 def bloch_rates(bath: BathParams):
-    """Affine Bloch equations d(rho_vec)/dt = A rho_vec + c.
+    """Affine Bloch equations d(rho_vec)/dt = A rho_vec + c, in closed form.
 
-    A and c are obtained by applying the dissipator to the identity and
-    the three Pauli matrices: A[k, j] = Tr(L{sigma_j} sigma_k) / 2 and
-    c[k] = Tr(L{1} sigma_k) / 2.
+    A[k, j] = Tr(L{sigma_j} sigma_k) / 2 and c[k] = Tr(L{1} sigma_k) / 2
+    for the squeezed-vacuum dissipator L, which works out to
+        transverse (xy) block: -gamma(N + 1/2) I - gamma M [[cos psi, -sin psi], [-sin psi, -cos psi]],
+        A_zz = -gamma(2N + 1), c = (0, 0, -gamma),
+    with no coupling between the transverse and longitudinal components.
     """
-    basis = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-    a = np.empty((3, 3))
-    for j, sig_j in enumerate(basis):
-        image = liouvillian(bath, sig_j)
-        for k, sig_k in enumerate(basis):
-            a[k, j] = 0.5 * np.trace(image @ sig_k).real
-    image_id = liouvillian(bath, IDENTITY)
-    c = np.array([0.5 * np.trace(image_id @ sig).real for sig in basis])
-    return a, c
+    g, n, m = bath.gamma, bath.n, bath.m
+    cos, sin = np.cos(bath.psi), np.sin(bath.psi)
+    a = np.array(
+        [
+            [-g * (n + 0.5) - g * m * cos, g * m * sin, 0.0],
+            [g * m * sin, -g * (n + 0.5) + g * m * cos, 0.0],
+            [0.0, 0.0, -g * (2 * n + 1)],
+        ]
+    )
+    return a, np.array([0.0, 0.0, -g])

@@ -346,7 +346,7 @@ def cmd_evolve(config: dict) -> int:
                 "(the monitored dynamics closes only on the measured component)"
             )
         measured, _ = evolve_measured(bath, d_meas, rho0, grid)
-        table["sigma_mu_measured"] = np.clip(measured.values, -1.0, 1.0)
+        table["sigma_mu_measured"] = measured.values
     write_table(config.get("out"), table, config["format"])
     return EXIT_OK
 

@@ -113,6 +113,7 @@ def evolve_measured(
     the scalar ODE is solved in closed form. If rho0 carries coherence
     in the measured eigenbasis it is dephased at t=0 (the effect of the
     first measurement); the returned flag reports whether that happened.
+    The values are clipped to [-1, 1].
 
     Returns (TimeSeries of <sigma_mu>, dephased).
     """
@@ -131,4 +132,5 @@ def evolve_measured(
         values = steady + (rho_mu0 - steady) * np.exp(beta * t)
     else:
         values = rho_mu0 + alpha * t
-    return TimeSeries(grid.times, values), dephased
+    # <sigma_mu> lies in [-1, 1]; rounding puts a frozen state's value a few ulp outside.
+    return TimeSeries(grid.times, np.clip(values, -1.0, 1.0)), dephased

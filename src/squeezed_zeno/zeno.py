@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import BathParams, bloch_rates, liouvillian
+from .bath import BathParams, bloch_rates
 from .dynamics import TimeSeries, analytic_free
 from .errors import DomainError, ParameterError
 from .pauli import Direction, matrix_to_bloch, pure_state_matrix
@@ -77,43 +77,50 @@ def closed_system_survival(h, state, sched: MeasurementSchedule) -> float:
     return float((1.0 - x) ** sched.count)
 
 
-def survival_rate(bath: BathParams, state) -> float:
-    """First-order survival rate <a| L{|a><a|} |a> (real, <= 0).
+def _first_order_rate(bath: BathParams, v: np.ndarray) -> float:
+    """Survival rate 0.5 v . (A v + c) of the pure state with Bloch vector v.
 
+    This is <a| L{|a><a|} |a>, since L{|a><a|} = (A v + c) . sigma / 2.
     For a frozen state rounding can leave it about 1e-16 gamma above 0,
     which would make exp(rate t) exceed 1, so it is clipped at 0.
     """
-    state = np.asarray(state, dtype=complex)
-    rho = pure_state_matrix(state)
-    value = np.vdot(state, liouvillian(bath, rho) @ state)
-    return min(float(value.real), 0.0)
+    a, c = bloch_rates(bath)
+    return min(0.5 * float(v @ (a @ v + c)), 0.0)
+
+
+def survival_rate(bath: BathParams, state) -> float:
+    """First-order survival rate <a| L{|a><a|} |a> (real, <= 0)."""
+    return _first_order_rate(bath, matrix_to_bloch(pure_state_matrix(state)))
 
 
 def survival_functional_F(bath: BathParams, d: Direction) -> float:
     """Survival rate of the +1 eigenstate of sigma_mu(d), as a function of angles.
 
-    Evaluated through the Bloch quadratic form F = mu . (A mu + c) / 2,
-    which is an independent route from the direct matrix element in
-    survival_rate (the two agree to machine precision).
+    That eigenstate has Bloch vector mu, so F = mu . (A mu + c) / 2 (<= 0).
     """
-    a, c = bloch_rates(bath)
-    mu = d.unit_vector
-    return float(0.5 * mu @ (a @ mu + c))
+    return _first_order_rate(bath, d.unit_vector)
 
 
 def survival_functional_grid(bath: BathParams, n_theta: int = 256, n_phi: int = 256):
     """Evaluate the survival functional on an (n_theta x n_phi) angle grid.
+
+    A has no transverse-longitudinal coupling and c points along z, so
+    2F = sin^2(theta) q(phi) + A_zz cos^2(theta) + c_z cos(theta), with q
+    the transverse quadratic form of A at (cos phi, sin phi); F is clipped
+    at 0 as in survival_functional_F.
 
     Returns (theta axis, phi axis, F values of shape (n_theta, n_phi)).
     """
     a, c = bloch_rates(bath)
     thetas = np.linspace(0.0, np.pi, n_theta)
     phis = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
-    st, ct = np.sin(thetas)[:, None], np.cos(thetas)[:, None]
-    cp, sp = np.cos(phis)[None, :], np.sin(phis)[None, :]
-    mx, my, mz = cp * st, sp * st, ct + 0.0 * cp
-    m = np.stack([mx, my, mz], axis=-1)
-    f = 0.5 * np.einsum("ijk,kl,ijl->ij", m, a, m) + 0.5 * m @ c
+    cp, sp = np.cos(phis), np.sin(phis)
+    transverse = a[0, 0] * cp**2 + (a[0, 1] + a[1, 0]) * cp * sp + a[1, 1] * sp**2
+    ct = np.cos(thetas)
+    f = np.multiply.outer(np.sin(thetas) ** 2, transverse)
+    f += (a[2, 2] * ct**2 + c[2] * ct)[:, None]
+    f *= 0.5
+    np.minimum(f, 0.0, out=f)
     return thetas, phis, f
 
 
@@ -132,44 +139,6 @@ def zeno_directions(bath: BathParams) -> ZenoDirections:
         mu2=Direction(theta, phi1 + np.pi),
         theta=theta,
     )
-
-
-def find_zeno_directions_grid(bath: BathParams, n_theta: int = 256, n_phi: int = 256):
-    """Locate the survival-functional maxima by grid scan plus local polish.
-
-    Returns a list of (Direction, F value), one per local maximum found
-    (the global maximum and any grid point within 1e-9 of it).
-    """
-    # Imported here so that importing the package does not load scipy.
-    from scipy.optimize import minimize
-
-    thetas, phis, f = survival_functional_grid(bath, n_theta, n_phi)
-    fmax = f.max()
-    candidates = np.argwhere(f >= fmax - 1e-9 * max(1.0, abs(fmax)))
-    # Cluster neighbouring grid hits: keep maxima separated by > 2 cells.
-    results = []
-    dtheta = np.pi / (n_theta - 1)
-    dphi = 2 * np.pi / n_phi
-    for i, j in candidates:
-        th, ph = thetas[i], phis[j]
-        if any(
-            abs(th - r[0].theta) < 3 * dtheta
-            and min(abs(ph - r[0].phi), 2 * np.pi - abs(ph - r[0].phi)) < 3 * dphi
-            for r in results
-        ):
-            continue
-        res = minimize(
-            lambda x: -survival_functional_F(
-                bath, Direction(float(np.clip(x[0], 0, np.pi)), float(x[1]))
-            ),
-            x0=[th, ph],
-            method="Nelder-Mead",
-            options={"xatol": 1e-12, "fatol": 1e-14},
-        )
-        th, ph = float(np.clip(res.x[0], 0, np.pi)), float(res.x[1])
-        d = Direction(th, ph)
-        results.append((d, survival_functional_F(bath, d)))
-    return results
 
 
 def zeno_states(bath: BathParams):
@@ -232,16 +201,16 @@ def second_order_rate(bath: BathParams, state, dt: float) -> float:
     for that state); the law would then exceed 1, so the rate is clipped
     at 0.
     """
-    state = np.asarray(state, dtype=complex)
-    first = survival_rate(bath, state)
+    v = matrix_to_bloch(pure_state_matrix(state))
+    first = _first_order_rate(bath, v)
     if abs(first) > FIRST_ORDER_ZERO_TOL * bath.gamma:
         raise ParameterError(
             f"first-order rate {first} does not vanish; second-order law invalid"
         )
-    rho = pure_state_matrix(state)
-    double = liouvillian(bath, liouvillian(bath, rho))
-    value = np.vdot(state, double @ state).real
-    return float(0.5 * min(value, 0.0) * dt)
+    # L{L{|a><a|}} = A (A v + c) . sigma / 2, whose expectation in |a> is half its dot with v.
+    a, c = bloch_rates(bath)
+    value = 0.5 * float(v @ (a @ (a @ v + c)))
+    return 0.5 * min(value, 0.0) * dt
 
 
 def monte_carlo_survival(

@@ -7,20 +7,78 @@ import json
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.optimize import minimize
 
 from squeezed_zeno import (
     BathParams,
     MeasurementSchedule,
     TimeGrid,
-    bloch_rates,
-    liouvillian,
+    lindblad_s_operator,
     step_survival_probability,
+    survival_functional_F,
+    survival_functional_grid,
     validate_density_matrix,
 )
-from squeezed_zeno.pauli import IDENTITY, Direction, eigenstates_mu, matrix_to_bloch, pure_state_matrix
+from squeezed_zeno.pauli import (
+    IDENTITY,
+    SIGMA_MINUS,
+    SIGMA_PLUS,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    Direction,
+    eigenstates_mu,
+    matrix_to_bloch,
+    pure_state_matrix,
+)
 
 # Internal RK4 step as a fraction of the fastest relaxation time 1 / (gamma (2N + 1)).
 RK4_STEP_FRACTION = 1e-3
+
+
+def liouvillian(bath: BathParams, rho: np.ndarray) -> np.ndarray:
+    """Apply the squeezed-vacuum dissipator to a Hermitian operator.
+
+    L{rho} = gamma/2 (N+1)(2 s rho s+ - s+ s rho - rho s+ s)
+           + gamma/2  N   (2 s+ rho s - s s+ rho - rho s s+)
+           - gamma M e^{i psi} s+ rho s+ - gamma M e^{-i psi} s rho s
+
+    The trace of rho need not be 1; the map is linear and trace-free.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    g, n, m, psi = bath.gamma, bath.n, bath.m, bath.psi
+    sm, sp = SIGMA_MINUS, SIGMA_PLUS
+    down = 0.5 * g * (n + 1) * (2 * sm @ rho @ sp - sp @ sm @ rho - rho @ sp @ sm)
+    up = 0.5 * g * n * (2 * sp @ rho @ sm - sm @ sp @ rho - rho @ sm @ sp)
+    squeeze = (
+        -g * m * np.exp(1j * psi) * sp @ rho @ sp
+        - g * m * np.exp(-1j * psi) * sm @ rho @ sm
+    )
+    return down + up + squeeze
+
+
+def liouvillian_from_s(bath: BathParams, rho: np.ndarray) -> np.ndarray:
+    """Dissipator in single-jump form: gamma/2 (2 S rho S+ - rho S+ S - S+ S rho)."""
+    rho = np.asarray(rho, dtype=complex)
+    s = lindblad_s_operator(bath)
+    sd = s.conj().T
+    return 0.5 * bath.gamma * (2 * s @ rho @ sd - rho @ sd @ s - sd @ s @ rho)
+
+
+def oracle_bloch_rates(bath: BathParams):
+    """Affine Bloch generator (A, c) from four applications of the dissipator.
+
+    A[k, j] = Tr(L{sigma_j} sigma_k) / 2 and c[k] = Tr(L{1} sigma_k) / 2.
+    """
+    basis = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+    a = np.empty((3, 3))
+    for j, sig_j in enumerate(basis):
+        image = liouvillian(bath, sig_j)
+        for k, sig_k in enumerate(basis):
+            a[k, j] = 0.5 * np.trace(image @ sig_k).real
+    image_id = liouvillian(bath, IDENTITY)
+    c = np.array([0.5 * np.trace(image_id @ sig).real for sig in basis])
+    return a, c
 
 
 def rk4_free(bath: BathParams, rho0: np.ndarray, grid: TimeGrid) -> np.ndarray:
@@ -31,7 +89,7 @@ def rk4_free(bath: BathParams, rho0: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """
     validate_density_matrix(rho0)
     max_step = RK4_STEP_FRACTION / (bath.gamma * (2 * bath.n + 1))
-    a, c = bloch_rates(bath)
+    a, c = oracle_bloch_rates(bath)
 
     def deriv(v):
         return a @ v + c
@@ -56,7 +114,7 @@ def rk4_free(bath: BathParams, rho0: np.ndarray, grid: TimeGrid) -> np.ndarray:
 
 def expm_propagator(bath: BathParams, t: float):
     """Affine propagator v(t) = P v(0) + q from expm of the augmented 4x4 generator."""
-    a, c = bloch_rates(bath)
+    a, c = oracle_bloch_rates(bath)
     aug = np.zeros((4, 4))
     aug[:3, :3] = a
     aug[:3, 3] = c
@@ -76,6 +134,42 @@ def measurement_modified_rhs(bath: BathParams, d: Direction, rho: np.ndarray) ->
     q = IDENTITY - p
     image = liouvillian(bath, rho)
     return p @ image @ p + q @ image @ q
+
+
+def find_zeno_directions_grid(bath: BathParams, n_theta: int = 256, n_phi: int = 256):
+    """Locate the survival-functional maxima by grid scan plus local polish.
+
+    The independent check of the closed-form zeno_directions. Returns a
+    list of (Direction, F value), one per local maximum found (the global
+    maximum and any grid point within 1e-9 of it).
+    """
+    thetas, phis, f = survival_functional_grid(bath, n_theta, n_phi)
+    fmax = f.max()
+    candidates = np.argwhere(f >= fmax - 1e-9 * max(1.0, abs(fmax)))
+    # Cluster neighbouring grid hits: keep maxima separated by > 2 cells.
+    results = []
+    dtheta = np.pi / (n_theta - 1)
+    dphi = 2 * np.pi / n_phi
+    for i, j in candidates:
+        th, ph = thetas[i], phis[j]
+        if any(
+            abs(th - r[0].theta) < 3 * dtheta
+            and min(abs(ph - r[0].phi), 2 * np.pi - abs(ph - r[0].phi)) < 3 * dphi
+            for r in results
+        ):
+            continue
+        res = minimize(
+            lambda x: -survival_functional_F(
+                bath, Direction(float(np.clip(x[0], 0, np.pi)), float(x[1]))
+            ),
+            x0=[th, ph],
+            method="Nelder-Mead",
+            options={"xatol": 1e-12, "fatol": 1e-14},
+        )
+        th, ph = float(np.clip(res.x[0], 0, np.pi)), float(res.x[1])
+        d = Direction(th, ph)
+        results.append((d, survival_functional_F(bath, d)))
+    return results
 
 
 def per_trajectory_survival(

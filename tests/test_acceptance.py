@@ -15,8 +15,6 @@ from squeezed_zeno import (
     evolve_free,
     evolve_measured,
     lindblad_s_operator,
-    liouvillian,
-    liouvillian_from_s,
     monte_carlo_survival,
     pure_state_matrix,
     repeated_measurement_survival,
@@ -30,7 +28,13 @@ from squeezed_zeno import (
 )
 from squeezed_zeno.intelligent import SqueezeFrame, j_minus_alpha
 
-from oracles import measurement_modified_rhs, rk4_free
+from oracles import (
+    find_zeno_directions_grid,
+    liouvillian,
+    liouvillian_from_s,
+    measurement_modified_rhs,
+    rk4_free,
+)
 
 SWEEP_N = (0.5, 1.0, 2.0, 5.0)
 SWEEP_PSI = (0.0, 1.0, np.pi, 5.0)
@@ -70,7 +74,13 @@ def test_criterion_02_closed_form_angles_match_grid():
                 dphi2 = min(abs(phis[j] - zd.mu2.phi), 2 * np.pi - abs(phis[j] - zd.mu2.phi))
                 ok &= min(dphi1, dphi2) <= dphi + 1e-12
                 ok &= abs(thetas[i] - zd.theta) <= dtheta + 1e-12
-    report("2. grid argmax within one cell of the closed-form angles", ok)
+            # the grid scan polished off the grid lands on the closed-form directions
+            found = find_zeno_directions_grid(b, 256, 256)
+            ok &= len(found) == 2
+            for d, fval in found:
+                ok &= max(d.unit_vector @ t.unit_vector for t in (zd.mu1, zd.mu2)) > 1 - 1e-8
+                ok &= abs(fval) < 1e-10
+    report("2. grid argmax within one cell of, and its polish at, the closed-form angles", ok)
 
 
 def test_criterion_03_analytic_vs_numeric_free_evolution():

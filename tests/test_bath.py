@@ -2,22 +2,36 @@ import numpy as np
 import pytest
 
 from squeezed_zeno import (
+    GROUND,
     BathParams,
     SIGMA_MINUS,
     SIGMA_PLUS,
     bloch_rates,
     lindblad_s_operator,
-    liouvillian,
-    liouvillian_from_s,
     matrix_to_bloch,
     maximal_m,
+    pure_state_matrix,
+    second_order_rate,
+    survival_rate,
+    zeno_states,
 )
 from squeezed_zeno.errors import ParameterError
+
+from oracles import liouvillian, liouvillian_from_s, oracle_bloch_rates
 
 
 def random_hermitian(rng):
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     return a + a.conj().T
+
+
+def random_bath(rng, maximal=False):
+    """gamma in [0.1, 3], N in [0, 3], psi in [0, 2 pi); M maximal or a random fraction of it."""
+    n = rng.uniform(0.0, 3.0)
+    fraction = 1.0 if maximal else rng.uniform(0.0, 1.0)
+    return BathParams(
+        gamma=rng.uniform(0.1, 3.0), n=n, m=fraction * maximal_m(n), psi=rng.uniform(0, 2 * np.pi)
+    )
 
 
 class TestBathParams:
@@ -142,10 +156,14 @@ class TestBlochRates:
         assert abs(a[1, 0]) == pytest.approx(b.m, abs=1e-12)
 
     def test_consistent_with_liouvillian(self):
+        # Closed form against the dissipator itself, at maximal and sub-maximal M.
         rng = np.random.default_rng(10)
-        for _ in range(20):
-            b = BathParams.maximal(1.0, rng.uniform(0.1, 3), rng.uniform(0, 2 * np.pi))
+        for k in range(400):
+            b = random_bath(rng, maximal=k % 2 == 0)
             a, c = bloch_rates(b)
+            a_ref, c_ref = oracle_bloch_rates(b)
+            assert np.max(np.abs(a - a_ref)) < 1e-12
+            assert np.max(np.abs(c - c_ref)) < 1e-12
             rho = random_hermitian(rng)
             rho = rho / np.trace(rho).real if abs(np.trace(rho)) > 0.3 else rho + np.eye(2)
             rho = rho / np.trace(rho).real
@@ -162,6 +180,34 @@ class TestBlochRates:
                 ]
             )
             assert np.max(np.abs(lv - (a @ v + c * np.trace(rho).real))) < 1e-12
+
+
+class TestRatesAgainstDissipator:
+    """The survival rates as projections of (A, c), against <a|L(rho)|a> and <a|L(L(rho))|a>."""
+
+    def test_survival_rate(self):
+        rng = np.random.default_rng(11)
+        for k in range(400):
+            b = random_bath(rng, maximal=k % 2 == 0)
+            state = rng.normal(size=2) + 1j * rng.normal(size=2)
+            state /= np.linalg.norm(state)
+            element = np.vdot(state, liouvillian(b, pure_state_matrix(state)) @ state).real
+            assert survival_rate(b, state) == pytest.approx(min(element, 0.0), abs=1e-12)
+
+    def test_second_order_rate(self):
+        # Only frozen states pass the first-order gate: the two of each maximal bath, and
+        # the vacuum ground state (whose <a|L(L(rho))|a> is 0).
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            b = random_bath(rng, maximal=True)
+            vacuum = BathParams(gamma=b.gamma, n=0.0, m=0.0, psi=b.psi)
+            dt = 10 ** rng.uniform(-4, 0)
+            for bath, state in [(b, z) for z in zeno_states(b)] + [(vacuum, GROUND)]:
+                rho = pure_state_matrix(state)
+                element = np.vdot(state, liouvillian(bath, liouvillian(bath, rho)) @ state).real
+                assert second_order_rate(bath, state, dt) == pytest.approx(
+                    0.5 * min(element, 0.0) * dt, abs=1e-12 * dt
+                )
 
 
 def test_maximal_m_helper():

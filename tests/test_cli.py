@@ -61,6 +61,19 @@ class TestSurface:
         assert best[0] == pytest.approx(np.pi)
         assert best[2] == pytest.approx(0.0, abs=1e-12)
 
+    def test_frozen_cells_exactly_zero(self, capsys):
+        # At N = 1/8 cos(theta*) = -1/2, so the 4x4 grid hits both frozen directions exactly;
+        # rounding puts the unclipped closed form about 1e-17 above 0 there.
+        argv = ["surface", "--set", "N=0.125", "--set", "psi=0", "--set", "n_theta=4", "--set", "n_phi=4"]
+        assert main(argv) == 0
+        table = parse_output(capsys.readouterr().out, "csv")[0]
+        theta, phi, f = (table[name].reshape(4, 4) for name in ("theta", "phi", "F"))
+        assert np.all(f <= 0.0)
+        assert theta[2, 0] == pytest.approx(2 * np.pi / 3)
+        assert phi[2, [1, 3]] == pytest.approx([np.pi / 2, 3 * np.pi / 2])
+        assert f[2, 1] == 0.0 and f[2, 3] == 0.0
+        assert np.all(f[np.arange(4) != 2] < 0) and np.all(f[2, [0, 2]] < 0)
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         code = run(tmp_path, "surface", {"N": 1.0, "bogus": 3})
         assert code == 2
@@ -447,16 +460,29 @@ class TestOverridesAndDeterminism:
         assert code == 2
 
 
+# One small run of each subcommand, Monte Carlo included.
+SMALL_RUNS = (
+    ["surface", "--set", "n_theta=8", "--set", "n_phi=8"],
+    ["evolve", "--set", "n_steps=8"],
+    ["zeno", "--set", "count=8", "--set", "n_traj=100"],
+    ["intelligent"],
+)
+
+
 def test_cli_import_loads_no_scipy():
+    # Importing the CLI and running every subcommand loads numpy alone.
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
+    script = (
+        "import contextlib, io, sys\n"
+        "from squeezed_zeno.cli import main\n"
+        f"for argv in {SMALL_RUNS!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
     proc = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import sys, squeezed_zeno.cli; "
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
-        ],
+        [sys.executable, "-c", script],
         env=env,
         capture_output=True,
         text=True,

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from squeezed_zeno import (
     BathParams,
@@ -20,9 +22,8 @@ from squeezed_zeno import (
 )
 from squeezed_zeno.errors import ParameterError
 from squeezed_zeno.pauli import Direction
-from squeezed_zeno.bath import liouvillian
 
-from oracles import expm_propagator, measurement_modified_rhs, rk4_free
+from oracles import expm_propagator, liouvillian, measurement_modified_rhs, rk4_free
 
 
 def random_bloch(rng, surface=False):
@@ -212,6 +213,44 @@ class TestEvolveMeasured:
             diffs = np.diff(ts.values)
             assert np.all(diffs >= -1e-12)
             assert ts.values[-1] == pytest.approx(1.0, abs=1e-5)
+
+
+class TestEvolveMeasuredBounds:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        gamma=st.floats(0.01, 10.0),
+        n=st.floats(0.0, 10.0),
+        fraction=st.just(1.0) | st.floats(0.0, 1.0),
+        psi=st.floats(0.0, 2 * np.pi),
+        direction=st.sampled_from(["mu1", "mu2"])
+        | st.tuples(st.floats(0.0, np.pi), st.floats(0.0, 2 * np.pi)),
+        state=st.sampled_from(["zeno-plus", "plus", "minus"])
+        | st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+        t_end=st.floats(1e-3, 50.0),
+        n_steps=st.integers(1, 256),
+    )
+    # Before evolve_measured clipped its values, this one gave 1.0000000000000004.
+    @example(
+        gamma=1.0, n=1.0, fraction=1.0, psi=0.0, direction="mu1", state="zeno-plus",
+        t_end=5.0, n_steps=200,
+    )
+    def test_expectation_within_unit_interval(
+        self, gamma, n, fraction, psi, direction, state, t_end, n_steps
+    ):
+        b = BathParams(gamma=gamma, n=n, m=fraction * maximal_m(n), psi=psi)
+        if isinstance(direction, str):
+            d = getattr(zeno_directions(b), direction)
+        else:
+            d = Direction(*direction)
+        if state == "zeno-plus" and b.n > 0:
+            rho0 = pure_state_matrix(zeno_states(b)[0])
+        elif isinstance(state, str):
+            rho0 = pure_state_matrix(eigenstates_mu(d)[state == "minus"])
+        else:
+            v = np.array(state)
+            rho0 = bloch_to_matrix(v / max(1.0, np.linalg.norm(v)))
+        ts, _ = evolve_measured(b, d, rho0, TimeGrid(0.0, t_end, n_steps))
+        assert np.all(np.abs(ts.values) <= 1.0)
 
 
 class TestTraceIdentity:

@@ -11,7 +11,6 @@ from squeezed_zeno import (
     SIGMA_X,
     closed_system_survival,
     eigenstates_mu,
-    find_zeno_directions_grid,
     monte_carlo_survival,
     repeated_measurement_survival,
     second_order_rate,
@@ -24,7 +23,7 @@ from squeezed_zeno import (
 )
 from squeezed_zeno.errors import DomainError, ParameterError
 
-from oracles import per_trajectory_survival
+from oracles import find_zeno_directions_grid, per_trajectory_survival
 
 EXCITED = np.array([1.0, 0.0], dtype=complex)
 GROUND = np.array([0.0, 1.0], dtype=complex)

@@ -40,12 +40,13 @@ from .pauli import (
     SIGMA_Y,
     SIGMA_Z,
     bloch_to_matrix,
+    bloch_vector,
     eigenstates_mu,
     expectation,
     matrix_to_bloch,
+    pure_state_bloch,
     pure_state_matrix,
     sigma_mu,
-    validate_density_matrix,
 )
 from .zeno import (
     MeasurementSchedule,

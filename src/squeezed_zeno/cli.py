@@ -28,13 +28,13 @@ from . import (
     MeasurementSchedule,
     SqueezedZenoError,
     TimeGrid,
-    bloch_to_matrix,
+    bloch_vector,
     eigenstates_mu,
     evolve_free,
     evolve_measured,
     maximal_m,
     monte_carlo_survival,
-    pure_state_matrix,
+    pure_state_bloch,
     repeated_measurement_survival,
     s_eigensystem,
     second_order_rate,
@@ -47,6 +47,7 @@ from . import (
 from .bath import lindblad_s_operator
 from .errors import InvalidStateError, ParameterError
 from .intelligent import SqueezeFrame, j_minus_alpha
+from .zeno import FIRST_ORDER_ZERO_TOL
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -216,12 +217,12 @@ def resolve_pure_state(name: str, bath: BathParams) -> np.ndarray:
 
 
 def resolve_state(spec, bath: BathParams) -> np.ndarray:
-    """Initial density matrix from a named state or an explicit Bloch vector."""
+    """Initial Bloch vector from a named pure state or an explicit [x, y, z]."""
     if isinstance(spec, str):
-        return pure_state_matrix(resolve_pure_state(spec, bath))
+        return pure_state_bloch(resolve_pure_state(spec, bath))
     if isinstance(spec, (list, tuple)) and len(spec) == 3:
         with _config_checked("state"):
-            return bloch_to_matrix([_real("state", x) for x in spec])
+            return bloch_vector([_real("state", x) for x in spec])
     raise ConfigError(f"state must be a name or [x, y, z], got {spec!r}")
 
 
@@ -324,28 +325,28 @@ def cmd_surface(config: dict) -> int:
 
 def cmd_evolve(config: dict) -> int:
     bath = bath_from_config(config)
-    rho0 = resolve_state(config["state"], bath)
-    measure = config["measure"]
-    if config.get("observable") is not None:
-        d_obs = resolve_direction(config["observable"], bath, "observable")
+    v0 = resolve_state(config["state"], bath)
+    measure, observable = config["measure"], config.get("observable")
+    if observable is not None:
+        d_obs = resolve_direction(observable, bath, "observable")
     else:
         d_obs = resolve_direction("mu1" if measure == "none" else measure, bath, "measure")
     with _config_checked("time grid"):
         grid = TimeGrid(0.0, config["t_end"], config["n_steps"])
 
-    free = evolve_free(bath, rho0, grid)
+    free = evolve_free(bath, v0, grid)
     mu = d_obs.unit_vector
     # <sigma_mu> lies in [-1, 1]; rounding puts a frozen state's value a few ulp outside.
-    table = {"t": grid.times, "sigma_mu_free": np.clip(free.values @ mu, -1.0, 1.0)}
+    table = {"t": free.times, "sigma_mu_free": np.clip(free.values @ mu, -1.0, 1.0)}
 
     if measure != "none":
-        d_meas = resolve_direction(measure, bath, "measure")
+        d_meas = d_obs if observable is None else resolve_direction(measure, bath, "measure")
         if not np.allclose(d_meas.unit_vector, mu, atol=1e-12):
             raise ConfigError(
                 "observable must coincide with the measured direction "
                 "(the monitored dynamics closes only on the measured component)"
             )
-        measured, _ = evolve_measured(bath, d_meas, rho0, grid)
+        measured, _ = evolve_measured(bath, d_meas, v0, grid)
         table["sigma_mu_measured"] = measured.values
     write_table(config.get("out"), table, config["format"])
     return EXIT_OK
@@ -363,7 +364,7 @@ def cmd_zeno(config: dict) -> int:
     times = exact.times
     rate1 = survival_rate(bath, state)
     p_first = np.exp(rate1 * times)
-    if abs(rate1) <= 1e-10 * bath.gamma:
+    if abs(rate1) <= FIRST_ORDER_ZERO_TOL * bath.gamma:
         rate2 = second_order_rate(bath, state, sched.dt)
         p_second = np.exp(rate2 * times)
     else:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .bath import BathParams, bloch_rates
 from .errors import ParameterError
-from .pauli import Direction, matrix_to_bloch, validate_density_matrix
+from .pauli import Direction, bloch_vector
 
 
 @dataclass(frozen=True)
@@ -53,15 +53,14 @@ class TimeSeries:
         object.__setattr__(self, "values", np.asarray(self.values))
 
 
-def evolve_free(bath: BathParams, rho0: np.ndarray, grid: TimeGrid) -> TimeSeries:
-    """Free evolution of the master equation without measurements.
+def evolve_free(bath: BathParams, v0, grid: TimeGrid) -> TimeSeries:
+    """Free evolution of the master equation from the Bloch vector v0.
 
     Returns a TimeSeries of Bloch vectors sampled on the grid, from the
     closed-form solution (analytic_free).
     """
-    validate_density_matrix(rho0)
+    v0 = bloch_vector(v0)
     times = grid.times
-    v0 = matrix_to_bloch(rho0)
     return TimeSeries(times, analytic_free(bath, v0, times - times[0]))
 
 
@@ -101,36 +100,31 @@ def measured_coefficients(bath: BathParams, d: Direction):
     return float(mu @ c), float(mu @ a @ mu)
 
 
-def evolve_measured(
-    bath: BathParams,
-    d: Direction,
-    rho0: np.ndarray,
-    grid: TimeGrid,
-):
+def evolve_measured(bath: BathParams, d: Direction, v0, grid: TimeGrid):
     """Evolution of <sigma_mu> under continuous monitoring of sigma_mu.
 
     The monitored dynamics closes on the measured expectation value, so
-    the scalar ODE is solved in closed form. If rho0 carries coherence
-    in the measured eigenbasis it is dephased at t=0 (the effect of the
-    first measurement); the returned flag reports whether that happened.
-    The values are clipped to [-1, 1].
+    the scalar ODE is solved in closed form. If the initial Bloch vector
+    v0 carries coherence in the measured eigenbasis it is dephased at t=0
+    (the effect of the first measurement); the returned flag reports
+    whether that happened. The values are clipped to [-1, 1].
 
     Returns (TimeSeries of <sigma_mu>, dephased).
     """
-    validate_density_matrix(rho0)
+    v0 = bloch_vector(v0)
     mu = d.unit_vector
-    v0 = matrix_to_bloch(rho0)
     rho_mu0 = float(mu @ v0)
     # Components of the Bloch vector orthogonal to mu are coherences in
     # the sigma_mu eigenbasis; the first measurement removes them.
     dephased = bool(np.linalg.norm(v0 - rho_mu0 * mu) > 1e-12)
 
     alpha, beta = measured_coefficients(bath, d)
-    t = grid.times - grid.times[0]
+    times = grid.times
+    t = times - times[0]
     if abs(beta) > 1e-14:
         steady = -alpha / beta
         values = steady + (rho_mu0 - steady) * np.exp(beta * t)
     else:
         values = rho_mu0 + alpha * t
     # <sigma_mu> lies in [-1, 1]; rounding puts a frozen state's value a few ulp outside.
-    return TimeSeries(grid.times, np.clip(values, -1.0, 1.0)), dephased
+    return TimeSeries(times, np.clip(values, -1.0, 1.0)), dephased

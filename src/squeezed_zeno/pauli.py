@@ -1,8 +1,9 @@
 """Exact 2x2 complex algebra for a two-level atom.
 
-Pauli and ladder operator constants, Bloch-vector <-> density-matrix maps,
-and spin observables along an arbitrary direction of the Bloch sphere
-together with their eigenstates.
+Pauli and ladder operator constants, the Bloch-vector check, the closed-form
+Bloch vector of a pure state, Bloch-vector <-> density-matrix maps, and spin
+observables along an arbitrary direction of the Bloch sphere with their
+eigenstates.
 
 Basis convention: |+> = excited = (1, 0)^T, |-> = ground = (0, 1)^T, so
 sigma_z |+-> = +-|+-> and the lowering operator sends |+> to |->.
@@ -27,8 +28,6 @@ EXCITED = np.array([1, 0], dtype=complex)
 GROUND = np.array([0, 1], dtype=complex)
 
 HERMITICITY_TOL = 1e-12
-TRACE_TOL = 1e-12
-POSITIVITY_TOL = 1e-12
 BLOCH_NORM_TOL = 1e-9
 
 
@@ -36,7 +35,7 @@ BLOCH_NORM_TOL = 1e-9
 class Direction:
     """A point (theta, phi) on the Bloch sphere, in radians.
 
-    theta is clamped to [0, pi]; phi is reduced to [0, 2*pi).
+    Finite, with theta in [0, pi] (else InvalidStateError); phi is reduced to [0, 2*pi).
     """
 
     theta: float
@@ -60,14 +59,23 @@ class Direction:
         )
 
 
-def bloch_to_matrix(v) -> np.ndarray:
-    """Density matrix rho = (1 + v . sigma) / 2 for a Bloch vector v."""
-    v = np.asarray(v, dtype=float)
+def bloch_vector(v) -> np.ndarray:
+    """v as a float array of shape (3,): finite, real, with |v| <= 1 + BLOCH_NORM_TOL."""
+    v = np.asarray(v)
+    if v.shape != (3,) or v.dtype.kind not in "iuf":
+        raise InvalidStateError(f"a Bloch vector is three real numbers, got {v!r}")
+    v = v.astype(float)
     if not np.all(np.isfinite(v)):
         raise InvalidStateError(f"Bloch vector {v} is not finite")
     norm = np.linalg.norm(v)
     if norm > 1.0 + BLOCH_NORM_TOL:
         raise InvalidStateError(f"Bloch vector norm {norm} exceeds 1")
+    return v
+
+
+def bloch_to_matrix(v) -> np.ndarray:
+    """Density matrix rho = (1 + v . sigma) / 2 for a Bloch vector v."""
+    v = bloch_vector(v)
     return 0.5 * (IDENTITY + v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z)
 
 
@@ -76,27 +84,7 @@ def matrix_to_bloch(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if abs(np.trace(rho) - 1.0) > 1e-9:
         raise InvalidStateError(f"density matrix trace {np.trace(rho)} != 1")
-    return np.array(
-        [
-            np.trace(rho @ SIGMA_X).real,
-            np.trace(rho @ SIGMA_Y).real,
-            np.trace(rho @ SIGMA_Z).real,
-        ]
-    )
-
-
-def validate_density_matrix(rho: np.ndarray):
-    """Raise InvalidStateError unless rho is a valid qubit density matrix."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise InvalidStateError(f"expected 2x2 matrix, got shape {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
-        raise InvalidStateError("density matrix is not Hermitian")
-    if abs(np.trace(rho) - 1.0) > TRACE_TOL:
-        raise InvalidStateError(f"density matrix trace {np.trace(rho)} != 1")
-    eigvals = np.linalg.eigvalsh(rho)
-    if eigvals.min() < -POSITIVITY_TOL:
-        raise InvalidStateError(f"density matrix not positive: eigenvalues {eigvals}")
+    return np.array([np.trace(rho @ sigma).real for sigma in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
 
 
 def sigma_mu(d: Direction) -> np.ndarray:
@@ -127,10 +115,26 @@ def expectation(rho: np.ndarray, a: np.ndarray) -> float:
     return np.trace(np.asarray(rho, dtype=complex) @ a).real
 
 
-def pure_state_matrix(state: np.ndarray) -> np.ndarray:
-    """Projector |state><state| for a normalized two-component state."""
+def _pure_state(state) -> np.ndarray:
+    """state as a complex array of two amplitudes with norm 1 (within 1e-10)."""
     state = np.asarray(state, dtype=complex)
+    if state.shape != (2,):
+        raise InvalidStateError(f"a pure state is two amplitudes, got shape {state.shape}")
     norm = np.linalg.norm(state)
     if abs(norm - 1.0) > 1e-10:
         raise InvalidStateError(f"state norm {norm} != 1")
+    return state
+
+
+def pure_state_matrix(state) -> np.ndarray:
+    """Projector |state><state| for a normalized two-component state."""
+    state = _pure_state(state)
     return np.outer(state, state.conj())
+
+
+def pure_state_bloch(state) -> np.ndarray:
+    """Bloch vector (2 Re(a* b), 2 Im(a* b), |a|^2 - |b|^2) of the pure state a|+> + b|->."""
+    a, b = _pure_state(state).tolist()
+    ab = a.conjugate() * b
+    z = (a * a.conjugate()).real - (b * b.conjugate()).real
+    return np.array([2 * ab.real, 2 * ab.imag, z])

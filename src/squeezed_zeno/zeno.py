@@ -14,7 +14,7 @@ import numpy as np
 from .bath import BathParams, bloch_rates
 from .dynamics import TimeSeries, analytic_free
 from .errors import DomainError, ParameterError
-from .pauli import Direction, matrix_to_bloch, pure_state_matrix
+from .pauli import Direction, pure_state_bloch
 
 FIRST_ORDER_ZERO_TOL = 1e-10
 
@@ -90,7 +90,7 @@ def _first_order_rate(bath: BathParams, v: np.ndarray) -> float:
 
 def survival_rate(bath: BathParams, state) -> float:
     """First-order survival rate <a| L{|a><a|} |a> (real, <= 0)."""
-    return _first_order_rate(bath, matrix_to_bloch(pure_state_matrix(state)))
+    return _first_order_rate(bath, pure_state_bloch(state))
 
 
 def survival_functional_F(bath: BathParams, d: Direction) -> float:
@@ -169,7 +169,7 @@ def step_survival_probability(bath: BathParams, state, dt: float) -> float:
     0.5 (1 + v0 . v_dt) an ulp or two above 1 for a nearly frozen
     state, so the result is clipped to [0, 1].
     """
-    v0 = matrix_to_bloch(pure_state_matrix(state))
+    v0 = pure_state_bloch(state)
     v_dt = analytic_free(bath, v0, dt)
     return float(np.clip(0.5 * (1.0 + v0 @ v_dt), 0.0, 1.0))
 
@@ -201,7 +201,7 @@ def second_order_rate(bath: BathParams, state, dt: float) -> float:
     for that state); the law would then exceed 1, so the rate is clipped
     at 0.
     """
-    v = matrix_to_bloch(pure_state_matrix(state))
+    v = pure_state_bloch(state)
     first = _first_order_rate(bath, v)
     if abs(first) > FIRST_ORDER_ZERO_TOL * bath.gamma:
         raise ParameterError(

@@ -17,7 +17,6 @@ from squeezed_zeno import (
     step_survival_probability,
     survival_functional_F,
     survival_functional_grid,
-    validate_density_matrix,
 )
 from squeezed_zeno.pauli import (
     IDENTITY,
@@ -28,7 +27,6 @@ from squeezed_zeno.pauli import (
     SIGMA_Z,
     Direction,
     eigenstates_mu,
-    matrix_to_bloch,
     pure_state_matrix,
 )
 
@@ -81,13 +79,12 @@ def oracle_bloch_rates(bath: BathParams):
     return a, c
 
 
-def rk4_free(bath: BathParams, rho0: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Bloch vectors on the grid from fixed-step RK4 on d v/dt = A v + c.
+def rk4_free(bath: BathParams, v0, grid: TimeGrid) -> np.ndarray:
+    """Bloch vectors on the grid from fixed-step RK4 on d v/dt = A v + c, from v(0) = v0.
 
     Each grid interval is subdivided so the internal step stays at or
     below RK4_STEP_FRACTION / (gamma (2N + 1)).
     """
-    validate_density_matrix(rho0)
     max_step = RK4_STEP_FRACTION / (bath.gamma * (2 * bath.n + 1))
     a, c = oracle_bloch_rates(bath)
 
@@ -95,7 +92,7 @@ def rk4_free(bath: BathParams, rho0: np.ndarray, grid: TimeGrid) -> np.ndarray:
         return a @ v + c
 
     times = grid.times
-    v = matrix_to_bloch(rho0)
+    v = np.asarray(v0, dtype=float)
     out = np.empty((len(times), 3))
     out[0] = v
     for i in range(1, len(times)):

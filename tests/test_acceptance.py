@@ -16,7 +16,7 @@ from squeezed_zeno import (
     evolve_measured,
     lindblad_s_operator,
     monte_carlo_survival,
-    pure_state_matrix,
+    pure_state_bloch,
     repeated_measurement_survival,
     s_eigensystem,
     second_order_rate,
@@ -94,8 +94,8 @@ def test_criterion_03_analytic_vs_numeric_free_evolution():
         if rng.integers(2):
             v0 /= np.linalg.norm(v0)
         grid = TimeGrid(0.0, 5.0, 25)
-        numeric = rk4_free(b, bloch_to_matrix(v0), grid)
-        exact = evolve_free(b, bloch_to_matrix(v0), grid).values
+        numeric = rk4_free(b, v0, grid)
+        exact = evolve_free(b, v0, grid).values
         worst = max(worst, float(np.max(np.abs(numeric - exact))))
     report(f"3. RK4 vs closed-form free evolution (worst {worst:.2e})", worst < 1e-8)
 
@@ -107,11 +107,11 @@ def test_criterion_04_measured_exponential_law():
     alpha = 2 * (1.5 - np.sqrt(2))
 
     _, minus = eigenstates_mu(d)
-    from_minus, _ = evolve_measured(b, d, pure_state_matrix(minus), grid)
+    from_minus, _ = evolve_measured(b, d, pure_state_bloch(minus), grid)
     err_minus = np.max(np.abs(from_minus.values - (1 - 2 * np.exp(-alpha * grid.times))))
 
     z1, _ = zeno_states(b)
-    frozen, _ = evolve_measured(b, d, pure_state_matrix(z1), grid)
+    frozen, _ = evolve_measured(b, d, pure_state_bloch(z1), grid)
     err_plus = np.max(np.abs(frozen.values - 1.0))
 
     report(

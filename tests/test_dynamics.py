@@ -14,6 +14,7 @@ from squeezed_zeno import (
     matrix_to_bloch,
     maximal_m,
     measured_coefficients,
+    pure_state_bloch,
     pure_state_matrix,
     sigma_mu,
     step_survival_probability,
@@ -37,12 +38,12 @@ def random_bloch(rng, surface=False):
 class TestEvolveFree:
     def test_vacuum_ground_constant(self):
         b = BathParams(gamma=1.0, n=0.0, m=0.0)
-        ts = evolve_free(b, bloch_to_matrix([0, 0, -1]), TimeGrid(0, 3, 30))
+        ts = evolve_free(b, [0, 0, -1], TimeGrid(0, 3, 30))
         assert np.max(np.abs(ts.values - np.array([0, 0, -1.0]))) < 1e-10
 
     def test_vacuum_excited_decay(self):
         b = BathParams(gamma=1.0, n=0.0, m=0.0)
-        ts = evolve_free(b, bloch_to_matrix([0, 0, 1]), TimeGrid(0, 3, 30))
+        ts = evolve_free(b, [0, 0, 1], TimeGrid(0, 3, 30))
         expected = 2 * np.exp(-ts.times) - 1
         assert np.max(np.abs(ts.values[:, 2] - expected)) < 1e-9
 
@@ -52,7 +53,7 @@ class TestEvolveFree:
         zd = zeno_directions(b)
         z1, _ = zeno_states(b)
         # slowest mode relaxes at gamma(N + 1/2 - M) ~ 0.086, so go far out
-        ts = evolve_free(b, pure_state_matrix(z1), TimeGrid(0, 200, 40))
+        ts = evolve_free(b, pure_state_bloch(z1), TimeGrid(0, 200, 40))
         mu = zd.mu1.unit_vector
         proj = ts.values @ mu
         assert proj[0] == pytest.approx(1.0, abs=1e-12)
@@ -89,7 +90,7 @@ class TestAnalyticFree:
             b = BathParams.maximal(1.0, n, rng.uniform(0, 2 * np.pi))
             v0 = random_bloch(rng, surface=bool(rng.integers(2)))
             grid = TimeGrid(0, 5.0, 25)
-            numeric = rk4_free(b, bloch_to_matrix(v0), grid)
+            numeric = rk4_free(b, v0, grid)
             exact = analytic_free(b, v0, grid.times)
             assert np.max(np.abs(numeric - exact)) < 1e-8
 
@@ -121,7 +122,7 @@ class TestAgainstMatrixExponential:
             for t in self.TIMES:
                 grid = TimeGrid(0.5, 0.5 + t, 1)
                 p_mat, q = expm_propagator(b, grid.times[1] - grid.times[0])
-                ts = evolve_free(b, bloch_to_matrix(v0), grid)
+                ts = evolve_free(b, v0, grid)
                 assert np.max(np.abs(ts.values[1] - (p_mat @ v0 + q))) < 1e-12
 
     def test_step_survival_probability(self):
@@ -172,7 +173,7 @@ class TestEvolveMeasured:
         b = BathParams.maximal(1.0, 1.0, 0.0)
         z1, _ = zeno_states(b)
         ts, dephased = evolve_measured(
-            b, zeno_directions(b).mu1, pure_state_matrix(z1), TimeGrid(0, 5, 100)
+            b, zeno_directions(b).mu1, pure_state_bloch(z1), TimeGrid(0, 5, 100)
         )
         assert not dephased
         assert np.max(np.abs(ts.values - 1.0)) < 1e-10
@@ -181,7 +182,7 @@ class TestEvolveMeasured:
         b = BathParams.maximal(1.0, 1.0, 0.0)
         d = zeno_directions(b).mu1
         _, minus = eigenstates_mu(d)
-        ts, dephased = evolve_measured(b, d, pure_state_matrix(minus), TimeGrid(0, 5, 100))
+        ts, dephased = evolve_measured(b, d, pure_state_bloch(minus), TimeGrid(0, 5, 100))
         assert not dephased
         alpha = 2 * (1.5 - np.sqrt(2))
         expected = 1 - 2 * np.exp(-alpha * ts.times)
@@ -190,16 +191,15 @@ class TestEvolveMeasured:
     def test_vacuum_z_measurement_same_as_free(self):
         b = BathParams(gamma=1.0, n=0.0, m=0.0)
         grid = TimeGrid(0, 3, 60)
-        rho0 = bloch_to_matrix([0, 0, 1])
-        ts, _ = evolve_measured(b, Direction(np.pi, 0.0), rho0, grid)
-        free = evolve_free(b, rho0, grid)
+        v0 = [0, 0, 1]
+        ts, _ = evolve_measured(b, Direction(np.pi, 0.0), v0, grid)
+        free = evolve_free(b, v0, grid)
         # measured <sigma_mu> with mu = -z equals -<sigma_z> of free evolution
         assert np.max(np.abs(ts.values - (-free.values[:, 2]))) < 1e-8
 
     def test_off_manifold_state_flagged(self):
         b = BathParams.maximal(1.0, 1.0, 0.0)
-        rho0 = bloch_to_matrix([1.0, 0, 0])
-        _, dephased = evolve_measured(b, Direction(0.0, 0.0), rho0, TimeGrid(0, 1, 10))
+        _, dephased = evolve_measured(b, Direction(0.0, 0.0), [1.0, 0, 0], TimeGrid(0, 1, 10))
         assert dephased
 
     def test_monotone_convergence_to_plus(self):
@@ -209,7 +209,7 @@ class TestEvolveMeasured:
         mu = d.unit_vector
         for _ in range(10):
             rho_mu0 = rng.uniform(-1, 1)
-            ts, _ = evolve_measured(b, d, bloch_to_matrix(rho_mu0 * mu), TimeGrid(0, 150, 50))
+            ts, _ = evolve_measured(b, d, rho_mu0 * mu, TimeGrid(0, 150, 50))
             diffs = np.diff(ts.values)
             assert np.all(diffs >= -1e-12)
             assert ts.values[-1] == pytest.approx(1.0, abs=1e-5)
@@ -243,13 +243,13 @@ class TestEvolveMeasuredBounds:
         else:
             d = Direction(*direction)
         if state == "zeno-plus" and b.n > 0:
-            rho0 = pure_state_matrix(zeno_states(b)[0])
+            v0 = pure_state_bloch(zeno_states(b)[0])
         elif isinstance(state, str):
-            rho0 = pure_state_matrix(eigenstates_mu(d)[state == "minus"])
+            v0 = pure_state_bloch(eigenstates_mu(d)[state == "minus"])
         else:
             v = np.array(state)
-            rho0 = bloch_to_matrix(v / max(1.0, np.linalg.norm(v)))
-        ts, _ = evolve_measured(b, d, rho0, TimeGrid(0.0, t_end, n_steps))
+            v0 = v / max(1.0, np.linalg.norm(v))
+        ts, _ = evolve_measured(b, d, v0, TimeGrid(0.0, t_end, n_steps))
         assert np.all(np.abs(ts.values) <= 1.0)
 
 

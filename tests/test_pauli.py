@@ -3,14 +3,19 @@ import pytest
 
 from squeezed_zeno import (
     Direction,
+    EXCITED,
+    GROUND,
     IDENTITY,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     bloch_to_matrix,
+    bloch_vector,
     eigenstates_mu,
     expectation,
     matrix_to_bloch,
+    pure_state_bloch,
+    pure_state_matrix,
     sigma_mu,
 )
 from squeezed_zeno.errors import ContractViolationError, InvalidStateError
@@ -56,6 +61,37 @@ class TestBlochMaps:
     def test_bad_trace_rejected(self):
         with pytest.raises(InvalidStateError):
             matrix_to_bloch(np.diag([1.0, 1.0]))
+
+    def test_bloch_vector_returns_floats(self):
+        v = bloch_vector([0, 1, 0])
+        assert v.dtype == np.float64 and v.shape == (3,)
+        assert np.array_equal(v, [0.0, 1.0, 0.0])
+        # Rounding slack on the unit sphere is accepted, as in bloch_to_matrix.
+        assert np.array_equal(bloch_vector([1 + 1e-12, 0, 0]), [1 + 1e-12, 0, 0])
+
+
+class TestPureStateBloch:
+    def test_matches_matrix_route(self):
+        rng = np.random.default_rng(6)
+        for _ in range(2000):
+            raw = rng.normal(size=2) + 1j * rng.normal(size=2)
+            state = raw / np.linalg.norm(raw)
+            expected = matrix_to_bloch(pure_state_matrix(state))
+            assert np.max(np.abs(pure_state_bloch(state) - expected)) <= 1e-15
+
+    def test_poles_exact(self):
+        for state in (EXCITED, GROUND):
+            assert np.array_equal(
+                pure_state_bloch(state), matrix_to_bloch(pure_state_matrix(state))
+            )
+        assert np.array_equal(pure_state_bloch(EXCITED), [0.0, 0.0, 1.0])
+        assert np.array_equal(pure_state_bloch(GROUND), [0.0, 0.0, -1.0])
+
+    def test_eigenstates_point_along_direction(self):
+        for d in random_directions(20, seed=7):
+            plus, minus = eigenstates_mu(d)
+            assert np.max(np.abs(pure_state_bloch(plus) - d.unit_vector)) < 1e-14
+            assert np.max(np.abs(pure_state_bloch(minus) + d.unit_vector)) < 1e-14
 
 
 class TestSigmaMu:

@@ -9,6 +9,14 @@ from squeezed_zeno import (
     MeasurementSchedule,
     TimeGrid,
     bloch_to_matrix,
+    bloch_vector,
+    evolve_free,
+    evolve_measured,
+    pure_state_bloch,
+    pure_state_matrix,
+    second_order_rate,
+    step_survival_probability,
+    survival_rate,
 )
 from squeezed_zeno.cli import main
 from squeezed_zeno.errors import InvalidStateError, ParameterError
@@ -81,6 +89,51 @@ def test_non_numeric_value_is_config_error(capsys, command, item, key):
 def test_library_rejects_non_finite(make, error):
     with pytest.raises(error, match="finite"):
         make()
+
+
+BATH = BathParams.maximal(1.0, 1.0, 0.0)
+GRID = TimeGrid(0.0, 1.0, 4)
+TAKES_BLOCH_VECTOR = {
+    "bloch_vector": bloch_vector,
+    "bloch_to_matrix": bloch_to_matrix,
+    "evolve_free": lambda v: evolve_free(BATH, v, GRID),
+    "evolve_measured": lambda v: evolve_measured(BATH, Direction(0.0, 0.0), v, GRID),
+}
+MALFORMED_BLOCH_VECTORS = {
+    "four": [0.1, 0.2, 0.3, 0.4],
+    "two": [0.1, 0.2],
+    "complex": np.array([0.5j, 0, 0]),
+    "nested": [[0.1, 0.2, 0.3]],
+    "scalar": 0.5,
+    "string": ["a", 0, 0],
+    "none": [0.1, None, 0.0],
+    "bool": [True, False, False],
+}
+TAKES_PURE_STATE = {
+    "pure_state_bloch": pure_state_bloch,
+    "pure_state_matrix": pure_state_matrix,
+    "survival_rate": lambda s: survival_rate(BATH, s),
+    "step_survival_probability": lambda s: step_survival_probability(BATH, s, 0.01),
+    "second_order_rate": lambda s: second_order_rate(BATH, s, 0.01),
+}
+MALFORMED_PURE_STATES = {"three": [1, 0, 0], "one": [1], "matrix": np.eye(2), "nested": [[1, 0]]}
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        pytest.param(call, value, id=f"{name}-{kind}")
+        for takes, malformed in (
+            (TAKES_BLOCH_VECTOR, MALFORMED_BLOCH_VECTORS),
+            (TAKES_PURE_STATE, MALFORMED_PURE_STATES),
+        )
+        for name, call in takes.items()
+        for kind, value in malformed.items()
+    ],
+)
+def test_malformed_state_rejected(call, value):
+    with pytest.raises(InvalidStateError):
+        call(value)
 
 
 @pytest.mark.parametrize(

@@ -47,7 +47,6 @@ from . import (
 from .bath import lindblad_s_operator
 from .errors import InvalidStateError, ParameterError
 from .intelligent import SqueezeFrame, j_minus_alpha
-from .zeno import FIRST_ORDER_ZERO_TOL
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -57,11 +56,12 @@ EXIT_IO = 4
 # Rows per block of the table writer; each block is formatted by one %-operation.
 ROWS_PER_CHUNK = 4096
 
-COMMON_KEYS = {"gamma", "N", "M", "psi", "out", "format", "seed"}
+COMMON_KEYS = {"gamma", "N", "M", "psi", "out"}
+TABLE_KEYS = COMMON_KEYS | {"format"}
 ALLOWED_KEYS = {
-    "surface": COMMON_KEYS | {"n_theta", "n_phi"},
-    "evolve": COMMON_KEYS | {"state", "measure", "observable", "t_end", "n_steps"},
-    "zeno": COMMON_KEYS | {"state", "dt", "count", "n_traj"},
+    "surface": TABLE_KEYS | {"n_theta", "n_phi"},
+    "evolve": TABLE_KEYS | {"state", "measure", "t_end", "n_steps"},
+    "zeno": TABLE_KEYS | {"state", "dt", "count", "n_traj", "seed"},
     "intelligent": COMMON_KEYS,
 }
 
@@ -128,7 +128,12 @@ def _config_checked(what: str):
         raise ConfigError(f"invalid {what}: {exc}")
 
 
-def load_config(path: str | None, overrides, command: str) -> dict:
+def load_config(path: str | None, overrides, command: str, flags=None) -> dict:
+    """The file, then the --set overrides, then the flags, over the defaults; every value checked.
+
+    An override's value is parsed as JSON when it is valid JSON and kept as text
+    otherwise; the flag values (--out, --format) are taken as given.
+    """
     config = {}
     if path is not None:
         try:
@@ -148,6 +153,7 @@ def load_config(path: str | None, overrides, command: str) -> dict:
             config[key] = json.loads(raw)
         except json.JSONDecodeError:
             config[key] = raw
+    config.update(flags or {})
     unknown = set(config) - ALLOWED_KEYS[command]
     if unknown:
         raise ConfigError(
@@ -169,6 +175,8 @@ def load_config(path: str | None, overrides, command: str) -> dict:
             f"n_theta*n_phi must be at most {MAX_ROWS}, "
             f"got {merged['n_theta']}*{merged['n_phi']}"
         )
+    if "format" in merged and merged["format"] not in ("csv", "json"):
+        raise ConfigError(f"format must be csv or json, got {merged['format']!r}")
     return merged
 
 
@@ -319,35 +327,25 @@ def cmd_surface(config: dict) -> int:
         "phi2": zd.mu2.phi,
         "theta": zd.theta,
     }
-    _write_json(None if out is None else str(out) + ".maxima.json", sidecar)
+    _write_json(None if out is None else out + ".maxima.json", sidecar)
     return EXIT_OK
 
 
 def cmd_evolve(config: dict) -> int:
     bath = bath_from_config(config)
     v0 = resolve_state(config["state"], bath)
-    measure, observable = config["measure"], config.get("observable")
-    if observable is not None:
-        d_obs = resolve_direction(observable, bath, "observable")
-    else:
-        d_obs = resolve_direction("mu1" if measure == "none" else measure, bath, "measure")
+    direction = resolve_direction(config["measure"], bath, "measure")
     with _config_checked("time grid"):
         grid = TimeGrid(0.0, config["t_end"], config["n_steps"])
 
     free = evolve_free(bath, v0, grid)
-    mu = d_obs.unit_vector
-    # <sigma_mu> lies in [-1, 1]; rounding puts a frozen state's value a few ulp outside.
-    table = {"t": free.times, "sigma_mu_free": np.clip(free.values @ mu, -1.0, 1.0)}
-
-    if measure != "none":
-        d_meas = d_obs if observable is None else resolve_direction(measure, bath, "measure")
-        if not np.allclose(d_meas.unit_vector, mu, atol=1e-12):
-            raise ConfigError(
-                "observable must coincide with the measured direction "
-                "(the monitored dynamics closes only on the measured component)"
-            )
-        measured, _ = evolve_measured(bath, d_meas, v0, grid)
-        table["sigma_mu_measured"] = measured.values
+    measured, _ = evolve_measured(bath, direction, v0, grid)
+    table = {
+        "t": free.times,
+        # <sigma_mu> lies in [-1, 1]; rounding puts a frozen state's value a few ulp outside.
+        "sigma_mu_free": np.clip(free.values @ direction.unit_vector, -1.0, 1.0),
+        "sigma_mu_measured": measured.values,
+    }
     write_table(config.get("out"), table, config["format"])
     return EXIT_OK
 
@@ -362,18 +360,16 @@ def cmd_zeno(config: dict) -> int:
 
     exact = repeated_measurement_survival(bath, state, sched)
     times = exact.times
-    rate1 = survival_rate(bath, state)
-    p_first = np.exp(rate1 * times)
-    if abs(rate1) <= FIRST_ORDER_ZERO_TOL * bath.gamma:
+    try:
         rate2 = second_order_rate(bath, state, sched.dt)
-        p_second = np.exp(rate2 * times)
-    else:
-        p_second = np.full_like(times, np.nan)
+    except ParameterError:
+        # The second-order law holds only where the first-order rate vanishes.
+        rate2 = math.nan
     table = {
         "t": times,
         "P_exact": exact.probabilities,
-        "P_first_order": p_first,
-        "P_second_order": p_second,
+        "P_first_order": np.exp(survival_rate(bath, state) * times),
+        "P_second_order": np.exp(rate2 * times),
     }
     if config["n_traj"] > 0:
         mc = monte_carlo_survival(bath, state, sched, config["n_traj"], config["seed"])
@@ -447,20 +443,15 @@ def build_parser() -> argparse.ArgumentParser:
             help="override a config key (value parsed as JSON when possible)",
         )
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=["csv", "json"])
+        p.add_argument("--format", help="table format: csv (default) or json")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    flags = {key: getattr(args, key) for key in ("out", "format") if getattr(args, key) is not None}
     try:
-        config = load_config(args.config, args.overrides, args.command)
-        if args.out is not None:
-            config["out"] = args.out
-        if args.format is not None:
-            config["format"] = args.format
-        if config.get("format") not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {config.get('format')!r}")
+        config = load_config(args.config, args.overrides, args.command, flags)
         return COMMANDS[args.command](config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -69,7 +69,9 @@ def analytic_free(bath: BathParams, v0, t):
 
     The transverse components decouple into two exponential modes along
     axes rotated by psi/2; the longitudinal component relaxes toward
-    -1/(2N+1) at rate gamma(2N+1). Accepts scalar or array t.
+    -1/(2N+1) at rate gamma(2N+1). Accepts scalar or array t. Rounding can
+    put |v| an ulp or two above 1; such rows are rescaled to four ulp inside
+    the unit sphere, so that |v| summed in any order stays at most 1.
     """
     v0 = np.asarray(v0, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -84,7 +86,11 @@ def analytic_free(bath: BathParams, v0, t):
     x = c * e_fast + s * e_slow
     y = -s * e_fast + c * e_slow
     z = v0[2] * ez + (ez - 1.0) / (2 * n + 1)
-    return np.stack(np.broadcast_arrays(x, y, z), axis=-1)
+    v = np.stack(np.broadcast_arrays(x, y, z), axis=-1)
+    norm_sq = np.einsum("...i,...i->...", v, v)
+    over = norm_sq > 1.0
+    v[over] /= (np.sqrt(norm_sq[over]) * (1.0 + 4 * np.finfo(float).eps))[..., None]
+    return v
 
 
 def measured_coefficients(bath: BathParams, d: Direction):

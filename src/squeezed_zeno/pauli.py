@@ -80,11 +80,20 @@ def bloch_to_matrix(v) -> np.ndarray:
 
 
 def matrix_to_bloch(rho: np.ndarray) -> np.ndarray:
-    """Bloch vector (Tr rho sigma_x, Tr rho sigma_y, Tr rho sigma_z)."""
+    """Bloch vector (Tr rho sigma_x, Tr rho sigma_y, Tr rho sigma_z) of a density matrix.
+
+    rho must be 2x2, Hermitian within HERMITICITY_TOL and of unit trace, and its
+    Bloch vector must pass bloch_vector, whose |v| <= 1 is rho's positivity;
+    else InvalidStateError.
+    """
     rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (2, 2):
+        raise InvalidStateError(f"a density matrix is 2x2, got shape {rho.shape}")
+    if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
+        raise InvalidStateError(f"density matrix {rho.tolist()} is not Hermitian")
     if abs(np.trace(rho) - 1.0) > 1e-9:
         raise InvalidStateError(f"density matrix trace {np.trace(rho)} != 1")
-    return np.array([np.trace(rho @ sigma).real for sigma in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
+    return bloch_vector([np.trace(rho @ sigma).real for sigma in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
 
 
 def sigma_mu(d: Direction) -> np.ndarray:

@@ -31,6 +31,10 @@ class MeasurementSchedule:
             raise ParameterError(f"dt must be positive and finite, got {self.dt}")
         if self.count < 1:
             raise ParameterError("count must be >= 1")
+        if not np.isfinite(self.dt * self.count):
+            raise ParameterError(
+                f"the last measurement time dt * count = {self.dt} * {self.count} is not finite"
+            )
 
 
 @dataclass(frozen=True)

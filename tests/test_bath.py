@@ -8,7 +8,6 @@ from squeezed_zeno import (
     SIGMA_PLUS,
     bloch_rates,
     lindblad_s_operator,
-    matrix_to_bloch,
     maximal_m,
     pure_state_matrix,
     second_order_rate,
@@ -167,18 +166,12 @@ class TestBlochRates:
             rho = random_hermitian(rng)
             rho = rho / np.trace(rho).real if abs(np.trace(rho)) > 0.3 else rho + np.eye(2)
             rho = rho / np.trace(rho).real
-            v = matrix_to_bloch(rho)
+            # rho need not be positive, so its Pauli coordinates are not a Bloch vector
+            # that matrix_to_bloch accepts; they are read off like those of its image.
+            paulis = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
+            v = np.array([np.trace(rho @ s).real for s in paulis])
             image = liouvillian(b, rho)
-            lv = np.array(
-                [
-                    np.trace(image @ s).real
-                    for s in (
-                        np.array([[0, 1], [1, 0]]),
-                        np.array([[0, -1j], [1j, 0]]),
-                        np.diag([1, -1]),
-                    )
-                ]
-            )
+            lv = np.array([np.trace(image @ s).real for s in paulis])
             assert np.max(np.abs(lv - (a @ v + c * np.trace(rho).real))) < 1e-12
 
 

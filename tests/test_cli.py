@@ -140,26 +140,18 @@ class TestEvolve:
         data = np.loadtxt(out.read_text().splitlines()[1:], delimiter=",")
         assert np.max(np.abs(data[:, 1] - data[:, 2])) < 1e-8
 
-    def test_inconsistent_observable_rejected(self, tmp_path):
-        code = run(
-            tmp_path,
-            "evolve",
-            {"N": 1.0, "state": "zeno-plus", "measure": "mu1", "observable": "z"},
-        )
-        assert code == 2
-
     def test_json_format(self, tmp_path):
         out = tmp_path / "evolve.json"
         code = run(
             tmp_path,
             "evolve",
-            {"N": 1.0, "state": "excited", "measure": "none",
+            {"N": 1.0, "state": "excited", "measure": "z",
              "t_end": 1.0, "n_steps": 5, "format": "json"},
             ["--out", str(out)],
         )
         assert code == 0
         payload = json.loads(out.read_text())
-        assert payload["columns"] == ["t", "sigma_mu_free"]
+        assert payload["columns"] == ["t", "sigma_mu_free", "sigma_mu_measured"]
         assert len(payload["rows"]) == 6
 
 
@@ -303,14 +295,10 @@ KEY_VALUES = {
     ),
     "measure": (
         st.one_of(
-            st.sampled_from(DIRECTION_NAMES + ["none"]),
+            st.sampled_from(DIRECTION_NAMES),
             st.tuples(st.floats(0.0, np.pi), st.floats(-10.0, 10.0)).map(list),
         ),
-        ['"w"', "[4,0]", "[1]", "[0,NaN]", "null"],
-    ),
-    "observable": (
-        st.one_of(st.none(), st.sampled_from(DIRECTION_NAMES)),
-        ['"w"', "[4,0]", "[0]"],
+        ['"w"', '"none"', "[4,0]", "[1]", "[0,NaN]", "null"],
     ),
     "t_end": (st.floats(1e-3, 20.0), ["0", "-1"] + NOT_A_NUMBER),
     "n_steps": (st.integers(1, 64), NOT_A_COUNT),
@@ -399,8 +387,7 @@ class TestCliInvariants:
         elif command == "evolve":
             assert len(table["t"]) == config["n_steps"] + 1
             for name in ("sigma_mu_free", "sigma_mu_measured"):
-                if name in table:
-                    assert np.all(np.abs(table[name]) <= 1.0), name
+                assert np.all(np.abs(table[name]) <= 1.0), name
         else:
             assert len(table["t"]) == config["count"] + 1
             assert_survival_invariants(table)

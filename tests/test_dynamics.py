@@ -95,6 +95,33 @@ class TestAnalyticFree:
             assert np.max(np.abs(numeric - exact)) < 1e-8
 
 
+class TestAnalyticFreeBounds:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        gamma=st.floats(0.01, 10.0),
+        n=st.floats(0.0, 10.0),
+        fraction=st.just(1.0) | st.floats(0.0, 1.0),
+        psi=st.floats(0.0, 2 * np.pi),
+        v=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+        radius=st.just(1.0) | st.floats(0.0, 1.0),
+        times=st.lists(st.just(0.0) | st.floats(0.0, 100.0), min_size=1, max_size=16),
+    )
+    # Before analytic_free rescaled its rows, the t = 0 row here had |v| = 1 + 2.2e-16.
+    @example(
+        gamma=2.0, n=1.0, fraction=1.0, psi=0.1, v=(0.6, 0.8, 0.0), radius=1.0,
+        times=[0.0, 0.5],
+    )
+    def test_bloch_vector_stays_in_unit_ball(self, gamma, n, fraction, psi, v, radius, times):
+        b = BathParams(gamma=gamma, n=n, m=fraction * maximal_m(n), psi=psi)
+        norm = np.linalg.norm(v)
+        v0 = radius * np.array(v) / norm if norm > 0 else np.zeros(3)
+        values = analytic_free(b, v0, np.array(times))
+        for row in values:
+            assert np.linalg.norm(row) <= 1.0
+            # The density matrix of each row has unit trace.
+            assert np.trace(bloch_to_matrix(row)).real == pytest.approx(1.0, abs=1e-15)
+
+
 class TestAgainstMatrixExponential:
     """Closed-form propagator against expm of the augmented Bloch generator.
 

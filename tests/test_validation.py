@@ -12,6 +12,7 @@ from squeezed_zeno import (
     bloch_vector,
     evolve_free,
     evolve_measured,
+    matrix_to_bloch,
     pure_state_bloch,
     pure_state_matrix,
     second_order_rate,
@@ -56,7 +57,6 @@ def run_cli(capsys, command, *items):
         ("intelligent", 'gamma="1"', "gamma"),
         ("evolve", 'state=[0,"a",0]', "state"),
         ("evolve", "measure=[1,null]", "measure"),
-        ("evolve", "observable=[true,0]", "observable"),
     ],
 )
 def test_non_numeric_value_is_config_error(capsys, command, item, key):
@@ -80,6 +80,7 @@ def test_non_numeric_value_is_config_error(capsys, command, item, key):
         (lambda: TimeGrid(-inf, 1.0, 10), ParameterError),
         (lambda: MeasurementSchedule(nan, 5), ParameterError),
         (lambda: MeasurementSchedule(inf, 5), ParameterError),
+        (lambda: MeasurementSchedule(1e308, 2), ParameterError),
         (lambda: Direction(nan, 0.0), InvalidStateError),
         (lambda: Direction(0.5, inf), InvalidStateError),
         (lambda: Direction(0.5, nan), InvalidStateError),
@@ -117,6 +118,12 @@ TAKES_PURE_STATE = {
     "second_order_rate": lambda s: second_order_rate(BATH, s, 0.01),
 }
 MALFORMED_PURE_STATES = {"three": [1, 0, 0], "one": [1], "matrix": np.eye(2), "nested": [[1, 0]]}
+TAKES_DENSITY_MATRIX = {"matrix_to_bloch": matrix_to_bloch}
+MALFORMED_DENSITY_MATRICES = {
+    "non-hermitian": np.array([[1, 1], [0, 0]]),
+    "not-positive": np.array([[1, 2], [2, 0]]),
+    "three-level": np.eye(3) / 3,
+}
 
 
 @pytest.mark.parametrize(
@@ -126,6 +133,7 @@ MALFORMED_PURE_STATES = {"three": [1, 0, 0], "one": [1], "matrix": np.eye(2), "n
         for takes, malformed in (
             (TAKES_BLOCH_VECTOR, MALFORMED_BLOCH_VECTORS),
             (TAKES_PURE_STATE, MALFORMED_PURE_STATES),
+            (TAKES_DENSITY_MATRIX, MALFORMED_DENSITY_MATRICES),
         )
         for name, call in takes.items()
         for kind, value in malformed.items()
@@ -201,6 +209,8 @@ def test_request_size_caps(capsys, command, items, message):
         ("evolve", "t_end=0", 2, "config error: "),
         ("zeno", "count=0", 2, "config error: "),
         ("zeno", "dt=-0.01", 2, "config error: "),
+        # The last measurement time 500 * 1e308 overflows.
+        ("zeno", "dt=1e308", 2, "config error: "),
         ("evolve", "state=[1,1,1]", 2, "config error: "),
         ("evolve", "measure=[4,0]", 2, "config error: "),
         ("intelligent", "M=0.5", 2, "config error: "),
@@ -214,3 +224,35 @@ def test_out_of_range_exit_codes(capsys, command, item, code, prefix):
     assert got == code
     assert out == ""
     assert err.startswith(prefix)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["surface", "--out", ""],
+        ["surface", "--format", "xml"],
+        ["intelligent", "--format", "csv"],
+        ["intelligent", "--set", 'format="json"'],
+        ["surface", "--set", "seed=0"],
+        ["evolve", "--set", "seed=0"],
+        ["intelligent", "--set", "seed=0"],
+        ["evolve", "--set", 'observable="x"'],
+        ["evolve", "--set", 'measure="none"'],
+    ],
+)
+def test_flags_and_keys_checked_with_the_config(capsys, argv):
+    # --out and --format meet the checks of --set out= and --set format=; each
+    # subcommand accepts only the keys it reads.
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_out_flag_taken_as_given(tmp_path, monkeypatch):
+    # --out is a path, never parsed as JSON: "1" names a file.
+    monkeypatch.chdir(tmp_path)
+    assert main(["evolve", "--set", "n_steps=4", "--out", "1"]) == 0
+    assert (tmp_path / "1").read_text().startswith("t,sigma_mu_free,sigma_mu_measured\n")

@@ -22,7 +22,7 @@ from squeezed_zeno import (
 bath = BathParams.maximal(gamma=1.0, n=1.0, psi=0.0)
 direction = zeno_directions(bath).mu1
 mu = direction.unit_vector
-grid = TimeGrid(0.0, 8.0, 16)
+grid = TimeGrid(8.0, 16)
 
 frozen = pure_state_bloch(zeno_states(bath)[0])
 opposite = pure_state_bloch(eigenstates_mu(direction)[1])
@@ -30,14 +30,14 @@ opposite = pure_state_bloch(eigenstates_mu(direction)[1])
 print("initial state = frozen (+1) eigenstate")
 print(f"{'t':>5} {'free':>10} {'monitored':>10}")
 free = evolve_free(bath, frozen, grid)
-monitored, _ = evolve_measured(bath, direction, frozen, grid)
-for t, v_free, v_mon in zip(free.times, free.values @ mu, monitored.values):
+monitored = evolve_measured(bath, direction, frozen, grid)
+for t, v_free, v_mon in zip(grid.times, free @ mu, monitored):
     print(f"{t:5.1f} {v_free:10.6f} {v_mon:10.6f}")
 
 rate = 2 * bath.gamma * (bath.n - bath.m + 0.5)
 print(f"\ninitial state = opposite (-1) eigenstate  (approach rate {rate:.6f})")
 print(f"{'t':>5} {'free':>10} {'monitored':>10} {'1-2e^-at':>10}")
 free = evolve_free(bath, opposite, grid)
-monitored, _ = evolve_measured(bath, direction, opposite, grid)
-for t, v_free, v_mon in zip(free.times, free.values @ mu, monitored.values):
+monitored = evolve_measured(bath, direction, opposite, grid)
+for t, v_free, v_mon in zip(grid.times, free @ mu, monitored):
     print(f"{t:5.1f} {v_free:10.6f} {v_mon:10.6f} {1 - 2 * np.exp(-rate * t):10.6f}")

@@ -9,7 +9,6 @@ stated otherwise.
 from .bath import BathParams, bloch_rates, lindblad_s_operator, maximal_m
 from .dynamics import (
     TimeGrid,
-    TimeSeries,
     analytic_free,
     evolve_free,
     evolve_measured,
@@ -50,7 +49,6 @@ from .pauli import (
 )
 from .zeno import (
     MeasurementSchedule,
-    SurvivalCurve,
     ZenoDirections,
     closed_system_survival,
     monte_carlo_survival,

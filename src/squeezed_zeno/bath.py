@@ -13,6 +13,8 @@ from .errors import ParameterError
 from .pauli import SIGMA_MINUS, SIGMA_PLUS
 
 MAXIMAL_M_TOL = 1e-9
+# Bound on the largest rate gamma(2N+1): the second-order survival rate squares it.
+MAX_RATE = 1e150
 
 
 def maximal_m(n: float) -> float:
@@ -28,6 +30,8 @@ class BathParams:
     n:     mean photon number (>= 0)
     m:     two-photon correlation magnitude (0 <= m <= sqrt(n(n+1)))
     psi:   squeezing phase in radians, reduced to [0, 2*pi)
+
+    The largest rate gamma(2N+1) is at most MAX_RATE.
     """
 
     gamma: float
@@ -45,6 +49,10 @@ class BathParams:
             raise ParameterError(f"gamma must be positive, got {self.gamma}")
         if self.n < 0:
             raise ParameterError(f"mean photon number must be >= 0, got {self.n}")
+        # Python floats, so that a product past the float range is inf without a warning.
+        rate = float(self.gamma) * (2.0 * float(self.n) + 1.0)
+        if rate > MAX_RATE:
+            raise ParameterError(f"the largest rate gamma(2N+1) = {rate} exceeds {MAX_RATE}")
         if self.m < 0 or self.m > maximal_m(self.n) + 1e-12:
             raise ParameterError(
                 f"m={self.m} outside physical range [0, sqrt(n(n+1))={maximal_m(self.n)}]"

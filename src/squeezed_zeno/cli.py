@@ -336,18 +336,27 @@ def cmd_evolve(config: dict) -> int:
     v0 = resolve_state(config["state"], bath)
     direction = resolve_direction(config["measure"], bath, "measure")
     with _config_checked("time grid"):
-        grid = TimeGrid(0.0, config["t_end"], config["n_steps"])
+        grid = TimeGrid(config["t_end"], config["n_steps"])
 
     free = evolve_free(bath, v0, grid)
-    measured, _ = evolve_measured(bath, direction, v0, grid)
+    measured = evolve_measured(bath, direction, v0, grid)
     table = {
-        "t": free.times,
+        "t": grid.times,
         # <sigma_mu> lies in [-1, 1]; rounding puts a frozen state's value a few ulp outside.
-        "sigma_mu_free": np.clip(free.values @ direction.unit_vector, -1.0, 1.0),
-        "sigma_mu_measured": measured.values,
+        "sigma_mu_free": np.clip(free @ direction.unit_vector, -1.0, 1.0),
+        "sigma_mu_measured": measured,
     }
     write_table(config.get("out"), table, config["format"])
     return EXIT_OK
+
+
+def _exponential_law(rate: float, times: np.ndarray) -> np.ndarray:
+    """exp(rate t) for a rate <= 0: 1 at t = 0 even for rate -inf, 0 where rate t
+    overflows to -inf, and NaN throughout for a NaN rate (a law that does not hold)."""
+    if math.isnan(rate):
+        return np.full_like(times, math.nan)
+    with np.errstate(over="ignore"):
+        return np.exp(np.multiply(rate, times, out=np.zeros_like(times), where=times > 0))
 
 
 def cmd_zeno(config: dict) -> int:
@@ -359,7 +368,7 @@ def cmd_zeno(config: dict) -> int:
         sched = MeasurementSchedule(config["dt"], config["count"])
 
     exact = repeated_measurement_survival(bath, state, sched)
-    times = exact.times
+    times = sched.times
     try:
         rate2 = second_order_rate(bath, state, sched.dt)
     except ParameterError:
@@ -367,14 +376,14 @@ def cmd_zeno(config: dict) -> int:
         rate2 = math.nan
     table = {
         "t": times,
-        "P_exact": exact.probabilities,
-        "P_first_order": np.exp(survival_rate(bath, state) * times),
-        "P_second_order": np.exp(rate2 * times),
+        "P_exact": exact,
+        "P_first_order": _exponential_law(survival_rate(bath, state), times),
+        "P_second_order": _exponential_law(rate2, times),
     }
     if config["n_traj"] > 0:
-        mc = monte_carlo_survival(bath, state, sched, config["n_traj"], config["seed"])
-        table["P_mc"] = mc.probabilities
-        table["P_mc_stderr"] = mc.stderr
+        table["P_mc"], table["P_mc_stderr"] = monte_carlo_survival(
+            bath, state, sched, config["n_traj"], config["seed"]
+        )
     write_table(config.get("out"), table, config["format"])
     return EXIT_OK
 

@@ -17,51 +17,38 @@ from .pauli import Direction, bloch_vector
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform sampling grid: n_steps intervals between t_start and t_end."""
+    """Uniform sampling grid: n_steps intervals of t_end / n_steps from 0 to t_end.
 
-    t_start: float
+    The step must be at least the smallest normal float, so that the times are
+    strictly increasing.
+    """
+
     t_end: float
     n_steps: int
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.t_start, self.t_end])):
-            raise ParameterError(
-                f"t_start and t_end must be finite, got {self.t_start}, {self.t_end}"
-            )
-        if self.t_end <= self.t_start:
-            raise ParameterError("t_end must exceed t_start")
+        if not np.isfinite(self.t_end) or self.t_end <= 0:
+            raise ParameterError(f"t_end must be positive and finite, got {self.t_end}")
         if self.n_steps < 1:
             raise ParameterError("n_steps must be >= 1")
+        if self.t_end / self.n_steps < np.finfo(float).tiny:
+            raise ParameterError(
+                f"the step t_end / n_steps = {self.t_end} / {self.n_steps} is below the "
+                "smallest normal float, so the times would not be strictly increasing"
+            )
 
     @property
     def times(self) -> np.ndarray:
-        return np.linspace(self.t_start, self.t_end, self.n_steps + 1)
+        return np.linspace(0.0, self.t_end, self.n_steps + 1)
 
 
-@dataclass(frozen=True)
-class TimeSeries:
-    """Sampled values on a strictly increasing time axis."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if np.any(np.diff(t) <= 0):
-            raise ParameterError("times must be strictly increasing")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", np.asarray(self.values))
-
-
-def evolve_free(bath: BathParams, v0, grid: TimeGrid) -> TimeSeries:
+def evolve_free(bath: BathParams, v0, grid: TimeGrid) -> np.ndarray:
     """Free evolution of the master equation from the Bloch vector v0.
 
-    Returns a TimeSeries of Bloch vectors sampled on the grid, from the
+    Returns the Bloch vectors at grid.times, shape (n_steps + 1, 3), from the
     closed-form solution (analytic_free).
     """
-    v0 = bloch_vector(v0)
-    times = grid.times
-    return TimeSeries(times, analytic_free(bath, v0, times - times[0]))
+    return analytic_free(bath, bloch_vector(v0), grid.times)
 
 
 def analytic_free(bath: BathParams, v0, t):
@@ -69,7 +56,8 @@ def analytic_free(bath: BathParams, v0, t):
 
     The transverse components decouple into two exponential modes along
     axes rotated by psi/2; the longitudinal component relaxes toward
-    -1/(2N+1) at rate gamma(2N+1). Accepts scalar or array t. Rounding can
+    -1/(2N+1) at rate gamma(2N+1). Accepts scalar or array t; at a t so large
+    that an exponent overflows to -inf, its mode has decayed to 0. Rounding can
     put |v| an ulp or two above 1; such rows are rescaled to four ulp inside
     the unit sphere, so that |v| summed in any order stays at most 1.
     """
@@ -80,9 +68,10 @@ def analytic_free(bath: BathParams, v0, t):
     # Mode amplitudes at t=0 (rotation by psi/2 of the xy components).
     u_fast = c * v0[0] - s * v0[1]  # decays at gamma(N + 1/2 + M)
     u_slow = s * v0[0] + c * v0[1]  # decays at gamma(N + 1/2 - M)
-    e_fast = np.exp(-g * (n + 0.5 + m) * t) * u_fast
-    e_slow = np.exp(-g * (n + 0.5 - m) * t) * u_slow
-    ez = np.exp(-g * (2 * n + 1) * t)
+    with np.errstate(over="ignore"):
+        e_fast = np.exp(-g * (n + 0.5 + m) * t) * u_fast
+        e_slow = np.exp(-g * (n + 0.5 - m) * t) * u_slow
+        ez = np.exp(-g * (2 * n + 1) * t)
     x = c * e_fast + s * e_slow
     y = -s * e_fast + c * e_slow
     z = v0[2] * ez + (ez - 1.0) / (2 * n + 1)
@@ -106,31 +95,25 @@ def measured_coefficients(bath: BathParams, d: Direction):
     return float(mu @ c), float(mu @ a @ mu)
 
 
-def evolve_measured(bath: BathParams, d: Direction, v0, grid: TimeGrid):
+def evolve_measured(bath: BathParams, d: Direction, v0, grid: TimeGrid) -> np.ndarray:
     """Evolution of <sigma_mu> under continuous monitoring of sigma_mu.
 
     The monitored dynamics closes on the measured expectation value, so
-    the scalar ODE is solved in closed form. If the initial Bloch vector
-    v0 carries coherence in the measured eigenbasis it is dephased at t=0
-    (the effect of the first measurement); the returned flag reports
-    whether that happened. The values are clipped to [-1, 1].
+    the scalar ODE is solved in closed form. The first measurement removes
+    the components of the initial Bloch vector v0 orthogonal to mu (the
+    coherences in the sigma_mu eigenbasis), so only mu . v0 enters.
 
-    Returns (TimeSeries of <sigma_mu>, dephased).
+    Returns <sigma_mu> at grid.times, shape (n_steps + 1,), clipped to [-1, 1].
     """
-    v0 = bloch_vector(v0)
-    mu = d.unit_vector
-    rho_mu0 = float(mu @ v0)
-    # Components of the Bloch vector orthogonal to mu are coherences in
-    # the sigma_mu eigenbasis; the first measurement removes them.
-    dephased = bool(np.linalg.norm(v0 - rho_mu0 * mu) > 1e-12)
-
+    rho_mu0 = float(d.unit_vector @ bloch_vector(v0))
     alpha, beta = measured_coefficients(bath, d)
-    times = grid.times
-    t = times - times[0]
-    if abs(beta) > 1e-14:
-        steady = -alpha / beta
-        values = steady + (rho_mu0 - steady) * np.exp(beta * t)
-    else:
-        values = rho_mu0 + alpha * t
+    t = grid.times
+    # An exponent overflowing to -inf at a huge t is the decayed limit.
+    with np.errstate(over="ignore"):
+        if abs(beta) > 1e-14:
+            steady = -alpha / beta
+            values = steady + (rho_mu0 - steady) * np.exp(beta * t)
+        else:
+            values = rho_mu0 + alpha * t
     # <sigma_mu> lies in [-1, 1]; rounding puts a frozen state's value a few ulp outside.
-    return TimeSeries(times, np.clip(values, -1.0, 1.0)), dephased
+    return np.clip(values, -1.0, 1.0)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import BathParams, bloch_rates
-from .dynamics import TimeSeries, analytic_free
+from .dynamics import analytic_free
 from .errors import DomainError, ParameterError
 from .pauli import Direction, pure_state_bloch
 
@@ -36,21 +36,10 @@ class MeasurementSchedule:
                 f"the last measurement time dt * count = {self.dt} * {self.count} is not finite"
             )
 
-
-@dataclass(frozen=True)
-class SurvivalCurve:
-    """Survival probability versus time, optionally with standard errors."""
-
-    series: TimeSeries
-    stderr: np.ndarray | None = None
-
     @property
     def times(self) -> np.ndarray:
-        return self.series.times
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        return self.series.values
+        """The measurement times k dt, k = 0 .. count (t = 0 is the preparation)."""
+        return np.arange(self.count + 1) * self.dt
 
 
 @dataclass(frozen=True)
@@ -180,7 +169,7 @@ def step_survival_probability(bath: BathParams, state, dt: float) -> float:
 
 def repeated_measurement_survival(
     bath: BathParams, state, sched: MeasurementSchedule
-) -> SurvivalCurve:
+) -> np.ndarray:
     """Exact survival curve for a sequence of projective measurements.
 
     Each surviving measurement resets the system to the initial pure
@@ -188,12 +177,11 @@ def repeated_measurement_survival(
     probability. Computed exactly at any dt, it reduces to the
     first-order exponential law as dt -> 0 and exposes the second-order
     law when the first-order rate vanishes.
+
+    Returns the survival probabilities at sched.times, shape (count + 1,).
     """
     p = step_survival_probability(bath, state, sched.dt)
-    k = np.arange(sched.count + 1)
-    times = k * sched.dt
-    probs = p ** k.astype(float)
-    return SurvivalCurve(TimeSeries(times, probs))
+    return p ** np.arange(sched.count + 1.0)
 
 
 def second_order_rate(bath: BathParams, state, dt: float) -> float:
@@ -203,7 +191,8 @@ def second_order_rate(bath: BathParams, state, dt: float) -> float:
     it is below the tolerance but not zero (the ground state at N = 1e-14
     has rate -1e-14), <a| L{L{|a><a|}} |a> can come out positive (gamma^2 N
     for that state); the law would then exceed 1, so the rate is clipped
-    at 0.
+    at 0. The rate is -inf where gamma^2 dt overflows: the law is then 0 at
+    every t > 0.
     """
     v = pure_state_bloch(state)
     first = _first_order_rate(bath, v)
@@ -223,7 +212,7 @@ def monte_carlo_survival(
     sched: MeasurementSchedule,
     n_traj: int,
     seed: int,
-) -> SurvivalCurve:
+) -> tuple[np.ndarray, np.ndarray]:
     """Stochastic estimate of the repeated-measurement survival curve.
 
     Each trajectory alive before measurement k survives it on its own
@@ -231,7 +220,8 @@ def monte_carlo_survival(
     Binomial(alive before, p). Step k consumes one binomial draw from a
     counter-based Philox generator keyed by the seed, so the cost does
     not depend on n_traj and reruns with a fixed seed are bit-identical.
-    Returns per-step survival fractions with binomial standard errors.
+    Returns (survival fractions, binomial standard errors) at sched.times,
+    each of shape (count + 1,).
     """
     if n_traj < 1:
         raise ParameterError("n_traj must be >= 1")
@@ -242,6 +232,4 @@ def monte_carlo_survival(
     for k in range(1, sched.count + 1):
         alive[k] = rng.binomial(alive[k - 1], p)
     fractions = alive / n_traj
-    stderr = np.sqrt(fractions * (1.0 - fractions) / n_traj)
-    times = np.arange(sched.count + 1) * sched.dt
-    return SurvivalCurve(TimeSeries(times, fractions), stderr=stderr)
+    return fractions, np.sqrt(fractions * (1.0 - fractions) / n_traj)

@@ -272,10 +272,19 @@ NOT_A_NUMBER = ["NaN", "Infinity", "-Infinity", "1e400", '"1"', "true", "null", 
 # Texts that no integer key accepts: below every minimum, fractional, or above every cap.
 NOT_A_COUNT = ["-1", "2.5", "1e15", "4194305", '"5"', "true", "null"]
 DIRECTION_NAMES = ["mu1", "mu2", "x", "y", "z", "-z"]
-# Per key: a strategy of valid values (kept small, so each run is cheap) and the
-# invalid --set texts that must end in exit 2.
+
+
+def log_uniform(low: float, high: float):
+    """10**e for e uniform in [low, high]: every decade of the float range alike."""
+    return st.floats(low, high).map(lambda e: 10.0**e)
+
+
+# Per key: a strategy of values (sizes kept small, so each run is cheap) and the
+# invalid --set texts that must end in exit 2. gamma, t_end and dt span the float
+# range, so a drawn value can still be out of range (exit 2), such as a rate above
+# the bath's bound.
 KEY_VALUES = {
-    "gamma": (st.floats(1e-3, 1e3), ["0", "-1"] + NOT_A_NUMBER),
+    "gamma": (log_uniform(-300, 300), ["0", "-1"] + NOT_A_NUMBER),
     "N": (st.floats(0.0, 50.0), ["-1"] + NOT_A_NUMBER),
     "M": (st.one_of(st.just("maximal"), st.floats(0.0, 1.0)), ["1e9", '"max"'] + NOT_A_NUMBER),
     "psi": (st.floats(-10.0, 10.0), NOT_A_NUMBER),
@@ -300,9 +309,9 @@ KEY_VALUES = {
         ),
         ['"w"', '"none"', "[4,0]", "[1]", "[0,NaN]", "null"],
     ),
-    "t_end": (st.floats(1e-3, 20.0), ["0", "-1"] + NOT_A_NUMBER),
+    "t_end": (log_uniform(-300, 308), ["0", "-1"] + NOT_A_NUMBER),
     "n_steps": (st.integers(1, 64), NOT_A_COUNT),
-    "dt": (st.floats(1e-6, 10.0), ["0", "-0.01"] + NOT_A_NUMBER),
+    "dt": (log_uniform(-300, 308), ["0", "-0.01"] + NOT_A_NUMBER),
     "count": (st.integers(1, 64), NOT_A_COUNT),
     "n_traj": (st.integers(0, 10**6), ["-1", "1e20", "2.5"]),
 }

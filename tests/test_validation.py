@@ -75,9 +75,9 @@ def test_non_numeric_value_is_config_error(capsys, command, item, key):
         (lambda: BathParams(gamma=1.0, n=1.0, m=nan), ParameterError),
         (lambda: BathParams(gamma=1.0, n=1.0, m=1.0, psi=inf), ParameterError),
         (lambda: BathParams.maximal(1.0, 1e200), ParameterError),
-        (lambda: TimeGrid(0.0, nan, 10), ParameterError),
-        (lambda: TimeGrid(0.0, inf, 10), ParameterError),
-        (lambda: TimeGrid(-inf, 1.0, 10), ParameterError),
+        (lambda: TimeGrid(nan, 10), ParameterError),
+        (lambda: TimeGrid(inf, 10), ParameterError),
+        (lambda: TimeGrid(-inf, 10), ParameterError),
         (lambda: MeasurementSchedule(nan, 5), ParameterError),
         (lambda: MeasurementSchedule(inf, 5), ParameterError),
         (lambda: MeasurementSchedule(1e308, 2), ParameterError),
@@ -92,8 +92,24 @@ def test_library_rejects_non_finite(make, error):
         make()
 
 
+@pytest.mark.parametrize(
+    "make, match",
+    [
+        # A step below the smallest normal float: linspace repeats a time.
+        pytest.param(lambda: TimeGrid(5e-324, 2), "smallest normal", id="grid-5e-324-2"),
+        pytest.param(lambda: TimeGrid(1e-320, 2**22), "smallest normal", id="grid-1e-320-2**22"),
+        # The second-order rate squares gamma(2N+1).
+        pytest.param(lambda: BathParams(gamma=1e160, n=0.0, m=0.0), "rate", id="bath-gamma"),
+        pytest.param(lambda: BathParams.maximal(1e300, 1e10), "rate", id="bath-gamma-N"),
+    ],
+)
+def test_library_rejects_out_of_range(make, match):
+    with pytest.raises(ParameterError, match=match):
+        make()
+
+
 BATH = BathParams.maximal(1.0, 1.0, 0.0)
-GRID = TimeGrid(0.0, 1.0, 4)
+GRID = TimeGrid(1.0, 4)
 TAKES_BLOCH_VECTOR = {
     "bloch_vector": bloch_vector,
     "bloch_to_matrix": bloch_to_matrix,
@@ -211,6 +227,11 @@ def test_request_size_caps(capsys, command, items, message):
         ("zeno", "dt=-0.01", 2, "config error: "),
         # The last measurement time 500 * 1e308 overflows.
         ("zeno", "dt=1e308", 2, "config error: "),
+        # A grid step below the smallest normal float repeats a time.
+        ("evolve", "t_end=5e-324 n_steps=2", 2, "config error: "),
+        # The largest rate gamma(2N+1) overflows, or its square does.
+        ("zeno", "gamma=1e300 N=1e10 state=excited count=2", 2, "config error: "),
+        ("zeno", "gamma=1e160 count=2", 2, "config error: "),
         ("evolve", "state=[1,1,1]", 2, "config error: "),
         ("evolve", "measure=[4,0]", 2, "config error: "),
         ("intelligent", "M=0.5", 2, "config error: "),
@@ -220,7 +241,7 @@ def test_request_size_caps(capsys, command, items, message):
     ],
 )
 def test_out_of_range_exit_codes(capsys, command, item, code, prefix):
-    got, out, err = run_cli(capsys, command, item)
+    got, out, err = run_cli(capsys, command, *item.split())
     assert got == code
     assert out == ""
     assert err.startswith(prefix)
@@ -249,6 +270,28 @@ def test_flags_and_keys_checked_with_the_config(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("config error: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command, items",
+    [
+        ("evolve", ["t_end=1e308", "n_steps=2"]),
+        ("zeno", ["dt=1e308", "count=1"]),
+        # The second-order rate is -inf; its law still reads 1 at t = 0.
+        ("zeno", ["gamma=1e10", "dt=1e300", "count=3"]),
+    ],
+)
+def test_huge_times_decay_silently(capsys, command, items):
+    # An exponent overflowing to -inf is the decayed limit, not a warning.
+    code, out, err = run_cli(capsys, command, *items)
+    assert code == 0
+    assert err == ""
+    lines = out.splitlines()
+    rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    assert np.all(np.isfinite(rows))
+    if command == "zeno":
+        # Every survival law reads 1 at t = 0.
+        assert np.all(rows[0, 1:] == 1.0)
 
 
 def test_out_flag_taken_as_given(tmp_path, monkeypatch):

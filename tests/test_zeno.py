@@ -191,19 +191,20 @@ class TestRepeatedMeasurementSurvival:
     def test_ground_vacuum_constant(self):
         b = BathParams(gamma=1.0, n=0.0, m=0.0)
         curve = repeated_measurement_survival(b, GROUND, MeasurementSchedule(0.1, 50))
-        assert np.allclose(curve.probabilities, 1.0)
+        assert np.allclose(curve, 1.0)
 
     def test_excited_vacuum_continuous_limit(self):
         b = BathParams(gamma=1.0, n=0.0, m=0.0)
-        curve = repeated_measurement_survival(b, EXCITED, MeasurementSchedule(0.01, 500))
-        fitted = np.log(curve.probabilities[-1]) / curve.times[-1]
+        sched = MeasurementSchedule(0.01, 500)
+        curve = repeated_measurement_survival(b, EXCITED, sched)
+        fitted = np.log(curve[-1]) / sched.times[-1]
         assert fitted == pytest.approx(-1.0, rel=0.01)
 
     def test_nonincreasing_in_range(self):
         b = BathParams.maximal(1.0, 1.0, 0.0)
         curve = repeated_measurement_survival(b, EXCITED, MeasurementSchedule(0.05, 100))
-        assert np.all(np.diff(curve.probabilities) <= 0)
-        assert np.all((curve.probabilities >= 0) & (curve.probabilities <= 1))
+        assert np.all(np.diff(curve) <= 0)
+        assert np.all((curve >= 0) & (curve <= 1))
 
     def test_richardson_convergence_to_first_order(self):
         # Fitted rate approaches the first-order rate linearly as dt -> 0.
@@ -211,10 +212,9 @@ class TestRepeatedMeasurementSurvival:
         rate = survival_rate(b, EXCITED)
         errors = []
         for dt in (1e-2, 1e-3, 1e-4):
-            curve = repeated_measurement_survival(
-                b, EXCITED, MeasurementSchedule(dt, 10)
-            )
-            fitted = np.log(curve.probabilities[-1]) / curve.times[-1]
+            sched = MeasurementSchedule(dt, 10)
+            curve = repeated_measurement_survival(b, EXCITED, sched)
+            fitted = np.log(curve[-1]) / sched.times[-1]
             errors.append(abs(fitted - rate))
         assert errors[0] > errors[1] > errors[2]
         assert errors[1] / errors[0] == pytest.approx(0.1, rel=0.3)
@@ -224,8 +224,9 @@ class TestRepeatedMeasurementSurvival:
         z1, _ = zeno_states(b)
         rates = []
         for dt in (0.01, 0.005):
-            curve = repeated_measurement_survival(b, z1, MeasurementSchedule(dt, 200))
-            rates.append(np.log(curve.probabilities[-1]) / curve.times[-1])
+            sched = MeasurementSchedule(dt, 200)
+            curve = repeated_measurement_survival(b, z1, sched)
+            rates.append(np.log(curve[-1]) / sched.times[-1])
         assert rates[0] / rates[1] == pytest.approx(2.0, rel=0.05)
 
 
@@ -255,8 +256,9 @@ class TestSecondOrderRate:
         dt = 0.01
         rate2 = second_order_rate(b, z1, dt)
         assert rate2 < 0
-        curve = repeated_measurement_survival(b, z1, MeasurementSchedule(dt, 100))
-        fitted = np.log(curve.probabilities[-1]) / curve.times[-1]
+        sched = MeasurementSchedule(dt, 100)
+        curve = repeated_measurement_survival(b, z1, sched)
+        fitted = np.log(curve[-1]) / sched.times[-1]
         assert fitted == pytest.approx(rate2, rel=0.05)
 
     def test_linear_scaling_in_dt(self):
@@ -275,17 +277,17 @@ class TestSecondOrderRate:
 class TestMonteCarloSurvival:
     def test_ground_vacuum_all_survive(self):
         b = BathParams(gamma=1.0, n=0.0, m=0.0)
-        curve = monte_carlo_survival(b, GROUND, MeasurementSchedule(0.1, 20), 1000, 1)
-        assert np.allclose(curve.probabilities, 1.0)
-        assert np.allclose(curve.stderr, 0.0)
+        fractions, stderr = monte_carlo_survival(b, GROUND, MeasurementSchedule(0.1, 20), 1000, 1)
+        assert np.allclose(fractions, 1.0)
+        assert np.allclose(stderr, 0.0)
 
     def test_matches_exact_within_three_sigma(self):
         b = BathParams(gamma=1.0, n=0.0, m=0.0)
         sched = MeasurementSchedule(0.05, 100)
         exact = repeated_measurement_survival(b, EXCITED, sched)
-        mc = monte_carlo_survival(b, EXCITED, sched, 100000, 42)
-        dev = np.abs(mc.probabilities - exact.probabilities)[1:]
-        bound = 3 * np.maximum(mc.stderr[1:], 1e-12)
+        fractions, stderr = monte_carlo_survival(b, EXCITED, sched, 100000, 42)
+        dev = np.abs(fractions - exact)[1:]
+        bound = 3 * np.maximum(stderr[1:], 1e-12)
         assert np.all(dev <= bound)
 
     def test_deterministic_for_fixed_seed(self):
@@ -294,14 +296,14 @@ class TestMonteCarloSurvival:
         z1, _ = zeno_states(b)
         a = monte_carlo_survival(b, z1, sched, 5000, 7)
         c = monte_carlo_survival(b, z1, sched, 5000, 7)
-        assert np.array_equal(a.probabilities, c.probabilities)
-        assert np.array_equal(a.stderr, c.stderr)
+        assert np.array_equal(a[0], c[0])
+        assert np.array_equal(a[1], c[1])
 
     def test_largest_n_traj(self):
         # One bool per trajectory would take 9 PB here; the count chain takes count + 1 ints.
         b = BathParams.maximal(1.0, 1.0, 0.7)
         for state in (EXCITED, zeno_states(b)[0]):
-            f = monte_carlo_survival(b, state, MeasurementSchedule(0.01, 500), 2**53, 3).probabilities
+            f, _ = monte_carlo_survival(b, state, MeasurementSchedule(0.01, 500), 2**53, 3)
             assert f[0] == 1.0
             assert np.all((f >= 0) & (f <= 1))
             assert np.all(np.diff(f) <= 0)
@@ -309,7 +311,7 @@ class TestMonteCarloSurvival:
     @pytest.mark.parametrize(
         "counts",
         [
-            lambda *args: np.rint(monte_carlo_survival(*args).probabilities * args[3]),
+            lambda *args: np.rint(monte_carlo_survival(*args)[0] * args[3]),
             per_trajectory_survival,
         ],
         ids=["binomial_chain", "per_trajectory"],
@@ -346,3 +348,14 @@ def test_schedule_validation():
         MeasurementSchedule(0.0, 5)
     with pytest.raises(ParameterError):
         MeasurementSchedule(0.1, 0)
+
+
+@pytest.mark.parametrize(
+    "dt, count", [(0.01, 500), (1e-3, 4097), (0.1, 1), (5e-324, 3), (1e300, 100)]
+)
+def test_schedule_times(dt, count):
+    # The axis of every survival curve: bit for bit the k dt the survival functions built.
+    sched = MeasurementSchedule(dt, count)
+    expected = np.arange(count + 1) * dt
+    assert np.array_equal(sched.times.view(np.int64), expected.view(np.int64))
+    assert np.all(np.diff(sched.times) > 0)

@@ -6,6 +6,20 @@ Units: hbar = 1; rates in units of the vacuum decay constant gamma unless
 stated otherwise.
 """
 
+import os
+
+# The package's arrays are 2x2 and 3x3, and its largest product, evolve's
+# (n, 3) @ (3,), takes as long on one thread as on two. OpenBLAS starts its
+# worker threads when numpy loads and reads OPENBLAS_NUM_THREADS only then, so
+# load numpy with one thread unless the user chose a count, and leave the
+# environment as it was for child processes.
+if "OPENBLAS_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .bath import BathParams, bloch_rates, lindblad_s_operator, maximal_m
 from .dynamics import (
     TimeGrid,

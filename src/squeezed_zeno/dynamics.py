@@ -108,9 +108,10 @@ def evolve_measured(bath: BathParams, d: Direction, v0, grid: TimeGrid) -> np.nd
     rho_mu0 = float(d.unit_vector @ bloch_vector(v0))
     alpha, beta = measured_coefficients(bath, d)
     t = grid.times
-    # An exponent overflowing to -inf at a huge t is the decayed limit.
+    # An exponent overflowing to -inf at a huge t is the decayed limit. beta scales
+    # with gamma, so any nonzero beta, however small, has its steady state -alpha/beta.
     with np.errstate(over="ignore"):
-        if abs(beta) > 1e-14:
+        if beta != 0.0:
             steady = -alpha / beta
             values = steady + (rho_mu0 - steady) * np.exp(beta * t)
         else:

@@ -140,6 +140,14 @@ class TestEvolve:
         data = np.loadtxt(out.read_text().splitlines()[1:], delimiter=",")
         assert np.max(np.abs(data[:, 1] - data[:, 2])) < 1e-8
 
+    def test_slow_bath_reaches_steady_state(self, capsys):
+        # Every rate scales with gamma, so gamma = 1e-20 over t = 1e22 is gamma = 1
+        # over t = 100: both columns end at -1/(2N+1).
+        sets = ["gamma=1e-20", "t_end=1e22", "n_steps=2", "state=excited", "measure=z"]
+        assert main(["evolve"] + [arg for s in sets for arg in ("--set", s)]) == 0
+        data = np.loadtxt(capsys.readouterr().out.splitlines()[1:], delimiter=",")
+        np.testing.assert_allclose(data[1:, 1:], -1 / 3, rtol=4 * np.finfo(float).eps)
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "evolve.json"
         code = run(
@@ -466,23 +474,37 @@ SMALL_RUNS = (
 
 
 def test_cli_import_loads_no_scipy():
-    # Importing the CLI and running every subcommand loads numpy alone.
+    # Importing the CLI and running every subcommand loads numpy alone, on one
+    # thread unless OPENBLAS_NUM_THREADS chose a count, and leaves the environment
+    # as it was.
     src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
     script = (
-        "import contextlib, io, sys\n"
+        "import contextlib, io, os, sys\n"
+        "import squeezed_zeno\n"
         "from squeezed_zeno.cli import main\n"
         f"for argv in {SMALL_RUNS!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert main(argv) == 0, argv\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        "tasks = '/proc/self/task'\n"
+        "print(len(os.listdir(tasks)) if os.path.isdir(tasks) else None)\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-        check=True,
-    )
-    assert proc.stdout.strip() == "[]"
+    for blas_threads in (None, "2"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(src)
+        if blas_threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas_threads
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        modules, threads, blas_env = proc.stdout.splitlines()
+        assert modules == "[]"
+        assert blas_env == str(blas_threads)
+        if blas_threads is None and threads != "None":
+            assert threads == "1"

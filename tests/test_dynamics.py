@@ -280,6 +280,48 @@ class TestEvolveMeasuredBounds:
         assert np.all(np.abs(values) <= 1.0)
 
 
+class TestEvolveMeasuredScaling:
+    # Every rate scales with gamma, so a bath k times faster run for a k-th of the
+    # time gives the same curve.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        log_gamma=st.floats(-100.0, 100.0),
+        log_k=st.floats(-20.0, 20.0),
+        n=st.floats(0.0, 10.0),
+        fraction=st.just(1.0) | st.floats(0.0, 1.0),
+        psi=st.floats(0.0, 2 * np.pi),
+        direction=st.tuples(st.floats(0.0, np.pi), st.floats(0.0, 2 * np.pi)),
+        rho_mu0=st.floats(-1.0, 1.0),
+        gamma_t_end=st.floats(1e-3, 50.0),
+        n_steps=st.integers(1, 64),
+    )
+    # gamma k = 1e-20: |beta| is far below any cut-off that does not scale with gamma.
+    @example(
+        log_gamma=0.0, log_k=-20.0, n=0.0, fraction=0.0, psi=0.0, direction=(0.0, 0.0),
+        rho_mu0=1.0, gamma_t_end=100.0, n_steps=2,
+    )
+    def test_invariant_under_time_rescaling(
+        self, log_gamma, log_k, n, fraction, psi, direction, rho_mu0, gamma_t_end, n_steps
+    ):
+        gamma, k = 10.0**log_gamma, 10.0**log_k
+        d = Direction(*direction)
+        v0 = rho_mu0 * d.unit_vector
+
+        def bath(rate_scale):
+            return BathParams(gamma=gamma * rate_scale, n=n, m=fraction * maximal_m(n), psi=psi)
+
+        def curve(rate_scale):
+            grid = TimeGrid(gamma_t_end / (gamma * rate_scale), n_steps)
+            return evolve_measured(bath(rate_scale), d, v0, grid)
+
+        # beta is a sum of rates up to gamma(2N+1), each rounded on its own, so the
+        # curves agree to a few ulp of gamma(2N+1) / |beta|, 1 where nothing cancels.
+        _, beta = measured_coefficients(bath(1.0), d)
+        condition = gamma * (2 * n + 1) / abs(beta)
+        tol = 8 * condition * np.finfo(float).eps
+        np.testing.assert_allclose(curve(k), curve(1.0), rtol=0, atol=tol)
+
+
 class TestTraceIdentity:
     def test_modified_equals_free_trace(self):
         # Tr{(P L P + Q L Q) sigma_mu} = Tr{L sigma_mu} on mu-diagonal states.

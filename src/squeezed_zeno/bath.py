@@ -1,11 +1,14 @@
 """The squeezed-vacuum dissipator for a two-level atom.
 
-Provides the bath parameters, the affine Bloch-vector equations of
-motion of the dissipator in closed form, and its single jump operator
+Provides the bath parameters with the decay rates of the dissipator's
+three modes, the rotation by psi/2 into the mode frame where the affine
+Bloch equations of motion are diagonal, and the single jump operator
 (Lindblad form), valid at maximal two-photon correlation.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,6 +23,20 @@ MAX_RATE = 1e150
 def maximal_m(n: float) -> float:
     """Largest physical two-photon correlation magnitude sqrt(N(N+1))."""
     return np.sqrt(n * (n + 1.0))
+
+
+class ModeRates(NamedTuple):
+    """Decay rates gamma(N + 1/2 + M), gamma(N + 1/2 - M), gamma(2N + 1) of the three modes."""
+
+    fast: float
+    slow: float
+    z: float
+
+
+def to_mode_frame(psi: float, x, y):
+    """(u_fast, u_slow): x, y rotated by psi/2 onto the mode axes; -psi rotates back."""
+    c, s = np.cos(psi / 2), np.sin(psi / 2)
+    return c * x - s * y, s * x + c * y
 
 
 @dataclass(frozen=True)
@@ -64,6 +81,18 @@ class BathParams:
         """Bath with maximal squeezing m = sqrt(n(n+1))."""
         return cls(gamma=gamma, n=n, m=maximal_m(n), psi=psi)
 
+    @cached_property
+    def rates(self) -> ModeRates:
+        """The mode rates, the slow one as gamma(delta + 1/4)/(N + 1/2 + M) without cancellation.
+
+        delta = N(N+1) - M^2 is exactly 0 when m is maximal_m(n) bit for bit (as for
+        BathParams.maximal), else (N - M)(N + M) + N clipped at 0.
+        """
+        g, n, m = self.gamma, self.n, self.m
+        delta = 0.0 if m == maximal_m(n) else max((n - m) * (n + m) + n, 0.0)
+        s = n + 0.5 + m
+        return ModeRates(fast=g * s, slow=g * ((delta + 0.25) / s), z=g * (2 * n + 1))
+
     @property
     def is_maximal(self) -> bool:
         return abs(self.m - maximal_m(self.n)) <= MAXIMAL_M_TOL
@@ -91,21 +120,21 @@ def lindblad_s_operator(bath: BathParams) -> np.ndarray:
 
 
 def bloch_rates(bath: BathParams):
-    """Affine Bloch equations d(rho_vec)/dt = A rho_vec + c, in closed form.
+    """Affine Bloch equations d(rho_vec)/dt = A rho_vec + c in the lab frame.
 
-    A[k, j] = Tr(L{sigma_j} sigma_k) / 2 and c[k] = Tr(L{1} sigma_k) / 2
-    for the squeezed-vacuum dissipator L, which works out to
-        transverse (xy) block: -gamma(N + 1/2) I - gamma M [[cos psi, -sin psi], [-sin psi, -cos psi]],
-        A_zz = -gamma(2N + 1), c = (0, 0, -gamma),
-    with no coupling between the transverse and longitudinal components.
+    A[k, j] = Tr(L{sigma_j} sigma_k) / 2 and c[k] = Tr(L{1} sigma_k) / 2: A is
+    diag(-fast, -slow, -z) in the mode frame (generator_terms) and c = (0, 0, -gamma).
     """
-    g, n, m = bath.gamma, bath.n, bath.m
-    cos, sin = np.cos(bath.psi), np.sin(bath.psi)
-    a = np.array(
-        [
-            [-g * (n + 0.5) - g * m * cos, g * m * sin, 0.0],
-            [g * m * sin, -g * (n + 0.5) + g * m * cos, 0.0],
-            [0.0, 0.0, -g * (2 * n + 1)],
-        ]
-    )
-    return a, np.array([0.0, 0.0, -g])
+    fast, slow, z = bath.rates
+    # The transverse block is -fast r r^T - slow q q^T for the mode axes r, q in the lab frame.
+    r, q = to_mode_frame(bath.psi, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    a = np.diag([0.0, 0.0, -z])
+    a[:2, :2] = -fast * np.outer(r, r) - slow * np.outer(q, q)
+    return a, np.array([0.0, 0.0, -bath.gamma])
+
+
+def generator_terms(bath: BathParams, v):
+    """The terms -rate u^2 of v . A v per mode and v . c = -gamma u_z, u being v in modes."""
+    fast, slow, z = bath.rates
+    u_fast, u_slow = to_mode_frame(bath.psi, v[0], v[1])
+    return -fast * u_fast**2, -slow * u_slow**2, -z * v[2] ** 2, -bath.gamma * v[2]

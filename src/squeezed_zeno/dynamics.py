@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import BathParams, bloch_rates
+from .bath import BathParams, generator_terms, to_mode_frame
 from .errors import ParameterError
 from .pauli import Direction, bloch_vector
 
@@ -54,27 +54,21 @@ def evolve_free(bath: BathParams, v0, grid: TimeGrid) -> np.ndarray:
 def analytic_free(bath: BathParams, v0, t):
     """Closed-form free evolution of a Bloch vector.
 
-    The transverse components decouple into two exponential modes along
-    axes rotated by psi/2; the longitudinal component relaxes toward
-    -1/(2N+1) at rate gamma(2N+1). Accepts scalar or array t; at a t so large
+    In the mode frame each component decays at its rate (bath.rates), z toward
+    -1/(2N+1). Accepts scalar or array t; at a t so large
     that an exponent overflows to -inf, its mode has decayed to 0. Rounding can
     put |v| an ulp or two above 1; such rows are rescaled to four ulp inside
     the unit sphere, so that |v| summed in any order stays at most 1.
     """
     v0 = np.asarray(v0, dtype=float)
     t = np.asarray(t, dtype=float)
-    g, n, m, psi = bath.gamma, bath.n, bath.m, bath.psi
-    c, s = np.cos(psi / 2), np.sin(psi / 2)
-    # Mode amplitudes at t=0 (rotation by psi/2 of the xy components).
-    u_fast = c * v0[0] - s * v0[1]  # decays at gamma(N + 1/2 + M)
-    u_slow = s * v0[0] + c * v0[1]  # decays at gamma(N + 1/2 - M)
+    fast, slow, rate_z = bath.rates
+    u_fast, u_slow = to_mode_frame(bath.psi, v0[0], v0[1])
     with np.errstate(over="ignore"):
-        e_fast = np.exp(-g * (n + 0.5 + m) * t) * u_fast
-        e_slow = np.exp(-g * (n + 0.5 - m) * t) * u_slow
-        ez = np.exp(-g * (2 * n + 1) * t)
-    x = c * e_fast + s * e_slow
-    y = -s * e_fast + c * e_slow
-    z = v0[2] * ez + (ez - 1.0) / (2 * n + 1)
+        x, y = to_mode_frame(-bath.psi, np.exp(-fast * t) * u_fast, np.exp(-slow * t) * u_slow)
+        ez = np.exp(-rate_z * t)
+        ez_m1 = np.expm1(-rate_z * t)
+    z = v0[2] * ez + ez_m1 / (2 * bath.n + 1)
     v = np.stack(np.broadcast_arrays(x, y, z), axis=-1)
     norm_sq = np.einsum("...i,...i->...", v, v)
     over = norm_sq > 1.0
@@ -90,9 +84,8 @@ def measured_coefficients(bath: BathParams, d: Direction):
     beta = Tr(L{sigma_mu} sigma_mu) / 2 = mu . A mu,
     projections of the affine Bloch generator (A, c) onto mu.
     """
-    a, c = bloch_rates(bath)
-    mu = d.unit_vector
-    return float(mu @ c), float(mu @ a @ mu)
+    *beta_terms, alpha = generator_terms(bath, d.unit_vector)
+    return float(alpha), float(sum(beta_terms))
 
 
 def evolve_measured(bath: BathParams, d: Direction, v0, grid: TimeGrid) -> np.ndarray:

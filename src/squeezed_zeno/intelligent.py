@@ -10,9 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import BathParams, lindblad_s_operator
+from .bath import BathParams, to_mode_frame
 from .errors import ParameterError
-from .pauli import GROUND, SIGMA_X, SIGMA_Y, SIGMA_Z
+from .pauli import GROUND, SIGMA_X, SIGMA_Y, SIGMA_Z, pure_state_bloch
+from .zeno import zeno_states
 
 J_X = 0.5 * SIGMA_X
 J_Y = 0.5 * SIGMA_Y
@@ -46,33 +47,20 @@ class SEigensystem:
     degenerate: bool = False
 
 
-def _fix_phase(vec: np.ndarray) -> np.ndarray:
-    """Normalize and make the excited-state amplitude real and non-negative."""
-    vec = vec / np.linalg.norm(vec)
-    pivot = vec[0] if abs(vec[0]) > 1e-12 else vec[1]
-    return vec * (abs(pivot) / pivot)
-
-
 def s_eigensystem(bath: BathParams) -> SEigensystem:
-    """Diagonalize S = sqrt(N+1) sigma - sqrt(N) e^{i psi} sigma+.
+    """Eigensystem of S = sqrt(N+1) sigma - sqrt(N) e^{i psi} sigma+ (maximal squeezing).
 
-    The eigenvalues are +-i sqrt(M) e^{i psi/2} and the eigenvectors are
-    the two frozen states. At N = 0 the operator is nilpotent with the
+    The eigenvalues are +-i sqrt(M) e^{i psi/2} and the eigenvectors the frozen
+    states z2 and z1 (zeno_states). At N = 0 the operator is nilpotent with the
     single eigenvector |->; that case is reported as degenerate.
     """
-    s = lindblad_s_operator(bath)
+    if not bath.is_maximal:
+        raise ParameterError(f"S is only defined at maximal squeezing, got m={bath.m}")
     if bath.n == 0:
         return SEigensystem(0.0, GROUND.copy(), 0.0, GROUND.copy(), degenerate=True)
-    eigvals, eigvecs = np.linalg.eig(s)
-    target_plus = 1j * np.sqrt(bath.m) * np.exp(1j * bath.psi / 2)
-    order = np.argsort(np.abs(eigvals - target_plus))
-    i_plus, i_minus = order[0], order[1]
-    return SEigensystem(
-        lambda_plus=complex(eigvals[i_plus]),
-        state_plus=_fix_phase(eigvecs[:, i_plus]),
-        lambda_minus=complex(eigvals[i_minus]),
-        state_minus=_fix_phase(eigvecs[:, i_minus]),
-    )
+    lam = complex(1j * np.sqrt(bath.m) * np.exp(1j * bath.psi / 2))
+    z1, z2 = zeno_states(bath)
+    return SEigensystem(lambda_plus=lam, state_plus=z2, lambda_minus=-lam, state_minus=z1)
 
 
 def rotated_j_operators(psi: float):
@@ -81,9 +69,7 @@ def rotated_j_operators(psi: float):
     J1 = cos(psi/2) Jx - sin(psi/2) Jy (major fluctuation axis),
     J2 = sin(psi/2) Jx + cos(psi/2) Jy (minor axis). Returns (J1, J2, Jz).
     """
-    c, s = np.cos(psi / 2), np.sin(psi / 2)
-    j1 = c * J_X - s * J_Y
-    j2 = s * J_X + c * J_Y
+    j1, j2 = to_mode_frame(psi, J_X, J_Y)
     return j1, j2, J_Z
 
 
@@ -105,18 +91,12 @@ def uncertainty_product(state, psi: float):
     """Variances of J1 and J2, the Heisenberg bound, and the saturation gap.
 
     Returns (var_j1, var_j2, bound, gap) with bound = |<Jz>|^2 / 4 and
-    gap = var_j1 * var_j2 - bound. Intelligent states have gap = 0.
+    gap = var_j1 * var_j2 - bound. Intelligent states have gap = 0. With u the
+    Bloch vector in mode coordinates, var(J1) = (1 - u_fast^2) / 4, as J1^2 = 1/4.
     """
-    state = np.asarray(state, dtype=complex)
-    j1, j2, jz = rotated_j_operators(psi)
-
-    def moments(op):
-        mean = np.vdot(state, op @ state).real
-        mean_sq = np.vdot(state, op @ op @ state).real
-        return mean, mean_sq - mean**2
-
-    _, var1 = moments(j1)
-    _, var2 = moments(j2)
-    mean_z, _ = moments(jz)
-    bound = mean_z**2 / 4.0
+    v = pure_state_bloch(state)
+    u_fast, u_slow = to_mode_frame(psi, v[0], v[1])
+    var1 = float(1.0 - u_fast**2) / 4.0
+    var2 = float(1.0 - u_slow**2) / 4.0
+    bound = float(v[2] ** 2) / 16.0
     return var1, var2, bound, var1 * var2 - bound

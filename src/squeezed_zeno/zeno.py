@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import BathParams, bloch_rates
+from .bath import BathParams, generator_terms
 from .dynamics import analytic_free
 from .errors import DomainError, ParameterError
 from .pauli import Direction, pure_state_bloch
@@ -74,11 +74,10 @@ def _first_order_rate(bath: BathParams, v: np.ndarray) -> float:
     """Survival rate 0.5 v . (A v + c) of the pure state with Bloch vector v.
 
     This is <a| L{|a><a|} |a>, since L{|a><a|} = (A v + c) . sigma / 2.
-    For a frozen state rounding can leave it about 1e-16 gamma above 0,
-    which would make exp(rate t) exceed 1, so it is clipped at 0.
+    For a frozen state rounding can leave it a few ulp above 0, which would
+    make exp(rate t) exceed 1, so it is clipped at 0.
     """
-    a, c = bloch_rates(bath)
-    return min(0.5 * float(v @ (a @ v + c)), 0.0)
+    return min(0.5 * float(sum(generator_terms(bath, v))), 0.0)
 
 
 def survival_rate(bath: BathParams, state) -> float:
@@ -97,21 +96,17 @@ def survival_functional_F(bath: BathParams, d: Direction) -> float:
 def survival_functional_grid(bath: BathParams, n_theta: int = 256, n_phi: int = 256):
     """Evaluate the survival functional on an (n_theta x n_phi) angle grid.
 
-    A has no transverse-longitudinal coupling and c points along z, so
-    2F = sin^2(theta) q(phi) + A_zz cos^2(theta) + c_z cos(theta), with q
-    the transverse quadratic form of A at (cos phi, sin phi); F is clipped
-    at 0 as in survival_functional_F.
+    2F = sin^2(theta) q(phi) + l(cos theta) with q and l the transverse and
+    longitudinal terms (generator_terms); F is clipped at 0 as in survival_functional_F.
 
     Returns (theta axis, phi axis, F values of shape (n_theta, n_phi)).
     """
-    a, c = bloch_rates(bath)
     thetas = np.linspace(0.0, np.pi, n_theta)
     phis = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
-    cp, sp = np.cos(phis), np.sin(phis)
-    transverse = a[0, 0] * cp**2 + (a[0, 1] + a[1, 0]) * cp * sp + a[1, 1] * sp**2
-    ct = np.cos(thetas)
-    f = np.multiply.outer(np.sin(thetas) ** 2, transverse)
-    f += (a[2, 2] * ct**2 + c[2] * ct)[:, None]
+    t_fast, t_slow, _, _ = generator_terms(bath, (np.cos(phis), np.sin(phis), 0.0))
+    _, _, t_z, t_c = generator_terms(bath, (0.0, 0.0, np.cos(thetas)))
+    f = np.multiply.outer(np.sin(thetas) ** 2, t_fast + t_slow)
+    f += (t_z + t_c)[:, None]
     f *= 0.5
     np.minimum(f, 0.0, out=f)
     return thetas, phis, f
@@ -120,12 +115,12 @@ def survival_functional_grid(bath: BathParams, n_theta: int = 256, n_phi: int = 
 def zeno_directions(bath: BathParams) -> ZenoDirections:
     """Closed-form maxima of the survival functional.
 
-    phi_1 = (pi - psi)/2, phi_2 = phi_1 + pi, and the common polar angle
-    satisfies cos(theta) = -1 / (2(N + M + 1/2)). At both directions the
-    survival functional vanishes (maximal squeezing, N > 0); for N -> 0
-    the directions degenerate toward -z.
+    phi_1 = (pi - psi)/2 and phi_2 = phi_1 + pi lie on the slow mode axis, and the
+    common polar angle satisfies cos(theta) = -gamma / (2 fast) = -1 / (2(N + M + 1/2)).
+    At both directions the survival functional vanishes (maximal squeezing, N > 0);
+    for N -> 0 the directions degenerate toward -z.
     """
-    theta = float(np.arccos(-1.0 / (2.0 * (bath.n + bath.m + 0.5))))
+    theta = float(np.arccos(-bath.gamma / (2.0 * bath.rates.fast)))
     phi1 = (np.pi - bath.psi) / 2.0
     return ZenoDirections(
         mu1=Direction(theta, phi1),
@@ -187,22 +182,23 @@ def repeated_measurement_survival(
 def second_order_rate(bath: BathParams, state, dt: float) -> float:
     """Second-order survival rate <a| L{L{|a><a|}} |a> dt / 2.
 
-    Only valid when the first-order rate vanishes for this state. Where
-    it is below the tolerance but not zero (the ground state at N = 1e-14
-    has rate -1e-14), <a| L{L{|a><a|}} |a> can come out positive (gamma^2 N
-    for that state); the law would then exceed 1, so the rate is clipped
-    at 0. The rate is -inf where gamma^2 dt overflows: the law is then 0 at
-    every t > 0.
+    Only valid when the first-order rate vanishes: within FIRST_ORDER_ZERO_TOL of
+    the size of its terms, plus 16 z eps^2 since float amplitudes put a frozen
+    state about eps off the exact one, where the rate has curvature at most z;
+    else ParameterError. A rate that passes without being 0 (-1e-14 gamma for the
+    ground state at N = 1e-14) can make the value positive, so it is clipped at
+    0. It is -inf where gamma^2 dt overflows.
     """
-    v = pure_state_bloch(state)
-    first = _first_order_rate(bath, v)
-    if abs(first) > FIRST_ORDER_ZERO_TOL * bath.gamma:
-        raise ParameterError(
-            f"first-order rate {first} does not vanish; second-order law invalid"
-        )
-    # L{L{|a><a|}} = A (A v + c) . sigma / 2, whose expectation in |a> is half its dot with v.
-    a, c = bloch_rates(bath)
-    value = 0.5 * float(v @ (a @ (a @ v + c)))
+    terms = generator_terms(bath, pure_state_bloch(state))
+    fast, slow, rate_z = bath.rates
+    first = 0.5 * float(sum(terms))
+    tolerance = FIRST_ORDER_ZERO_TOL * 0.5 * float(sum(map(abs, terms)))
+    tolerance += 16 * rate_z * np.finfo(float).eps ** 2
+    if abs(first) > tolerance:
+        raise ParameterError(f"first-order rate {first} does not vanish; second-order law invalid")
+    # <a| L{L{|a><a|}} |a> = v . A (A v + c) / 2, and with A diagonal in the mode frame
+    # v . A (A v + c) is each term times minus its mode's rate.
+    value = -0.5 * float(fast * terms[0] + slow * terms[1] + rate_z * (terms[2] + terms[3]))
     return 0.5 * min(value, 0.0) * dt
 
 

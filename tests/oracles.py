@@ -18,7 +18,9 @@ from squeezed_zeno import (
     survival_functional_F,
     survival_functional_grid,
 )
+from squeezed_zeno.intelligent import SEigensystem
 from squeezed_zeno.pauli import (
+    GROUND,
     IDENTITY,
     SIGMA_MINUS,
     SIGMA_PLUS,
@@ -83,29 +85,29 @@ def rk4_free(bath: BathParams, v0, grid: TimeGrid) -> np.ndarray:
     """Bloch vectors on the grid from fixed-step RK4 on d v/dt = A v + c, from v(0) = v0.
 
     Each grid interval is subdivided so the internal step stays at or
-    below RK4_STEP_FRACTION / (gamma (2N + 1)).
+    below RK4_STEP_FRACTION / (gamma (2N + 1)). On the augmented linear
+    system d(v, 1)/dt = K (v, 1), K = [[A, c], [0, 0]], one RK4 step of
+    size h is the fixed matrix I + hK + (hK)^2/2 + (hK)^3/6 + (hK)^4/24, so
+    an interval of n_sub steps applies its n_sub-th power.
     """
     max_step = RK4_STEP_FRACTION / (bath.gamma * (2 * bath.n + 1))
     a, c = oracle_bloch_rates(bath)
-
-    def deriv(v):
-        return a @ v + c
+    k = np.zeros((4, 4))
+    k[:3, :3] = a
+    k[:3, 3] = c
 
     times = grid.times
-    v = np.asarray(v0, dtype=float)
+    v = np.append(np.asarray(v0, dtype=float), 1.0)
     out = np.empty((len(times), 3))
-    out[0] = v
+    out[0] = v[:3]
     for i in range(1, len(times)):
         dt = times[i] - times[i - 1]
         n_sub = max(1, int(np.ceil(dt / max_step)))
-        h = dt / n_sub
-        for _ in range(n_sub):
-            k1 = deriv(v)
-            k2 = deriv(v + 0.5 * h * k1)
-            k3 = deriv(v + 0.5 * h * k2)
-            k4 = deriv(v + h * k3)
-            v = v + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[i] = v
+        hk = (dt / n_sub) * k
+        eye = np.eye(4)
+        step = eye + hk @ (eye + hk @ (eye / 2 + hk @ (eye / 6 + hk / 24)))
+        v = np.linalg.matrix_power(step, n_sub) @ v
+        out[i] = v[:3]
     return out
 
 
@@ -117,6 +119,56 @@ def expm_propagator(bath: BathParams, t: float):
     aug[:3, 3] = c
     phi = expm(aug * t)
     return phi[:3, :3], phi[:3, 3]
+
+
+def eig_s_eigensystem(bath: BathParams) -> SEigensystem:
+    """Eigensystem of the jump operator S from np.linalg.eig.
+
+    The independent check of the closed-form s_eigensystem: each
+    eigenvector is normalized with its excited-state amplitude made real
+    and non-negative, and the eigenvalue nearer i sqrt(M) e^{i psi/2} is
+    lambda_+. At N = 0 S is nilpotent and the case is reported as degenerate.
+    """
+    s = lindblad_s_operator(bath)
+    if bath.n == 0:
+        return SEigensystem(0.0, GROUND.copy(), 0.0, GROUND.copy(), degenerate=True)
+    eigvals, eigvecs = np.linalg.eig(s)
+
+    def fix_phase(vec):
+        vec = vec / np.linalg.norm(vec)
+        pivot = vec[0] if abs(vec[0]) > 1e-12 else vec[1]
+        return vec * (abs(pivot) / pivot)
+
+    target_plus = 1j * np.sqrt(bath.m) * np.exp(1j * bath.psi / 2)
+    i_plus, i_minus = np.argsort(np.abs(eigvals - target_plus))
+    return SEigensystem(
+        lambda_plus=complex(eigvals[i_plus]),
+        state_plus=fix_phase(eigvecs[:, i_plus]),
+        lambda_minus=complex(eigvals[i_minus]),
+        state_minus=fix_phase(eigvecs[:, i_minus]),
+    )
+
+
+def moment_uncertainty_product(state, psi: float):
+    """(var_j1, var_j2, bound, gap) of uncertainty_product from operator moments.
+
+    var(J) = <J^2> - <J>^2 for J1 = (cos(psi/2) sigma_x - sin(psi/2) sigma_y) / 2,
+    J2 = (sin(psi/2) sigma_x + cos(psi/2) sigma_y) / 2, and bound = <Jz>^2 / 4.
+    """
+    state = np.asarray(state, dtype=complex)
+    c, s = np.cos(psi / 2), np.sin(psi / 2)
+    j1, j2, jz = 0.5 * (c * SIGMA_X - s * SIGMA_Y), 0.5 * (s * SIGMA_X + c * SIGMA_Y), 0.5 * SIGMA_Z
+
+    def moments(op):
+        mean = np.vdot(state, op @ state).real
+        mean_sq = np.vdot(state, op @ op @ state).real
+        return mean, mean_sq - mean**2
+
+    _, var1 = moments(j1)
+    _, var2 = moments(j2)
+    mean_z, _ = moments(jz)
+    bound = mean_z**2 / 4.0
+    return var1, var2, bound, var1 * var2 - bound
 
 
 def measurement_modified_rhs(bath: BathParams, d: Direction, rho: np.ndarray) -> np.ndarray:

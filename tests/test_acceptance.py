@@ -29,6 +29,7 @@ from squeezed_zeno import (
 from squeezed_zeno.intelligent import SqueezeFrame, j_minus_alpha
 
 from oracles import (
+    eig_s_eigensystem,
     find_zeno_directions_grid,
     liouvillian,
     liouvillian_from_s,
@@ -210,6 +211,11 @@ def test_criterion_10_s_eigensystem():
             target = 1j * np.sqrt(b.m) * np.exp(1j * b.psi / 2)
             ok &= abs(eig.lambda_plus - target) < 1e-12
             ok &= abs(eig.lambda_minus + target) < 1e-12
+            ref = eig_s_eigensystem(b)
+            ok &= abs(eig.lambda_plus - ref.lambda_plus) < 1e-12
+            ok &= abs(eig.lambda_minus - ref.lambda_minus) < 1e-12
+            ok &= np.max(np.abs(eig.state_plus - ref.state_plus)) < 1e-12
+            ok &= np.max(np.abs(eig.state_minus - ref.state_minus)) < 1e-12
             z1, z2 = zeno_states(b)
             # eigenvector set == frozen-state set (z1 carries -lambda)
             worst_fid = min(

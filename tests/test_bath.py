@@ -1,5 +1,8 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from squeezed_zeno import (
     GROUND,
@@ -134,6 +137,42 @@ class TestLindbladForm:
         b = BathParams(gamma=1.0, n=0.0, m=0.0)
         rho = np.diag([1.0, 0.0]).astype(complex)
         assert np.allclose(liouvillian_from_s(b, rho), liouvillian(b, rho))
+
+
+class TestModeRates:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        gamma=st.floats(1e-3, 1e3),
+        log_n=st.floats(-6.0, 12.0),
+        fraction=st.sampled_from([1.0, 0.0, 0.5, 0.9]),
+    )
+    def test_match_50_digit_reference(self, gamma, log_n, fraction):
+        # fraction 1 is a maximal bath (delta = 0, so the slow rate is
+        # gamma / (4(N + 1/2 + sqrt(N(N+1)))) with the exact square root); otherwise
+        # each rate is its defining expression in the float inputs.
+        n = 10.0**log_n
+        b = BathParams.maximal(gamma, n) if fraction == 1.0 else BathParams(
+            gamma=gamma, n=n, m=fraction * maximal_m(n)
+        )
+        with mpmath.workdps(50):
+            g, nn, m = (mpmath.mpf(x) for x in (b.gamma, b.n, b.m))
+            fast = g * (nn + 0.5 + m)
+            if fraction == 1.0:
+                slow = g / (4 * (nn + 0.5 + mpmath.sqrt(nn * (nn + 1))))
+            else:
+                slow = g * (nn + 0.5 - m)
+            expected = (fast, slow, g * (2 * nn + 1))
+            for got, want in zip(b.rates, expected):
+                assert abs(mpmath.mpf(got) - want) <= 4 * np.finfo(float).eps * want
+
+    def test_delta_zero_only_for_maximal_bits(self):
+        # M one ulp below maximal is a sub-maximal bath with its own slow rate.
+        n = 1e7
+        maximal = BathParams.maximal(1.0, n)
+        below = BathParams(gamma=1.0, n=n, m=np.nextafter(maximal_m(n), 0.0))
+        assert maximal.rates.slow == 1.0 / (4 * (n + 0.5 + maximal_m(n)))
+        assert below.rates.slow > maximal.rates.slow
+        assert maximal.rates.fast + maximal.rates.slow == pytest.approx(maximal.rates.z)
 
 
 class TestBlochRates:

@@ -215,6 +215,39 @@ class TestZeno:
         assert capsys.readouterr().err == f"config error: {message}\n"
 
 
+class TestStrongSqueezing:
+    """At large N the slow rate gamma / (4(N + 1/2 + M)) is far below gamma(N + 1/2)."""
+
+    def run_csv(self, capsys, argv):
+        assert main(argv) == 0
+        return parse_output(capsys.readouterr().out, "csv")[0]
+
+    def test_frozen_state_has_a_second_order_law(self, capsys):
+        table = self.run_csv(capsys, ["zeno", "--set", "N=1e7", "--set", "count=3"])
+        assert np.all(np.isfinite(table["P_second_order"]))
+        assert np.all(np.diff(table["P_second_order"]) < 0)
+
+    def test_frozen_state_stays_frozen_under_measurement(self, capsys):
+        argv = ["evolve", "--set", "N=1e7", "--set", "n_steps=2", "--set", "t_end=1e9"]
+        table = self.run_csv(capsys, argv)
+        assert np.all(np.abs(table["sigma_mu_measured"] - 1.0) < 1e-12)
+
+    def test_free_state_decays_at_the_slow_rate(self, capsys):
+        argv = ["evolve", "--set", "N=1e9", "--set", "n_steps=2", "--set", "t_end=1e9"]
+        table = self.run_csv(capsys, argv)
+        slow = 1.0 / (4 * (1e9 + 0.5 + np.sqrt(1e9 * (1e9 + 1))))
+        expected = np.exp(-slow * table["t"])  # about 1, 0.939, 0.882
+        np.testing.assert_allclose(table["sigma_mu_free"], expected, rtol=1e-9)
+
+    def test_unfrozen_state_has_no_second_order_law(self, capsys):
+        # The -1 eigenstate's first-order rate is below 1e-10 gamma but does not vanish.
+        argv = ["zeno", "--set", "N=1e10", "--set", "state=zeno-minus",
+                "--set", "count=2", "--set", "dt=1e6"]
+        table = self.run_csv(capsys, argv)
+        assert np.all(np.isnan(table["P_second_order"]))
+        assert table["P_first_order"][-1] < 1.0
+
+
 def run_zeno(config: dict):
     """Exit code and the named CSV columns that zeno writes to stdout."""
     argv = ["zeno"]

@@ -19,6 +19,8 @@ from squeezed_zeno.intelligent import (
     rotated_j_operators,
 )
 
+from oracles import eig_s_eigensystem, moment_uncertainty_product
+
 
 def haar_random_states(n, seed=0):
     rng = np.random.default_rng(seed)
@@ -59,6 +61,21 @@ class TestSEigensystem:
             z1, z2 = zeno_states(b)
             assert abs(np.vdot(eig.state_minus, z1)) == pytest.approx(1.0, abs=1e-12)
             assert abs(np.vdot(eig.state_plus, z2)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_matches_eig_oracle(self):
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            n, psi = 10 ** rng.uniform(-3, 2), rng.uniform(0, 2 * np.pi)
+            b = BathParams.maximal(rng.uniform(0.1, 3.0), n, psi)
+            eig, ref = s_eigensystem(b), eig_s_eigensystem(b)
+            assert abs(eig.lambda_plus - ref.lambda_plus) < 1e-12
+            assert abs(eig.lambda_minus - ref.lambda_minus) < 1e-12
+            assert np.max(np.abs(eig.state_plus - ref.state_plus)) < 1e-12
+            assert np.max(np.abs(eig.state_minus - ref.state_minus)) < 1e-12
+
+    def test_submaximal_rejected(self):
+        with pytest.raises(ParameterError):
+            s_eigensystem(BathParams(gamma=1.0, n=1.0, m=0.5))
 
     def test_vacuum_degenerate(self):
         eig = s_eigensystem(BathParams(gamma=1.0, n=0.0, m=0.0))
@@ -165,6 +182,12 @@ class TestUncertaintyProduct:
         assert v1 == pytest.approx(0.0, abs=1e-14)
         assert bound == pytest.approx(0.0, abs=1e-14)
         assert gap == pytest.approx(0.0, abs=1e-14)
+
+    def test_matches_operator_moments(self):
+        for psi in (0.0, 1.3, 4.4):
+            for state in haar_random_states(300, seed=18):
+                got = uncertainty_product(state, psi)
+                np.testing.assert_allclose(got, moment_uncertainty_product(state, psi), atol=1e-15)
 
     def test_heisenberg_inequality_random_states(self):
         for psi in (0.0, 1.3):

@@ -2,6 +2,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom, chi2
 
 from squeezed_zeno import (
@@ -9,9 +11,12 @@ from squeezed_zeno import (
     Direction,
     MeasurementSchedule,
     SIGMA_X,
+    TimeGrid,
     closed_system_survival,
     eigenstates_mu,
+    evolve_measured,
     monte_carlo_survival,
+    pure_state_bloch,
     repeated_measurement_survival,
     second_order_rate,
     step_survival_probability,
@@ -24,6 +29,8 @@ from squeezed_zeno import (
 from squeezed_zeno.errors import DomainError, ParameterError
 
 from oracles import find_zeno_directions_grid, per_trajectory_survival
+
+EPS = np.finfo(float).eps
 
 EXCITED = np.array([1.0, 0.0], dtype=complex)
 GROUND = np.array([0.0, 1.0], dtype=complex)
@@ -272,6 +279,43 @@ class TestSecondOrderRate:
         b = BathParams.maximal(1.0, 1.0, 0.0)
         with pytest.raises(ParameterError):
             second_order_rate(b, EXCITED, 0.01)
+
+    def test_gate_scales_with_the_rate_terms(self):
+        # The -1 eigenstate of the frozen direction decays at about gamma / (2N): below
+        # 1e-10 gamma at N = 1e10, but not small against its own terms.
+        b = BathParams.maximal(1.0, 1e10, 0.0)
+        minus = eigenstates_mu(zeno_directions(b).mu1)[1]
+        assert survival_rate(b, minus) > -1e-10
+        with pytest.raises(ParameterError):
+            second_order_rate(b, minus, 1e6)
+        # The ground state at N = 1e-14 decays at -1e-14 gamma, within the tolerance of its
+        # terms (about gamma); its second-order value comes out positive and is clipped.
+        assert second_order_rate(BathParams.maximal(1.0, 1e-14), GROUND, 0.01) == 0.0
+
+
+class TestFrozenAtStrongSqueezing:
+    """Total freezing of both frozen states from the thermal limit to strong squeezing.
+
+    A frozen state given by float amplitudes lies about eps off the exact one, where
+    the rate is stationary with curvature at most gamma(2N + 1); so its exact rate is
+    within a few ulp of the slow rate plus a floor of order z eps^2, which dominates
+    from N of about 1e8 on.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(log_n=st.floats(-6.0, 12.0), psi=st.floats(0.0, 2 * np.pi, exclude_max=True))
+    def test_frozen_states(self, log_n, psi):
+        b = BathParams.maximal(1.0, 10.0**log_n, psi)
+        fast, slow, z = b.rates
+        rate_tol = 16 * EPS * (slow + EPS * z)
+        zd = zeno_directions(b)
+        grid = TimeGrid(1e3 / slow, 4)
+        for state, direction in zip(zeno_states(b), (zd.mu1, zd.mu2)):
+            assert abs(survival_rate(b, state)) <= rate_tol
+            assert abs(survival_functional_F(b, direction)) <= rate_tol
+            assert second_order_rate(b, state, 0.01) <= 0.0
+            values = evolve_measured(b, direction, pure_state_bloch(state), grid)
+            assert np.all(np.abs(values - 1.0) <= 2 * rate_tol / slow), values
 
 
 class TestMonteCarloSurvival:

@@ -15,7 +15,7 @@ from squeezed_zeno import (
     uncertainty_product,
     zeno_states,
 )
-from squeezed_zeno.intelligent import SqueezeFrame, j_minus_alpha
+from squeezed_zeno.intelligent import j_minus_alpha
 
 bath = BathParams.maximal(gamma=1.0, n=1.0, psi=0.8)
 print(f"bath: N = {bath.n}, M = {bath.m:.6f}, psi = {bath.psi}")
@@ -29,11 +29,10 @@ print("\neigenvector / frozen-state overlaps:")
 print(f"  |<lambda_minus | z1>| = {abs(np.vdot(eig.state_minus, z1)):.15f}")
 print(f"  |<lambda_plus  | z2>| = {abs(np.vdot(eig.state_plus, z2)):.15f}")
 
-frame = SqueezeFrame.from_bath(bath)
 s = lindblad_s_operator(bath)
-residual = np.max(np.abs(s - 2 * eig.lambda_plus * j_minus_alpha(bath.psi, frame.alpha_ratio)))
+residual = np.max(np.abs(s - 2 * eig.lambda_plus * j_minus_alpha(bath.psi, bath.squeeze_ratio)))
 print(f"\nfactorization S = 2 lambda_+ J_-(alpha): residual {residual:.2e}")
-print(f"squeeze ratio alpha = e^(2r) = {frame.alpha_ratio:.6f}")
+print(f"squeeze ratio alpha = e^(2r) = {bath.squeeze_ratio:.6f}")
 
 print("\nuncertainty saturation for both eigenvectors:")
 for name, state in (("lambda_plus", eig.state_plus), ("lambda_minus", eig.state_minus)):

@@ -29,14 +29,11 @@ from .dynamics import (
     measured_coefficients,
 )
 from .errors import (
-    ContractViolationError,
-    DomainError,
     InvalidStateError,
     ParameterError,
     SqueezedZenoError,
 )
 from .intelligent import (
-    SqueezeFrame,
     j_minus_alpha,
     rotated_j_operators,
     s_eigensystem,
@@ -46,25 +43,20 @@ from .pauli import (
     Direction,
     EXCITED,
     GROUND,
-    IDENTITY,
     SIGMA_MINUS,
     SIGMA_PLUS,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    bloch_to_matrix,
     bloch_vector,
     eigenstates_mu,
-    expectation,
     matrix_to_bloch,
     pure_state_bloch,
     pure_state_matrix,
-    sigma_mu,
 )
 from .zeno import (
     MeasurementSchedule,
     ZenoDirections,
-    closed_system_survival,
     monte_carlo_survival,
     repeated_measurement_survival,
     second_order_rate,

@@ -102,6 +102,11 @@ class BathParams:
         """Squeeze parameter r with sinh(r) = sqrt(n) (defined at maximal m)."""
         return float(np.arcsinh(np.sqrt(self.n)))
 
+    @property
+    def squeeze_ratio(self) -> float:
+        """Squeeze ratio alpha = e^{2r} (defined at maximal m)."""
+        return float(np.exp(2.0 * self.squeeze_amplitude))
+
 
 def lindblad_s_operator(bath: BathParams) -> np.ndarray:
     """Jump operator S = sqrt(N+1) sigma - sqrt(N) e^{i psi} sigma+.

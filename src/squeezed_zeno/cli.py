@@ -46,7 +46,7 @@ from . import (
 )
 from .bath import lindblad_s_operator
 from .errors import InvalidStateError, ParameterError
-from .intelligent import SqueezeFrame, j_minus_alpha
+from .intelligent import j_minus_alpha
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -414,14 +414,13 @@ def cmd_intelligent(config: dict) -> int:
         }
     report["uncertainty"] = gaps
     if not eig.degenerate:
-        frame = SqueezeFrame.from_bath(bath)
         s = lindblad_s_operator(bath)
         residual = np.max(
-            np.abs(s - 2.0 * eig.lambda_plus * j_minus_alpha(bath.psi, frame.alpha_ratio))
+            np.abs(s - 2.0 * eig.lambda_plus * j_minus_alpha(bath.psi, bath.squeeze_ratio))
         )
         report["factorization_residual"] = float(residual)
-        report["alpha_ratio"] = frame.alpha_ratio
-        report["squeeze_amplitude"] = frame.r
+        report["alpha_ratio"] = bath.squeeze_ratio
+        report["squeeze_amplitude"] = bath.squeeze_amplitude
     _write_json(config.get("out"), report)
     return EXIT_OK
 

@@ -11,11 +11,3 @@ class InvalidStateError(SqueezedZenoError):
 
 class ParameterError(SqueezedZenoError):
     """Bath or schedule parameters are out of their physical range."""
-
-
-class ContractViolationError(SqueezedZenoError):
-    """A caller passed an operand that breaks an operation's contract."""
-
-
-class DomainError(SqueezedZenoError):
-    """A formula was evaluated outside its domain of validity."""

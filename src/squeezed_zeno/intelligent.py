@@ -3,7 +3,8 @@
 Eigensystem of the bath's single jump operator, the rotated spin
 observables aligned with the bath fluctuation ellipse, the non-Hermitian
 lowering-type operator whose eigenstates saturate the Heisenberg
-uncertainty relation, and the saturation check itself.
+uncertainty relation, and the saturation check itself. The squeeze ratio
+alpha = e^{2r} of that operator is BathParams.squeeze_ratio.
 """
 
 from dataclasses import dataclass
@@ -18,22 +19,6 @@ from .zeno import zeno_states
 J_X = 0.5 * SIGMA_X
 J_Y = 0.5 * SIGMA_Y
 J_Z = 0.5 * SIGMA_Z
-
-
-@dataclass(frozen=True)
-class SqueezeFrame:
-    """Squeeze amplitude r, phase psi, and the squeeze ratio e^{2r}."""
-
-    r: float
-    psi: float
-
-    @property
-    def alpha_ratio(self) -> float:
-        return float(np.exp(2.0 * self.r))
-
-    @classmethod
-    def from_bath(cls, bath: BathParams) -> "SqueezeFrame":
-        return cls(r=bath.squeeze_amplitude, psi=bath.psi)
 
 
 @dataclass(frozen=True)

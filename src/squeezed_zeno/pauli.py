@@ -1,9 +1,9 @@
 """Exact 2x2 complex algebra for a two-level atom.
 
 Pauli and ladder operator constants, the Bloch-vector check, the closed-form
-Bloch vector of a pure state, Bloch-vector <-> density-matrix maps, and spin
-observables along an arbitrary direction of the Bloch sphere with their
-eigenstates.
+Bloch vector of a pure state, directions on the Bloch sphere with the
+eigenstates of the spin component along them, and the checked map from a
+density matrix to its Bloch vector.
 
 Basis convention: |+> = excited = (1, 0)^T, |-> = ground = (0, 1)^T, so
 sigma_z |+-> = +-|+-> and the lowering operator sends |+> to |->.
@@ -13,12 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, InvalidStateError
+from .errors import InvalidStateError
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-IDENTITY = np.eye(2, dtype=complex)
 
 # Ladder operators: SIGMA_MINUS |+> = |->
 SIGMA_MINUS = 0.5 * (SIGMA_X - 1j * SIGMA_Y)
@@ -73,12 +72,6 @@ def bloch_vector(v) -> np.ndarray:
     return v
 
 
-def bloch_to_matrix(v) -> np.ndarray:
-    """Density matrix rho = (1 + v . sigma) / 2 for a Bloch vector v."""
-    v = bloch_vector(v)
-    return 0.5 * (IDENTITY + v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z)
-
-
 def matrix_to_bloch(rho: np.ndarray) -> np.ndarray:
     """Bloch vector (Tr rho sigma_x, Tr rho sigma_y, Tr rho sigma_z) of a density matrix.
 
@@ -96,14 +89,8 @@ def matrix_to_bloch(rho: np.ndarray) -> np.ndarray:
     return bloch_vector([np.trace(rho @ sigma).real for sigma in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
 
 
-def sigma_mu(d: Direction) -> np.ndarray:
-    """Spin component along d: sigma . mu_hat."""
-    mu = d.unit_vector
-    return mu[0] * SIGMA_X + mu[1] * SIGMA_Y + mu[2] * SIGMA_Z
-
-
 def eigenstates_mu(d: Direction):
-    """The +1 and -1 eigenstates of sigma_mu(d).
+    """The +1 and -1 eigenstates of the spin component sigma . mu_hat along d.
 
     Returns (plus, minus) with
         plus  =  cos(theta/2) |+> + sin(theta/2) e^{i phi} |->
@@ -114,14 +101,6 @@ def eigenstates_mu(d: Direction):
     plus = np.array([c, s * phase])
     minus = np.array([-s, c * phase])
     return plus, minus
-
-
-def expectation(rho: np.ndarray, a: np.ndarray) -> float:
-    """Tr(rho A) for a Hermitian observable A."""
-    a = np.asarray(a, dtype=complex)
-    if np.max(np.abs(a - a.conj().T)) > HERMITICITY_TOL:
-        raise ContractViolationError("observable is not Hermitian")
-    return np.trace(np.asarray(rho, dtype=complex) @ a).real
 
 
 def _pure_state(state) -> np.ndarray:

@@ -1,10 +1,9 @@
 """Survival probabilities under repeated measurement and the frozen states.
 
-Covers the closed-system short-time survival law, the first- and
-second-order survival rates under the master equation, the survival
-functional over measurement directions, its two maxima (the
-bath-determined "preferential" directions), the corresponding frozen
-states, and exact / Monte Carlo repeated-measurement survival curves.
+Covers the first- and second-order survival rates under the master
+equation, the survival functional over measurement directions, its two
+maxima (the bath-determined "preferential" directions), the corresponding
+frozen states, and exact / Monte Carlo repeated-measurement survival curves.
 """
 
 from dataclasses import dataclass
@@ -13,7 +12,7 @@ import numpy as np
 
 from .bath import BathParams, generator_terms
 from .dynamics import analytic_free
-from .errors import DomainError, ParameterError
+from .errors import ParameterError
 from .pauli import Direction, pure_state_bloch
 
 FIRST_ORDER_ZERO_TOL = 1e-10
@@ -51,25 +50,6 @@ class ZenoDirections:
     theta: float
 
 
-def closed_system_survival(h, state, sched: MeasurementSchedule) -> float:
-    """Survival probability (1 - dt^2 Var(H))^count for a closed system.
-
-    Var(H) is the energy variance of the initial eigenstate of the
-    measured observable; hbar = 1.
-    """
-    h = np.asarray(h, dtype=complex)
-    state = np.asarray(state, dtype=complex)
-    mean = np.vdot(state, h @ state).real
-    mean_sq = np.vdot(state, h @ h @ state).real
-    var = mean_sq - mean**2
-    x = sched.dt**2 * var
-    if x > 1.0:
-        raise DomainError(
-            f"dt^2 Var(H) = {x} > 1: short-time expansion invalid"
-        )
-    return float((1.0 - x) ** sched.count)
-
-
 def _first_order_rate(bath: BathParams, v: np.ndarray) -> float:
     """Survival rate 0.5 v . (A v + c) of the pure state with Bloch vector v.
 
@@ -86,7 +66,7 @@ def survival_rate(bath: BathParams, state) -> float:
 
 
 def survival_functional_F(bath: BathParams, d: Direction) -> float:
-    """Survival rate of the +1 eigenstate of sigma_mu(d), as a function of angles.
+    """Survival rate of the +1 eigenstate of sigma . mu_hat along d, as a function of angles.
 
     That eigenstate has Bloch vector mu, so F = mu . (A mu + c) / 2 (<= 0).
     """

@@ -21,19 +21,32 @@ from squeezed_zeno import (
 from squeezed_zeno.intelligent import SEigensystem
 from squeezed_zeno.pauli import (
     GROUND,
-    IDENTITY,
     SIGMA_MINUS,
     SIGMA_PLUS,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     Direction,
+    bloch_vector,
     eigenstates_mu,
     pure_state_matrix,
 )
 
+IDENTITY = np.eye(2, dtype=complex)
 # Internal RK4 step as a fraction of the fastest relaxation time 1 / (gamma (2N + 1)).
 RK4_STEP_FRACTION = 1e-3
+
+
+def bloch_to_matrix(v) -> np.ndarray:
+    """Density matrix rho = (1 + v . sigma) / 2 for a Bloch vector v (checked by bloch_vector)."""
+    v = bloch_vector(v)
+    return 0.5 * (IDENTITY + v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z)
+
+
+def sigma_mu(d: Direction) -> np.ndarray:
+    """Spin component along d: sigma . mu_hat."""
+    mu = d.unit_vector
+    return mu[0] * SIGMA_X + mu[1] * SIGMA_Y + mu[2] * SIGMA_Z
 
 
 def liouvillian(bath: BathParams, rho: np.ndarray) -> np.ndarray:

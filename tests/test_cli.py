@@ -1,7 +1,10 @@
 import contextlib
+import importlib
 import io
 import json
 import os
+import pkgutil
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,8 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import squeezed_zeno
 from squeezed_zeno import maximal_m
 from squeezed_zeno.cli import ALLOWED_KEYS, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(tmp_path, command, config=None, extra=None):
@@ -506,11 +512,15 @@ SMALL_RUNS = (
 )
 
 
+# Top-level modules of the `test` extra (pytest's own code is in _pytest).
+TEST_EXTRA_MODULES = ("scipy", "mpmath", "hypothesis", "pytest", "_pytest")
+
+
 def test_cli_import_loads_no_scipy():
-    # Importing the CLI and running every subcommand loads numpy alone, on one
-    # thread unless OPENBLAS_NUM_THREADS chose a count, and leaves the environment
-    # as it was.
-    src = Path(__file__).resolve().parents[1] / "src"
+    # Importing the CLI and running every subcommand loads numpy alone, and no
+    # module of the test extra, on one thread unless OPENBLAS_NUM_THREADS chose a
+    # count, and leaves the environment as it was.
+    src = ROOT / "src"
     script = (
         "import contextlib, io, os, sys\n"
         "import squeezed_zeno\n"
@@ -518,7 +528,7 @@ def test_cli_import_loads_no_scipy():
         f"for argv in {SMALL_RUNS!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert main(argv) == 0, argv\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        f"print(sorted(m for m in sys.modules if m.partition('.')[0] in {TEST_EXTRA_MODULES!r}))\n"
         "tasks = '/proc/self/task'\n"
         "print(len(os.listdir(tasks)) if os.path.isdir(tasks) else None)\n"
         "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
@@ -541,3 +551,51 @@ def test_cli_import_loads_no_scipy():
         assert blas_env == str(blas_threads)
         if blas_threads is None and threads != "None":
             assert threads == "1"
+
+
+# Public names removed with no alias; README says what replaces each.
+REMOVED_NAMES = (
+    "expectation",
+    "ContractViolationError",
+    "closed_system_survival",
+    "DomainError",
+    "SqueezeFrame",
+    "bloch_to_matrix",
+    "sigma_mu",
+    "IDENTITY",
+    "liouvillian",
+    "liouvillian_from_s",
+    "find_zeno_directions_grid",
+    "validate_density_matrix",
+    "TimeSeries",
+    "SurvivalCurve",
+)
+
+
+@pytest.mark.parametrize("name", REMOVED_NAMES)
+def test_removed_name_stays_removed(name):
+    modules = [squeezed_zeno] + [
+        importlib.import_module(f"squeezed_zeno.{info.name}")
+        for info in pkgutil.iter_modules(squeezed_zeno.__path__)
+    ]
+    for module in modules:
+        assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def readme_examples():
+    """argv of each squeezed-zeno command in README's CLI examples, continuations joined."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("Examples:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("squeezed-zeno ")]
+
+
+def test_readme_examples_run(tmp_path, monkeypatch):
+    examples = readme_examples()
+    assert [argv[0] for argv in examples] == ["surface", "evolve", "zeno", "intelligent"]
+    monkeypatch.chdir(tmp_path)
+    for argv in examples:
+        assert main(argv) == 0, argv
+        out = argv[argv.index("--out") + 1]
+        assert (tmp_path / out).is_file(), argv
+    assert (tmp_path / "surface.csv.maxima.json").is_file()

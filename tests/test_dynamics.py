@@ -7,7 +7,6 @@ from squeezed_zeno import (
     BathParams,
     TimeGrid,
     analytic_free,
-    bloch_to_matrix,
     eigenstates_mu,
     evolve_free,
     evolve_measured,
@@ -16,7 +15,6 @@ from squeezed_zeno import (
     measured_coefficients,
     pure_state_bloch,
     pure_state_matrix,
-    sigma_mu,
     step_survival_probability,
     zeno_directions,
     zeno_states,
@@ -24,7 +22,14 @@ from squeezed_zeno import (
 from squeezed_zeno.errors import ParameterError
 from squeezed_zeno.pauli import Direction
 
-from oracles import expm_propagator, liouvillian, measurement_modified_rhs, rk4_free
+from oracles import (
+    bloch_to_matrix,
+    expm_propagator,
+    liouvillian,
+    measurement_modified_rhs,
+    rk4_free,
+    sigma_mu,
+)
 
 
 def random_bloch(rng, surface=False):

@@ -14,7 +14,6 @@ from squeezed_zeno.intelligent import (
     J_X,
     J_Y,
     J_Z,
-    SqueezeFrame,
     j_minus_alpha,
     rotated_j_operators,
 )
@@ -117,30 +116,27 @@ class TestJMinusAlpha:
     def test_factorization(self):
         for n, psi in [(1.0, 0.0), (2.0, 1.3), (0.5, np.pi)]:
             b = BathParams.maximal(1.0, n, psi)
-            frame = SqueezeFrame.from_bath(b)
             eig = s_eigensystem(b)
             s = lindblad_s_operator(b)
-            jm = j_minus_alpha(b.psi, frame.alpha_ratio)
+            jm = j_minus_alpha(b.psi, b.squeeze_ratio)
             assert np.max(np.abs(s - 2 * eig.lambda_plus * jm)) < 1e-12
 
     def test_factorization_chain(self):
         # S = e^{i psi/2} e^{-r} (J1 - i alpha J2) = 2 lambda_+ J_-(alpha)
         b = BathParams.maximal(1.0, 1.7, 0.9)
-        frame = SqueezeFrame.from_bath(b)
         j1, j2, _ = rotated_j_operators(b.psi)
         s = lindblad_s_operator(b)
         middle = (
             np.exp(1j * b.psi / 2)
-            * np.exp(-frame.r)
-            * (j1 - 1j * frame.alpha_ratio * j2)
+            * np.exp(-b.squeeze_amplitude)
+            * (j1 - 1j * b.squeeze_ratio * j2)
         )
         assert np.max(np.abs(s - middle)) < 1e-12
 
     def test_eigenvalues_half(self):
         b = BathParams.maximal(1.0, 1.0, 0.0)
-        frame = SqueezeFrame.from_bath(b)
         eig = s_eigensystem(b)
-        jm = j_minus_alpha(b.psi, frame.alpha_ratio)
+        jm = j_minus_alpha(b.psi, b.squeeze_ratio)
         assert np.linalg.norm(jm @ eig.state_plus - 0.5 * eig.state_plus) < 1e-12
         assert np.linalg.norm(jm @ eig.state_minus + 0.5 * eig.state_minus) < 1e-12
 
@@ -152,9 +148,9 @@ class TestJMinusAlpha:
 class TestSqueezeFrame:
     def test_ratio_identity(self):
         for n in (0.5, 1.0, 3.0):
-            frame = SqueezeFrame.from_bath(BathParams.maximal(1.0, n))
-            ch, sh = np.cosh(frame.r), np.sinh(frame.r)
-            assert frame.alpha_ratio == pytest.approx((ch + sh) / (ch - sh), abs=1e-10)
+            b = BathParams.maximal(1.0, n)
+            ch, sh = np.cosh(b.squeeze_amplitude), np.sinh(b.squeeze_amplitude)
+            assert b.squeeze_ratio == pytest.approx((ch + sh) / (ch - sh), abs=1e-10)
             assert sh == pytest.approx(np.sqrt(n), abs=1e-12)
 
 

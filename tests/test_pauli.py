@@ -5,20 +5,18 @@ from squeezed_zeno import (
     Direction,
     EXCITED,
     GROUND,
-    IDENTITY,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    bloch_to_matrix,
     bloch_vector,
     eigenstates_mu,
-    expectation,
     matrix_to_bloch,
     pure_state_bloch,
     pure_state_matrix,
-    sigma_mu,
 )
-from squeezed_zeno.errors import ContractViolationError, InvalidStateError
+from squeezed_zeno.errors import InvalidStateError
+
+from oracles import IDENTITY, bloch_to_matrix, sigma_mu
 
 
 def random_directions(n, seed=0):
@@ -139,28 +137,6 @@ class TestEigenstates:
             assert abs(np.vdot(plus, minus)) < 1e-13
             proj = np.outer(plus, plus.conj()) + np.outer(minus, minus.conj())
             assert np.max(np.abs(proj - IDENTITY)) < 1e-13
-
-
-class TestExpectation:
-    def test_examples(self):
-        assert expectation(0.5 * IDENTITY, SIGMA_Z) == pytest.approx(0.0, abs=1e-14)
-        assert expectation(np.diag([1.0, 0.0]), SIGMA_Z) == pytest.approx(1.0)
-        rho = bloch_to_matrix([0.6, 0, 0.8])
-        assert expectation(rho, sigma_mu(Direction(np.pi / 2, 0))) == pytest.approx(0.6)
-
-    def test_dot_product_identity(self):
-        rng = np.random.default_rng(4)
-        for d in random_directions(10, seed=5):
-            v = rng.uniform(-1, 1, 3)
-            v *= rng.uniform(0, 1) / max(np.linalg.norm(v), 1e-12)
-            rho = bloch_to_matrix(v)
-            assert expectation(rho, sigma_mu(d)) == pytest.approx(
-                d.unit_vector @ v, abs=1e-12
-            )
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(ContractViolationError):
-            expectation(0.5 * IDENTITY, np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 def test_pauli_algebra():

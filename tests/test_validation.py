@@ -8,7 +8,6 @@ from squeezed_zeno import (
     Direction,
     MeasurementSchedule,
     TimeGrid,
-    bloch_to_matrix,
     bloch_vector,
     evolve_free,
     evolve_measured,
@@ -21,6 +20,8 @@ from squeezed_zeno import (
 )
 from squeezed_zeno.cli import main
 from squeezed_zeno.errors import InvalidStateError, ParameterError
+
+from oracles import bloch_to_matrix
 
 nan, inf = np.nan, np.inf
 

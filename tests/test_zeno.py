@@ -10,9 +10,7 @@ from squeezed_zeno import (
     BathParams,
     Direction,
     MeasurementSchedule,
-    SIGMA_X,
     TimeGrid,
-    closed_system_survival,
     eigenstates_mu,
     evolve_measured,
     monte_carlo_survival,
@@ -26,7 +24,7 @@ from squeezed_zeno import (
     zeno_directions,
     zeno_states,
 )
-from squeezed_zeno.errors import DomainError, ParameterError
+from squeezed_zeno.errors import ParameterError
 
 from oracles import find_zeno_directions_grid, per_trajectory_survival
 
@@ -34,31 +32,6 @@ EPS = np.finfo(float).eps
 
 EXCITED = np.array([1.0, 0.0], dtype=complex)
 GROUND = np.array([0.0, 1.0], dtype=complex)
-
-
-class TestClosedSystemSurvival:
-    def test_eigenstate_survives(self):
-        plus_x = np.array([1, 1]) / np.sqrt(2)
-        assert closed_system_survival(SIGMA_X, plus_x, MeasurementSchedule(0.3, 7)) == 1.0
-
-    def test_sigma_x_on_excited(self):
-        # Var(sigma_x) = 1 on |+>, so P = (1 - 0.01)^10.
-        p = closed_system_survival(SIGMA_X, EXCITED, MeasurementSchedule(0.1, 10))
-        assert p == pytest.approx(0.99**10)
-
-    def test_zeno_monotone_in_measurement_count(self):
-        previous = -1.0
-        for count in (1, 10, 100, 1000):
-            p = closed_system_survival(
-                SIGMA_X, EXCITED, MeasurementSchedule(1.0 / count, count)
-            )
-            assert p > previous
-            previous = p
-        assert previous > 0.99
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            closed_system_survival(SIGMA_X, EXCITED, MeasurementSchedule(1.5, 1))
 
 
 class TestSurvivalRate:

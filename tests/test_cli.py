@@ -553,6 +553,70 @@ def test_cli_import_loads_no_scipy():
             assert threads == "1"
 
 
+def run_module(argv):
+    """`python -m squeezed_zeno argv` in a fresh interpreter, with src on the path."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "squeezed_zeno", *argv],
+        env=env,
+        capture_output=True,
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize("argv", SMALL_RUNS, ids=[argv[0] for argv in SMALL_RUNS])
+def test_module_entry_writes_what_main_writes(argv):
+    proc = run_module(argv)
+    assert proc.returncode == 0, proc.stderr
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        assert main(argv) == 0
+    assert proc.stdout == buffer.getvalue().encode("utf-8")
+    assert proc.stderr == b""
+
+
+def test_module_entry_exit_codes(tmp_path):
+    bad_key = run_module(["zeno", "--set", "bogus=1"])
+    assert bad_key.returncode == 2
+    assert bad_key.stderr.startswith(b"config error:")
+    unwritable = run_module(["intelligent", "--out", str(tmp_path / "missing" / "report.json")])
+    assert unwritable.returncode == 4
+    assert unwritable.stderr.startswith(b"i/o error:")
+
+
+def freeze_count_after(call: str) -> int:
+    """gc.get_freeze_count() in a fresh interpreter after running every small run through call."""
+    script = (
+        "import contextlib, gc, io\n"
+        "from squeezed_zeno.__main__ import run\n"
+        "from squeezed_zeno.cli import main\n"
+        f"for argv in {SMALL_RUNS!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"        assert {call}(argv) == 0, argv\n"
+        "print(gc.get_freeze_count())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
+
+
+def test_only_the_process_entry_freezes_the_heap():
+    # cli.main leaves the collector as it was for in-process callers; run, the
+    # entry of `python -m squeezed_zeno` and of the console script, freezes it.
+    assert freeze_count_after("main") == 0
+    assert freeze_count_after("run") > 0
+
+
+def test_console_script_target_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"squeezed-zeno": "squeezed_zeno.__main__:run"}
+
+
 # Public names removed with no alias; README says what replaces each.
 REMOVED_NAMES = (
     "expectation",

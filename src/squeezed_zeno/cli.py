@@ -470,7 +470,3 @@ def main(argv=None) -> int:
     except SqueezedZenoError as exc:
         print(f"numeric contract violation: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-
-
-if __name__ == "__main__":
-    sys.exit(main())

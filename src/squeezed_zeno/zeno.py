@@ -196,23 +196,16 @@ def monte_carlo_survival(
     Binomial(alive before, p). Step k consumes one binomial draw from a
     counter-based Philox generator keyed by the seed, so the cost does
     not depend on n_traj and reruns with a fixed seed are bit-identical.
-    The chain stops once no trajectory is left, and is not drawn at all
-    when p == 1; both give the counts the full chain would.
     Returns (survival fractions, binomial standard errors) at sched.times,
     each of shape (count + 1,).
     """
     if n_traj < 1:
         raise ParameterError("n_traj must be >= 1")
     p = step_survival_probability(bath, state, sched.dt)
-    alive = np.zeros(sched.count + 1, dtype=np.int64)
+    rng = np.random.Generator(np.random.Philox(seed))
+    alive = np.empty(sched.count + 1, dtype=np.int64)
     alive[0] = n_traj
-    if p == 1.0:
-        alive[1:] = n_traj
-    else:
-        rng = np.random.Generator(np.random.Philox(seed))
-        for k in range(1, sched.count + 1):
-            alive[k] = rng.binomial(alive[k - 1], p)
-            if not alive[k]:
-                break
+    for k in range(1, sched.count + 1):
+        alive[k] = rng.binomial(alive[k - 1], p)
     fractions = alive / n_traj
     return fractions, np.sqrt(fractions * (1.0 - fractions) / n_traj)

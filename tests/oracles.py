@@ -256,24 +256,6 @@ def per_trajectory_survival(
     return counts
 
 
-def full_binomial_chain(
-    bath: BathParams, state, sched: MeasurementSchedule, n_traj: int, seed: int
-) -> np.ndarray:
-    """Survivor counts a_0..a_count from one binomial draw at every step, with no shortcut.
-
-    monte_carlo_survival draws the same chain from the same Philox stream but
-    stops once no trajectory is left and skips it when p == 1; its counts must
-    equal these.
-    """
-    p = step_survival_probability(bath, state, sched.dt)
-    rng = np.random.Generator(np.random.Philox(seed))
-    counts = np.empty(sched.count + 1, dtype=np.int64)
-    counts[0] = n_traj
-    for k in range(1, sched.count + 1):
-        counts[k] = rng.binomial(counts[k - 1], p)
-    return counts
-
-
 def reference_csv(columns, rows) -> str:
     """CSV text with every value formatted on its own by format(float(x), ".17g")."""
     lines = [",".join(columns)]

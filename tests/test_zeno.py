@@ -26,7 +26,7 @@ from squeezed_zeno import (
 )
 from squeezed_zeno.errors import ParameterError
 
-from oracles import find_zeno_directions_grid, full_binomial_chain, per_trajectory_survival
+from oracles import find_zeno_directions_grid, per_trajectory_survival
 
 EPS = np.finfo(float).eps
 
@@ -332,32 +332,6 @@ class TestMonteCarloSurvival:
             for seed in seeds:
                 fractions, _ = monte_carlo_survival(b, state, sched, n_traj, seed)
                 assert np.all(np.abs(fractions[1:] - exact) <= bound), seed
-
-    def test_stops_when_no_trajectory_is_left(self):
-        # Excited in vacuum: p = exp(-dt), so ten trajectories die out within a few
-        # steps (dt = 5) or a few dozen (dt = 1, where a last survivor often lasts
-        # several steps); the counts after that are the full chain's zeros.
-        b = BathParams(gamma=1.0, n=0.0, m=0.0)
-        n_traj = 10
-        for sched in (MeasurementSchedule(5.0, 40), MeasurementSchedule(1.0, 40)):
-            for seed in range(20):
-                fractions, stderr = monte_carlo_survival(b, EXCITED, sched, n_traj, seed)
-                counts = full_binomial_chain(b, EXCITED, sched, n_traj, seed)
-                assert counts[-1] == 0
-                assert np.array_equal(fractions, counts / n_traj)
-                assert np.array_equal(stderr, np.sqrt(fractions * (1.0 - fractions) / n_traj))
-
-    def test_certain_survival_draws_nothing(self):
-        # The ground state in vacuum never decays: p is exactly 1, so every count is n_traj.
-        b = BathParams(gamma=1.0, n=0.0, m=0.0)
-        sched = MeasurementSchedule(0.1, 50)
-        assert step_survival_probability(b, GROUND, sched.dt) == 1.0
-        for n_traj in (1, 1000, 2**53):
-            fractions, stderr = monte_carlo_survival(b, GROUND, sched, n_traj, 5)
-            counts = full_binomial_chain(b, GROUND, sched, n_traj, 5)
-            assert np.array_equal(fractions, counts / n_traj)
-            assert np.array_equal(fractions, np.ones(sched.count + 1))
-            assert np.array_equal(stderr, np.zeros(sched.count + 1))
 
     def test_deterministic_for_fixed_seed(self):
         b = BathParams.maximal(1.0, 1.0, 0.0)

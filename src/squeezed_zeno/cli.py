@@ -29,7 +29,6 @@ from . import (
     SqueezedZenoError,
     TimeGrid,
     bloch_vector,
-    eigenstates_mu,
     evolve_free,
     evolve_measured,
     maximal_m,
@@ -120,12 +119,12 @@ def _integer(key: str, value, minimum: int, maximum: float) -> int:
 
 
 @contextlib.contextmanager
-def _config_checked(what: str):
-    """Report a parameter the library rejects as a config error."""
+def _config_checked():
+    """Report an input that the library rejects as a config error, with its message."""
     try:
         yield
     except (ParameterError, InvalidStateError) as exc:
-        raise ConfigError(f"invalid {what}: {exc}")
+        raise ConfigError(str(exc))
 
 
 def load_config(path: str | None, overrides, command: str, flags=None) -> dict:
@@ -182,55 +181,56 @@ def load_config(path: str | None, overrides, command: str, flags=None) -> dict:
 
 def bath_from_config(config: dict) -> BathParams:
     n, m = config["N"], config["M"]
-    with _config_checked("bath parameters"):
-        return BathParams(
-            gamma=config["gamma"],
-            n=n,
-            m=maximal_m(n) if m == "maximal" else m,
-            psi=config["psi"],
-        )
+    return BathParams(
+        gamma=config["gamma"],
+        n=n,
+        m=maximal_m(n) if m == "maximal" else m,
+        psi=config["psi"],
+    )
 
 
-def resolve_direction(spec, bath: BathParams, key: str) -> Direction:
-    named = {
-        "mu1": lambda: zeno_directions(bath).mu1,
-        "mu2": lambda: zeno_directions(bath).mu2,
-        "z": lambda: Direction(0.0, 0.0),
-        "-z": lambda: Direction(np.pi, 0.0),
-        "x": lambda: Direction(np.pi / 2, 0.0),
-        "y": lambda: Direction(np.pi / 2, np.pi / 2),
-    }
+# Named pure initial states, as amplitudes. zeno-minus is (-b*, a*) for zeno-plus = (a, b):
+# orthogonal to it at every M, with exactly the opposite Bloch vector, and at maximal
+# squeezing the -1 eigenstate of sigma . mu1.
+STATES = {
+    "excited": lambda bath: EXCITED,
+    "ground": lambda bath: GROUND,
+    "zeno-plus": lambda bath: zeno_states(bath)[0],
+    "zeno-minus": lambda bath: (lambda a, b: np.array([-b, a]).conj())(*zeno_states(bath)[0]),
+}
+
+DIRECTIONS = {
+    "mu1": lambda bath: zeno_directions(bath).mu1,
+    "mu2": lambda bath: zeno_directions(bath).mu2,
+    "z": lambda bath: Direction(0.0, 0.0),
+    "-z": lambda bath: Direction(np.pi, 0.0),
+    "x": lambda bath: Direction(np.pi / 2, 0.0),
+    "y": lambda bath: Direction(np.pi / 2, np.pi / 2),
+}
+
+
+def _named(table: dict, kind: str, name: str):
+    """The entry of a name table (STATES, DIRECTIONS) for name; else a config error."""
+    if name not in table:
+        raise ConfigError(f"unknown {kind} {name!r}")
+    return table[name]
+
+
+def resolve_direction(spec, bath: BathParams) -> Direction:
+    """Measurement direction from a name in DIRECTIONS or an explicit [theta, phi]."""
     if isinstance(spec, str):
-        if spec in named:
-            return named[spec]()
-        raise ConfigError(f"unknown direction {spec!r}")
+        return _named(DIRECTIONS, "direction", spec)(bath)
     if isinstance(spec, (list, tuple)) and len(spec) == 2:
-        with _config_checked(key):
-            return Direction(_real(key, spec[0]), _real(key, spec[1]))
+        return Direction(_real("measure", spec[0]), _real("measure", spec[1]))
     raise ConfigError(f"direction must be a name or [theta, phi], got {spec!r}")
 
 
-def resolve_pure_state(name: str, bath: BathParams) -> np.ndarray:
-    """Amplitudes of a named pure initial state."""
-    named = {
-        "excited": lambda: EXCITED,
-        "ground": lambda: GROUND,
-        "zeno-plus": lambda: zeno_states(bath)[0],
-        "zeno-minus": lambda: eigenstates_mu(zeno_directions(bath).mu1)[1],
-    }
-    if name in named:
-        with _config_checked("state"):
-            return named[name]()
-    raise ConfigError(f"unknown state {name!r}")
-
-
 def resolve_state(spec, bath: BathParams) -> np.ndarray:
-    """Initial Bloch vector from a named pure state or an explicit [x, y, z]."""
+    """Initial Bloch vector from a name in STATES or an explicit [x, y, z]."""
     if isinstance(spec, str):
-        return pure_state_bloch(resolve_pure_state(spec, bath))
+        return pure_state_bloch(_named(STATES, "state", spec)(bath))
     if isinstance(spec, (list, tuple)) and len(spec) == 3:
-        with _config_checked("state"):
-            return bloch_vector([_real("state", x) for x in spec])
+        return bloch_vector([_real("state", x) for x in spec])
     raise ConfigError(f"state must be a name or [x, y, z], got {spec!r}")
 
 
@@ -314,7 +314,8 @@ def _write_text(path: str | None, parts):
 
 
 def cmd_surface(config: dict) -> int:
-    bath = bath_from_config(config)
+    with _config_checked():
+        bath = bath_from_config(config)
     n_theta, n_phi = config["n_theta"], config["n_phi"]
     thetas, phis, f = survival_functional_grid(bath, n_theta, n_phi)
     table = {"theta": np.repeat(thetas, n_phi), "phi": np.tile(phis, n_theta), "F": f.ravel()}
@@ -332,10 +333,10 @@ def cmd_surface(config: dict) -> int:
 
 
 def cmd_evolve(config: dict) -> int:
-    bath = bath_from_config(config)
-    v0 = resolve_state(config["state"], bath)
-    direction = resolve_direction(config["measure"], bath, "measure")
-    with _config_checked("time grid"):
+    with _config_checked():
+        bath = bath_from_config(config)
+        v0 = resolve_state(config["state"], bath)
+        direction = resolve_direction(config["measure"], bath)
         grid = TimeGrid(config["t_end"], config["n_steps"])
 
     free = evolve_free(bath, v0, grid)
@@ -360,11 +361,11 @@ def _exponential_law(rate: float, times: np.ndarray) -> np.ndarray:
 
 
 def cmd_zeno(config: dict) -> int:
-    bath = bath_from_config(config)
-    if not isinstance(config["state"], str):
-        raise ConfigError("zeno requires a named pure initial state")
-    state = resolve_pure_state(config["state"], bath)
-    with _config_checked("measurement schedule"):
+    with _config_checked():
+        bath = bath_from_config(config)
+        if not isinstance(config["state"], str):
+            raise ConfigError("zeno requires a named pure initial state")
+        state = _named(STATES, "state", config["state"])(bath)
         sched = MeasurementSchedule(config["dt"], config["count"])
 
     exact = repeated_measurement_survival(bath, state, sched)
@@ -389,13 +390,10 @@ def cmd_zeno(config: dict) -> int:
 
 
 def cmd_intelligent(config: dict) -> int:
-    bath = bath_from_config(config)
-    if not bath.is_maximal:
-        raise ConfigError(
-            f"intelligent requires maximal M = sqrt(N(N+1)) = {maximal_m(bath.n)}, got M={bath.m}"
-        )
+    with _config_checked():
+        bath = bath_from_config(config)
+        eig = s_eigensystem(bath)
     report: dict = {"N": bath.n, "M": bath.m, "gamma": bath.gamma, "psi": bath.psi}
-    eig = s_eigensystem(bath)
     report["degenerate"] = eig.degenerate
     if eig.degenerate:
         report["warning"] = "N=0: jump operator is nilpotent, single eigenvector"
@@ -439,19 +437,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Two-level atom in a squeezed vacuum: frozen observables, "
         "survival laws, intelligent states.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="flat JSON config file")
-        p.add_argument(
-            "--set",
-            dest="overrides",
-            action="append",
-            metavar="KEY=VALUE",
-            help="override a config key (value parsed as JSON when possible)",
-        )
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", help="table format: csv (default) or json")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", metavar="FILE", help="flat JSON config file")
+    parser.add_argument(
+        "--set",
+        dest="overrides",
+        action="append",
+        metavar="KEY=VALUE",
+        help="override a config key (value parsed as JSON when possible)",
+    )
+    parser.add_argument("--out", metavar="PATH", help="output path (default: stdout)")
+    parser.add_argument("--format", help="table format: csv (default) or json")
     return parser
 
 

@@ -115,8 +115,8 @@ def zeno_states(bath: BathParams):
     |z1> = sqrt(N/(N+M)) |+> + i sqrt(M/(N+M)) e^{-i psi/2} |->
     |z2> = sqrt(N/(N+M)) |+> - i sqrt(M/(N+M)) e^{-i psi/2} |->
 
-    They are the +1 eigenstates of the spin components along the two
-    preferential directions.
+    At maximal squeezing they are the +1 eigenstates of the spin components
+    along the two preferential directions.
     """
     n, m, psi = bath.n, bath.m, bath.psi
     if n + m <= 0:

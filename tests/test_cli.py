@@ -133,6 +133,22 @@ class TestEvolve:
         expected = 1 - 2 * np.exp(-alpha * data[:, 0])
         assert np.max(np.abs(data[:, 2] - expected)) < 1e-8
 
+    @pytest.mark.parametrize("measure", ["x", "y", "z"])
+    def test_zeno_pair_has_opposite_bloch_vectors(self, capsys, measure):
+        # zeno-minus is built from zeno-plus = (a, b) as (-b*, a*), so the two are
+        # orthogonal at every M, not only at maximal squeezing. At t = 0 the free column
+        # is mu . v0, exactly opposite; the measured column is the steady state plus
+        # (mu . v0 - steady), two roundings at most eps / 2 each, as |steady| <= 1.
+        rows = {}
+        for state in ("zeno-plus", "zeno-minus"):
+            sets = ["N=1", "M=0.5", "n_steps=1", f"measure={measure}", f"state={state}"]
+            assert main(["evolve"] + [arg for s in sets for arg in ("--set", s)]) == 0
+            rows[state] = parse_output(capsys.readouterr().out, "csv")[0]
+        plus, minus = rows["zeno-plus"], rows["zeno-minus"]
+        assert minus["sigma_mu_free"][0] == -plus["sigma_mu_free"][0]
+        eps = np.finfo(float).eps
+        assert abs(minus["sigma_mu_measured"][0] + plus["sigma_mu_measured"][0]) <= eps
+
     def test_vacuum_z_measurement_matches_free(self, tmp_path):
         out = tmp_path / "evolve.csv"
         code = run(
@@ -584,6 +600,39 @@ def test_module_entry_exit_codes(tmp_path):
     assert unwritable.stderr.startswith(b"i/o error:")
 
 
+def test_options_before_or_after_the_subcommand(capsys):
+    # One parser: the subcommand is a positional, and the options may stand on either side.
+    outputs = []
+    for argv in (
+        ["evolve", "--set", "n_steps=3", "--format", "json"],
+        ["--set", "n_steps=3", "--format", "json", "evolve"],
+        ["--set", "n_steps=3", "evolve", "--format", "json"],
+    ):
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0].out.startswith("{")
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["--set", "N=1"], ["zeno", "evolve"]])
+def test_missing_or_unknown_subcommand_exits_2_with_usage(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: squeezed-zeno ")
+    assert "{surface,evolve,zeno,intelligent}" in captured.err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: squeezed-zeno ")
+
+
 def freeze_count_after(call: str) -> int:
     """gc.get_freeze_count() in a fresh interpreter after running every small run through call."""
     script = (
@@ -617,7 +666,7 @@ def test_console_script_target_is_the_process_entry():
     assert scripts == {"squeezed-zeno": "squeezed_zeno.__main__:run"}
 
 
-# Public names removed with no alias; README says what replaces each.
+# Public names removed with no alias; CHANGES.md says what replaces each.
 REMOVED_NAMES = (
     "expectation",
     "ContractViolationError",

@@ -237,8 +237,35 @@ def test_request_size_caps(capsys, command, items, message):
         ("evolve", "measure=[4,0]", 2, "config error: "),
         ("intelligent", "M=0.5", 2, "config error: "),
         ("zeno", "N=0", 2, "config error: "),
+        # No frozen pair exists at N = 0, for either of its states.
+        ("zeno", "N=0 state=zeno-minus", 2, "config error: "),
         # alpha_ratio rounds to 1: a numeric failure on a valid config.
         ("intelligent", "N=1e-300", 3, "numeric contract violation: "),
+        # A value the library rejects is reported with the library's own message. One
+        # case per kind of input pins the whole line: bath, state, direction, time
+        # grid, measurement schedule and the intelligent eigensystem.
+        (
+            "surface",
+            "M=2",
+            2,
+            "config error: m=2.0 outside physical range [0, sqrt(n(n+1))=1.4142135623730951]\n",
+        ),
+        (
+            "evolve",
+            "N=0 state=zeno-minus",
+            2,
+            "config error: frozen states require n > 0 (else they degenerate)\n",
+        ),
+        ("evolve", "measure=[-1,0]", 2, "config error: theta must lie in [0, pi], got -1.0\n"),
+        ("evolve", "t_end=-2", 2, "config error: t_end must be positive and finite, got -2.0\n"),
+        ("zeno", "dt=-2", 2, "config error: dt must be positive and finite, got -2.0\n"),
+        (
+            "intelligent",
+            "M=0",
+            2,
+            "config error: S is only defined at maximal m = sqrt(n(n+1)) = 1.4142135623730951, "
+            "got m=0.0\n",
+        ),
     ],
 )
 def test_out_of_range_exit_codes(capsys, command, item, code, prefix):
@@ -246,6 +273,7 @@ def test_out_of_range_exit_codes(capsys, command, item, code, prefix):
     assert got == code
     assert out == ""
     assert err.startswith(prefix)
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

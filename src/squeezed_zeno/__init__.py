@@ -27,6 +27,7 @@ from .dynamics import (
     evolve_free,
     evolve_measured,
     measured_coefficients,
+    relax,
 )
 from .errors import (
     InvalidStateError,

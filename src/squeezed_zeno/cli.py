@@ -34,6 +34,7 @@ from . import (
     maximal_m,
     monte_carlo_survival,
     pure_state_bloch,
+    relax,
     repeated_measurement_survival,
     s_eigensystem,
     second_order_rate,
@@ -351,15 +352,6 @@ def cmd_evolve(config: dict) -> int:
     return EXIT_OK
 
 
-def _exponential_law(rate: float, times: np.ndarray) -> np.ndarray:
-    """exp(rate t) for a rate <= 0: 1 at t = 0 even for rate -inf, 0 where rate t
-    overflows to -inf, and NaN throughout for a NaN rate (a law that does not hold)."""
-    if math.isnan(rate):
-        return np.full_like(times, math.nan)
-    with np.errstate(over="ignore"):
-        return np.exp(np.multiply(rate, times, out=np.zeros_like(times), where=times > 0))
-
-
 def cmd_zeno(config: dict) -> int:
     with _config_checked():
         bath = bath_from_config(config)
@@ -371,15 +363,15 @@ def cmd_zeno(config: dict) -> int:
     exact = repeated_measurement_survival(bath, state, sched)
     times = sched.times
     try:
-        rate2 = second_order_rate(bath, state, sched.dt)
+        second_order = relax(1.0, -second_order_rate(bath, state, sched.dt), times)
     except ParameterError:
         # The second-order law holds only where the first-order rate vanishes.
-        rate2 = math.nan
+        second_order = np.full_like(times, math.nan)
     table = {
         "t": times,
         "P_exact": exact,
-        "P_first_order": _exponential_law(survival_rate(bath, state), times),
-        "P_second_order": _exponential_law(rate2, times),
+        "P_first_order": relax(1.0, -survival_rate(bath, state), times),
+        "P_second_order": second_order,
     }
     if config["n_traj"] > 0:
         table["P_mc"], table["P_mc_stderr"] = monte_carlo_survival(
@@ -411,7 +403,7 @@ def cmd_intelligent(config: dict) -> int:
             "saturation_gap": gap,
         }
     report["uncertainty"] = gaps
-    if not eig.degenerate:
+    if bath.squeeze_ratio != 1.0:
         s = lindblad_s_operator(bath)
         residual = np.max(
             np.abs(s - 2.0 * eig.lambda_plus * j_minus_alpha(bath.psi, bath.squeeze_ratio))

@@ -1,9 +1,7 @@
 """Time evolution with and without frequent measurements.
 
-Free evolution is the closed-form solution of the affine Bloch system.
-Evolution under continuous monitoring of a spin component reduces
-exactly to a scalar linear ODE for the measured expectation value,
-which is solved in closed form.
+Free evolution relaxes each mode of the affine Bloch system, and continuous monitoring
+of a spin component leaves one relaxing expectation value: one law (relax) serves both.
 """
 
 from dataclasses import dataclass
@@ -51,25 +49,41 @@ def evolve_free(bath: BathParams, v0, grid: TimeGrid) -> np.ndarray:
     return analytic_free(bath, bloch_vector(v0), grid.times)
 
 
-def analytic_free(bath: BathParams, v0, t):
-    """Closed-form free evolution of a Bloch vector.
+def relax(x0, rate, t, drift=0.0):
+    """x0 e^{-rate t} + (drift / rate)(1 - e^{-rate t}), the solution of dx/dt = drift - rate x.
 
-    In the mode frame each component decays at its rate (bath.rates), z toward
-    -1/(2N+1). Accepts scalar or array t; at a t so large
-    that an exponent overflows to -inf, its mode has decayed to 0. Rounding can
-    put |v| an ulp or two above 1; such rows are rescaled to four ulp inside
-    the unit sphere, so that |v| summed in any order stays at most 1.
+    For rate >= 0 and t >= 0, scalar or array: exactly x0 at t = 0, x0 + drift t at rate 0,
+    and drift / rate (with no warning) at rate inf or where the exponent overflows to -inf.
+    """
+    if rate == 0.0:
+        return x0 + drift * t
+    if rate == np.inf:
+        return np.where(t > 0, drift / rate, x0)
+    with np.errstate(over="ignore"):
+        exponent = -rate * t
+        # In place, to allocate one array of t's size fewer; a scalar is rebound.
+        value = np.exp(exponent)
+        value *= x0
+        if drift != 0.0:
+            # Not expm1 * drift / rate: at a subnormal gamma that product loses precision.
+            value -= np.expm1(exponent) / (rate / drift)
+    return value
+
+
+def analytic_free(bath: BathParams, v0, t):
+    """Closed-form free evolution of a Bloch vector, at scalar or array t.
+
+    In the mode frame each component relaxes at its rate (bath.rates), z toward
+    -1/(2N+1). Rows that rounding puts an ulp or two outside the unit sphere are
+    rescaled to four ulp inside it, so that |v| summed in any order stays at most 1.
     """
     v0 = np.asarray(v0, dtype=float)
     t = np.asarray(t, dtype=float)
     fast, slow, rate_z = bath.rates
     u_fast, u_slow = to_mode_frame(bath.psi, v0[0], v0[1])
-    with np.errstate(over="ignore"):
-        x, y = to_mode_frame(-bath.psi, np.exp(-fast * t) * u_fast, np.exp(-slow * t) * u_slow)
-        ez = np.exp(-rate_z * t)
-        ez_m1 = np.expm1(-rate_z * t)
-    z = v0[2] * ez + ez_m1 / (2 * bath.n + 1)
-    v = np.stack(np.broadcast_arrays(x, y, z), axis=-1)
+    x, y = to_mode_frame(-bath.psi, relax(u_fast, fast, t), relax(u_slow, slow, t))
+    z = relax(v0[2], rate_z, t, -bath.gamma)
+    v = np.stack((x, y, z), axis=-1)
     norm_sq = np.einsum("...i,...i->...", v, v)
     over = norm_sq > 1.0
     v[over] /= (np.sqrt(norm_sq[over]) * (1.0 + 4 * np.finfo(float).eps))[..., None]
@@ -92,7 +106,7 @@ def evolve_measured(bath: BathParams, d: Direction, v0, grid: TimeGrid) -> np.nd
     """Evolution of <sigma_mu> under continuous monitoring of sigma_mu.
 
     The monitored dynamics closes on the measured expectation value, so
-    the scalar ODE is solved in closed form. The first measurement removes
+    the scalar ODE is solved in closed form (relax). The first measurement removes
     the components of the initial Bloch vector v0 orthogonal to mu (the
     coherences in the sigma_mu eigenbasis), so only mu . v0 enters.
 
@@ -100,14 +114,5 @@ def evolve_measured(bath: BathParams, d: Direction, v0, grid: TimeGrid) -> np.nd
     """
     rho_mu0 = float(d.unit_vector @ bloch_vector(v0))
     alpha, beta = measured_coefficients(bath, d)
-    t = grid.times
-    # An exponent overflowing to -inf at a huge t is the decayed limit. beta scales
-    # with gamma, so any nonzero beta, however small, has its steady state -alpha/beta.
-    with np.errstate(over="ignore"):
-        if beta != 0.0:
-            steady = -alpha / beta
-            values = steady + (rho_mu0 - steady) * np.exp(beta * t)
-        else:
-            values = rho_mu0 + alpha * t
     # <sigma_mu> lies in [-1, 1]; rounding puts a frozen state's value a few ulp outside.
-    return np.clip(values, -1.0, 1.0)
+    return np.clip(relax(rho_mu0, -beta, grid.times, alpha), -1.0, 1.0)

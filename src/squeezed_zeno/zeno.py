@@ -96,11 +96,12 @@ def zeno_directions(bath: BathParams) -> ZenoDirections:
     """Closed-form maxima of the survival functional.
 
     phi_1 = (pi - psi)/2 and phi_2 = phi_1 + pi lie on the slow mode axis, and the
-    common polar angle satisfies cos(theta) = -gamma / (2 fast) = -1 / (2(N + M + 1/2)).
+    common polar angle has cos(theta) = -gamma / (2 fast) = -1 / (2(N + 1/2 + M)), taken in
+    the last form, which a subnormal gamma cannot round outside [-1, 1].
     At both directions the survival functional vanishes (maximal squeezing, N > 0);
     for N -> 0 the directions degenerate toward -z.
     """
-    theta = float(np.arccos(-bath.gamma / (2.0 * bath.rates.fast)))
+    theta = float(np.arccos(-0.5 / (bath.n + 0.5 + bath.m)))
     phi1 = (np.pi - bath.psi) / 2.0
     return ZenoDirections(
         mu1=Direction(theta, phi1),

@@ -227,6 +227,30 @@ class TestEvolveMeasured:
         # measured <sigma_mu> with mu = -z equals -<sigma_z> of free evolution
         assert np.max(np.abs(values - (-free[:, 2]))) < 1e-8
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        gamma=st.floats(1e-3, 1e3),
+        n=st.floats(0.0, 10.0),
+        fraction=st.just(1.0) | st.floats(0.0, 1.0),
+        psi=st.floats(0.0, 2 * np.pi),
+        v=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+        radius=st.floats(0.0, 0.9),
+        t_end=st.floats(1e-3, 50.0),
+        n_steps=st.integers(1, 64),
+    )
+    def test_z_measurement_is_the_free_z_component(
+        self, gamma, n, fraction, psi, v, radius, t_end, n_steps
+    ):
+        # Monitoring sigma_z leaves the z law of free evolution as it is: mu . c = -gamma
+        # and mu . A mu = -gamma(2N + 1) exactly, so both columns are one relax call.
+        # Inside the ball of radius 0.9 no row of evolve_free is rescaled.
+        b = BathParams(gamma=gamma, n=n, m=fraction * maximal_m(n), psi=psi)
+        norm = np.linalg.norm(v)
+        v0 = radius * np.array(v) / norm if norm > 0 else np.zeros(3)
+        grid = TimeGrid(t_end, n_steps)
+        measured = evolve_measured(b, Direction(0.0, 0.0), v0, grid)
+        assert np.array_equal(measured, evolve_free(b, v0, grid)[:, 2])
+
     def test_off_manifold_state_dephased(self):
         # The first measurement removes the coherence of [1, 0, 0] in the sigma_z basis.
         b = BathParams.maximal(1.0, 1.0, 0.0)
@@ -283,6 +307,8 @@ class TestEvolveMeasuredBounds:
             v0 = v / max(1.0, np.linalg.norm(v))
         values = evolve_measured(b, d, v0, TimeGrid(t_end, n_steps))
         assert np.all(np.abs(values) <= 1.0)
+        # The law starts at mu . v0 exactly.
+        assert values[0] == np.clip(d.unit_vector @ v0, -1.0, 1.0)
 
 
 class TestEvolveMeasuredScaling:

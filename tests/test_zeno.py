@@ -91,6 +91,14 @@ class TestZenoDirections:
         assert zd.mu2.phi == pytest.approx(3 * np.pi / 2)
         assert np.cos(zd.theta) == pytest.approx(-1 / (2 * (1.5 + np.sqrt(2))))
 
+    @pytest.mark.parametrize("n", [0.0, 1.0, 7.5])
+    def test_independent_of_gamma(self, n):
+        # At the smallest gamma the fast rate rounds to a few ulp or to 0; the angle
+        # is read off N and M alone.
+        expected = zeno_directions(BathParams.maximal(1.0, n, 0.4))
+        for gamma in (5e-324, 1e-310, 1e-100, 1e100):
+            assert zeno_directions(BathParams.maximal(gamma, n, 0.4)) == expected
+
     def test_psi_pi(self):
         zd = zeno_directions(BathParams.maximal(1.0, 1.0, np.pi))
         assert zd.mu1.phi == pytest.approx(0.0, abs=1e-12)

@@ -15,7 +15,6 @@ import numpy as np
 from .errors import ParameterError
 from .pauli import SIGMA_MINUS, SIGMA_PLUS
 
-MAXIMAL_M_TOL = 1e-9
 # Bound on the largest rate gamma(2N+1): the second-order survival rate squares it.
 MAX_RATE = 1e150
 
@@ -70,7 +69,7 @@ class BathParams:
         rate = float(self.gamma) * (2.0 * float(self.n) + 1.0)
         if rate > MAX_RATE:
             raise ParameterError(f"the largest rate gamma(2N+1) = {rate} exceeds {MAX_RATE}")
-        if self.m < 0 or self.m > maximal_m(self.n) + 1e-12:
+        if self.m < 0 or self.m > maximal_m(self.n):
             raise ParameterError(
                 f"m={self.m} outside physical range [0, sqrt(n(n+1))={maximal_m(self.n)}]"
             )
@@ -85,27 +84,35 @@ class BathParams:
     def rates(self) -> ModeRates:
         """The mode rates, the slow one as gamma(delta + 1/4)/(N + 1/2 + M) without cancellation.
 
-        delta = N(N+1) - M^2 is exactly 0 when m is maximal_m(n) bit for bit (as for
-        BathParams.maximal), else (N - M)(N + M) + N clipped at 0.
+        delta = N(N+1) - M^2 is exactly 0 if is_maximal, else (N - M)(N + M) + N clipped at 0.
         """
         g, n, m = self.gamma, self.n, self.m
-        delta = 0.0 if m == maximal_m(n) else max((n - m) * (n + m) + n, 0.0)
+        delta = 0.0 if self.is_maximal else max((n - m) * (n + m) + n, 0.0)
         s = n + 0.5 + m
         return ModeRates(fast=g * s, slow=g * ((delta + 0.25) / s), z=g * (2 * n + 1))
 
     @property
     def is_maximal(self) -> bool:
-        return abs(self.m - maximal_m(self.n)) <= MAXIMAL_M_TOL
+        """Whether m is maximal_m(n) bit for bit, as for BathParams.maximal: the bath's one test."""
+        return self.m == maximal_m(self.n)
 
     @property
     def squeeze_amplitude(self) -> float:
-        """Squeeze parameter r with sinh(r) = sqrt(n) (defined at maximal m)."""
+        """Squeeze parameter r with sinh(r) = sqrt(n), the bath's at maximal m."""
         return float(np.arcsinh(np.sqrt(self.n)))
 
     @property
     def squeeze_ratio(self) -> float:
-        """Squeeze ratio alpha = e^{2r} (defined at maximal m)."""
+        """Squeeze ratio alpha = e^{2r}, the bath's at maximal m."""
         return float(np.exp(2.0 * self.squeeze_amplitude))
+
+
+def _require_maximal(bath: BathParams) -> None:
+    """Reject a bath without maximal squeezing, where S and its eigensystem are not defined."""
+    if not bath.is_maximal:
+        raise ParameterError(
+            f"S is only defined at maximal m = sqrt(n(n+1)) = {maximal_m(bath.n)}, got m={bath.m}"
+        )
 
 
 def lindblad_s_operator(bath: BathParams) -> np.ndarray:
@@ -114,14 +121,9 @@ def lindblad_s_operator(bath: BathParams) -> np.ndarray:
     Only defined at maximal squeezing, where the three-term dissipator
     collapses to a single Lindblad term.
     """
-    if not bath.is_maximal:
-        raise ParameterError(
-            "single jump-operator form requires maximal m = sqrt(n(n+1)); "
-            f"got m={bath.m}, maximal={maximal_m(bath.n)}"
-        )
-    return np.sqrt(bath.n + 1) * SIGMA_MINUS - np.sqrt(bath.n) * np.exp(
-        1j * bath.psi
-    ) * SIGMA_PLUS
+    _require_maximal(bath)
+    phase = np.exp(1j * bath.psi)
+    return np.sqrt(bath.n + 1) * SIGMA_MINUS - np.sqrt(bath.n) * phase * SIGMA_PLUS
 
 
 def bloch_rates(bath: BathParams):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import BathParams, maximal_m, to_mode_frame
+from .bath import BathParams, _require_maximal, to_mode_frame
 from .errors import ParameterError
 from .pauli import GROUND, SIGMA_X, SIGMA_Y, SIGMA_Z, pure_state_bloch
 from .zeno import zeno_states
@@ -39,10 +39,7 @@ def s_eigensystem(bath: BathParams) -> SEigensystem:
     states z2 and z1 (zeno_states). At N = 0 the operator is nilpotent with the
     single eigenvector |->; that case is reported as degenerate.
     """
-    if not bath.is_maximal:
-        raise ParameterError(
-            f"S is only defined at maximal m = sqrt(n(n+1)) = {maximal_m(bath.n)}, got m={bath.m}"
-        )
+    _require_maximal(bath)
     if bath.n == 0:
         return SEigensystem(0.0, GROUND.copy(), 0.0, GROUND.copy(), degenerate=True)
     lam = complex(1j * np.sqrt(bath.m) * np.exp(1j * bath.psi / 2))

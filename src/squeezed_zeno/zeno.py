@@ -43,7 +43,7 @@ class MeasurementSchedule:
 
 @dataclass(frozen=True)
 class ZenoDirections:
-    """The two measurement directions whose +1 eigenstates are frozen."""
+    """The two maxima of the survival functional; their +1 eigenstates freeze only at maximal M."""
 
     mu1: Direction
     mu2: Direction
@@ -98,8 +98,8 @@ def zeno_directions(bath: BathParams) -> ZenoDirections:
     phi_1 = (pi - psi)/2 and phi_2 = phi_1 + pi lie on the slow mode axis, and the
     common polar angle has cos(theta) = -gamma / (2 fast) = -1 / (2(N + 1/2 + M)), taken in
     the last form, which a subnormal gamma cannot round outside [-1, 1].
-    At both directions the survival functional vanishes (maximal squeezing, N > 0);
-    for N -> 0 the directions degenerate toward -z.
+    For every M, F there is -gamma delta / (2(N + 1/2 + M)) with delta = N(N+1) - M^2: it
+    vanishes (the state freezes) only at maximal squeezing. For N -> 0 both tend to -z.
     """
     theta = float(np.arccos(-0.5 / (bath.n + 0.5 + bath.m)))
     phi1 = (np.pi - bath.psi) / 2.0

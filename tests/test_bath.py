@@ -46,6 +46,13 @@ class TestBathParams:
         with pytest.raises(ParameterError):
             BathParams(gamma=1.0, n=1.0, m=2.0, psi=0.0)
 
+    @pytest.mark.parametrize("n", [1e-30, 1.0, 1e6])
+    def test_m_range_ends_at_maximal_bits(self, n):
+        # No slack above maximal_m(n), whatever its size: one ulp more is out of range.
+        assert BathParams(gamma=1.0, n=n, m=maximal_m(n)).is_maximal
+        with pytest.raises(ParameterError, match="outside physical range"):
+            BathParams(gamma=1.0, n=n, m=np.nextafter(maximal_m(n), np.inf))
+
     def test_nonpositive_gamma_rejected(self):
         with pytest.raises(ParameterError):
             BathParams(gamma=0.0, n=1.0, m=0.0)
@@ -172,6 +179,7 @@ class TestModeRates:
         below = BathParams(gamma=1.0, n=n, m=np.nextafter(maximal_m(n), 0.0))
         assert maximal.rates.slow == 1.0 / (4 * (n + 0.5 + maximal_m(n)))
         assert below.rates.slow > maximal.rates.slow
+        assert not below.is_maximal
         assert maximal.rates.fast + maximal.rates.slow == pytest.approx(maximal.rates.z)
 
 

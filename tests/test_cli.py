@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import squeezed_zeno
-from squeezed_zeno import maximal_m
-from squeezed_zeno.cli import ALLOWED_KEYS, main
+from squeezed_zeno import SIGMA_MINUS, SIGMA_PLUS, maximal_m
+from squeezed_zeno.cli import ALLOWED_KEYS, DEFAULTS, main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -381,6 +381,23 @@ KEY_VALUES = {
 SIZE_KEYS = {"n_theta", "n_phi", "n_steps", "count"}
 
 
+def below_maximal(n: float):
+    """M just below maximal_m(N): (1 - 10**-k) of it for k = 1..15."""
+    return st.integers(1, 15).map(lambda k: maximal_m(n) * (1.0 - 10.0**-k))
+
+
+def assert_report_holds(report: dict):
+    """S z = lambda z for both eigenpairs, and S = 2 lambda_+ J_-(alpha) where reported."""
+    n, psi = report["N"], report["psi"]
+    s = np.sqrt(n + 1) * SIGMA_MINUS - np.sqrt(n) * np.exp(1j * psi) * SIGMA_PLUS
+    for branch in ("plus", "minus"):
+        lam = complex(*report[f"lambda_{branch}"])
+        z = np.array([complex(*amplitude) for amplitude in report[f"state_{branch}"]])
+        assert np.linalg.norm(s @ z - lam * z) <= 1e-12, branch
+    if "factorization_residual" in report:
+        assert report["factorization_residual"] <= 1e-12
+
+
 def parse_output(text: str, fmt: str) -> list:
     """What a command wrote to stdout: each table as {name: column}, each JSON document as is."""
     documents = []
@@ -418,7 +435,8 @@ class TestCliInvariants:
     @given(data=st.data())
     def test_any_config(self, data):
         command = data.draw(st.sampled_from(sorted(ALLOWED_KEYS)))
-        keys = sorted(ALLOWED_KEYS[command])
+        # M is drawn last, so that it can be drawn just below maximal_m(N).
+        keys = sorted(ALLOWED_KEYS[command], key=lambda key: (key == "M", key))
         argv, config = [command], {}
         for key in keys:
             valid, invalid = KEY_VALUES[key]
@@ -428,6 +446,8 @@ class TestCliInvariants:
             elif key == "out" or key not in SIZE_KEYS and not data.draw(st.booleans()):
                 continue
             else:
+                if key == "M":
+                    valid = st.one_of(valid, below_maximal(config.get("N", DEFAULTS["N"])))
                 config[key] = data.draw(valid)
                 text = json.dumps(config[key])
             argv += ["--set", f"{key}={text}"]
@@ -445,6 +465,7 @@ class TestCliInvariants:
         documents = parse_output(out, config.get("format", "csv"))
         if command == "intelligent":
             assert np.all(np.isfinite(numbers(documents[0])))
+            assert_report_holds(documents[0])
             return
         table = documents[0]
         for name, column in table.items():
@@ -484,10 +505,12 @@ class TestIntelligent:
         assert report["degenerate"]
         assert "warning" in report
 
-    @pytest.mark.parametrize("n", [1e-300, 1e-40])
+    @pytest.mark.parametrize("n", [1e-300, 1e-40, 1e-30, 1e-12])
     def test_squeeze_ratio_rounding_to_one(self, capsys, n):
-        # alpha = e^{2r} rounds to 1, where J_-(alpha) is singular: the eigensystem and
-        # the uncertainty report stand, and the factorization is left out as at N = 0.
+        # alpha = e^{2r} rounds to 1, where J_-(alpha) is singular, or so near 1 that its
+        # rounding would set the residual (4e-4 at N = 1e-30, 9e-12 at N = 1e-12): the
+        # eigensystem and the uncertainty report stand, and the factorization is left out
+        # as at N = 0.
         assert main(["intelligent", "--set", f"N={n}"]) == 0
         captured = capsys.readouterr()
         assert captured.err == ""

@@ -236,6 +236,13 @@ def test_request_size_caps(capsys, command, items, message):
         ("evolve", "state=[1,1,1]", 2, "config error: "),
         ("evolve", "measure=[4,0]", 2, "config error: "),
         ("intelligent", "M=0.5", 2, "config error: "),
+        # M is maximal only as maximal_m(N) bit for bit: above it is out of range, and
+        # below it S has no closed form, so no report of S would hold.
+        ("intelligent", "N=1e-30 M=5e-13", 2, "config error: "),
+        ("intelligent", "N=1 M=1.414213561473095", 2, "config error: "),
+        ("intelligent", "N=1e-18 M=0", 2, "config error: "),
+        ("intelligent", "N=1e-19 M=1e-10", 2, "config error: "),
+        ("intelligent", "N=1e-40 M=0", 2, "config error: "),
         ("zeno", "N=0", 2, "config error: "),
         # No frozen pair exists at N = 0, for either of its states.
         ("zeno", "N=0 state=zeno-minus", 2, "config error: "),

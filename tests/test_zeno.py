@@ -1,5 +1,6 @@
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from squeezed_zeno import (
     TimeGrid,
     eigenstates_mu,
     evolve_measured,
+    maximal_m,
     monte_carlo_survival,
     pure_state_bloch,
     repeated_measurement_survival,
@@ -82,6 +84,36 @@ class TestSurvivalFunctional:
         i, _ = np.unravel_index(np.argmax(f), f.shape)
         assert thetas[i] == pytest.approx(np.pi)
         assert f.max() == pytest.approx(0.0, abs=1e-12)
+
+
+class TestSurvivalFunctionalMaximum:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        gamma=st.floats(1e-3, 1e3),
+        n=st.one_of(st.floats(0.0, 50.0), st.floats(1e-45, 1e-15)),
+        fraction=st.floats(0.0, 1.0),
+        psi=st.floats(0.0, 2 * np.pi),
+    )
+    def test_is_minus_gamma_delta_over_2s(self, gamma, n, fraction, psi):
+        # For every M the maximum of F, at both zeno_directions, is -gamma delta/(2s) with
+        # delta = N(N+1) - M^2 and s = N + 1/2 + M: it is 0 (total Zeno) only at delta = 0.
+        b = BathParams(gamma=gamma, n=n, m=fraction * maximal_m(n), psi=psi)
+        with mpmath.workdps(50):
+            nn, m = mpmath.mpf(b.n), mpmath.mpf(b.m)
+            f_max = float(-b.gamma * (nn * (nn + 1) - m**2) / (2 * (nn + 0.5 + m)))
+        # 2F is the sum of -slow u_slow^2, -fast u_fast^2, -z cos^2(theta) and -gamma cos(theta),
+        # each at most z = gamma(2N+1) in size and each rounded to a few ulp. The float unit
+        # vector is a unit vector to a few eps, which moves -slow u_slow^2 by a few eps slow;
+        # an error in its angle moves F only at second order, as mu1 is a stationary point.
+        # The clip of delta at 0 and a float M a few ulp from the exact root move f_max by
+        # about eps z at most. So the error is a few eps z, though F itself may be far smaller:
+        # near maximal M at small N the relative error reaches about 3e-11.
+        tol = 4 * EPS * b.gamma * (2 * b.n + 1)
+        zd = zeno_directions(b)
+        for d in (zd.mu1, zd.mu2):
+            assert abs(survival_functional_F(b, d) - f_max) <= tol
+        _, _, f = survival_functional_grid(b, 16, 16)
+        assert f.max() <= f_max + tol
 
 
 class TestZenoDirections:

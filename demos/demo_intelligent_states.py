@@ -30,7 +30,8 @@ print(f"  |<lambda_minus | z1>| = {abs(np.vdot(eig.state_minus, z1)):.15f}")
 print(f"  |<lambda_plus  | z2>| = {abs(np.vdot(eig.state_plus, z2)):.15f}")
 
 s = lindblad_s_operator(bath)
-residual = np.max(np.abs(s - 2 * eig.lambda_plus * j_minus_alpha(bath.psi, bath.squeeze_ratio)))
+jm = j_minus_alpha(bath.psi, bath.squeeze_amplitude)
+residual = np.max(np.abs(s - 2 * eig.lambda_plus * jm))
 print(f"\nfactorization S = 2 lambda_+ J_-(alpha): residual {residual:.2e}")
 print(f"squeeze ratio alpha = e^(2r) = {bath.squeeze_ratio:.6f}")
 

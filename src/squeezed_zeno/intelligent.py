@@ -57,18 +57,19 @@ def rotated_j_operators(psi: float):
     return j1, j2, J_Z
 
 
-def j_minus_alpha(psi: float, alpha_ratio: float) -> np.ndarray:
-    """Non-Hermitian operator (J1 - i alpha J2) / sqrt(1 - alpha^2).
+def j_minus_alpha(psi: float, r: float) -> np.ndarray:
+    """Non-Hermitian operator (J1 - i alpha J2) / sqrt(1 - alpha^2), alpha = e^{2r}, from r > 0.
 
-    For alpha > 1 the normalization is imaginary; the principal branch
-    sqrt(1 - alpha^2) = i sqrt(alpha^2 - 1) is used so the factorization
-    S = 2 lambda_+ J_-(alpha) holds literally.
+    The principal branch sqrt(1 - alpha^2) = i alpha sqrt(1 - alpha^-2) is used, so the
+    factorization S = 2 lambda_+ J_-(alpha) with r = bath.squeeze_amplitude holds
+    literally. It is formed as (J1 / alpha - i J2) / (i sqrt(-expm1(-4r))), accurate to a
+    few eps for every r > 0: 1 - alpha^2 formed from a rounded alpha carries a relative
+    error of about eps / (4r), and alpha^2 overflows above r = 177.
     """
-    if alpha_ratio == 1.0:
-        raise ParameterError("normalization singular at alpha_ratio = 1 (vacuum)")
+    if not r > 0.0:
+        raise ParameterError(f"J_-(alpha) needs squeezing r > 0, got r={r} (singular at r = 0)")
     j1, j2, _ = rotated_j_operators(psi)
-    norm = np.sqrt(complex(1.0 - alpha_ratio**2))
-    return (j1 - 1j * alpha_ratio * j2) / norm
+    return (np.exp(-2.0 * r) * j1 - 1j * j2) / (1j * np.sqrt(-np.expm1(-4.0 * r)))
 
 
 def uncertainty_product(state, psi: float):

@@ -78,14 +78,20 @@ def survival_functional_grid(bath: BathParams, n_theta: int = 256, n_phi: int = 
 
     2F = sin^2(theta) q(phi) + l(cos theta) with q and l the transverse and
     longitudinal terms (generator_terms); F is clipped at 0 as in survival_functional_F.
+    q is a quadratic form in (cos phi, sin phi), so q(phi + pi) = q(phi): for even
+    n_phi, q is evaluated on the first n_phi/2 angles only and repeated, and
+    F[:, j + n_phi/2] is F[:, j] bit for bit. Odd n_phi evaluates q at every angle.
 
     Returns (theta axis, phi axis, F values of shape (n_theta, n_phi)).
     """
     thetas = np.linspace(0.0, np.pi, n_theta)
     phis = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
-    t_fast, t_slow, _, _ = generator_terms(bath, (np.cos(phis), np.sin(phis), 0.0))
+    period = n_phi // 2 if n_phi % 2 == 0 else n_phi
+    t_fast, t_slow, _, _ = generator_terms(
+        bath, (np.cos(phis[:period]), np.sin(phis[:period]), 0.0)
+    )
     _, _, t_z, t_c = generator_terms(bath, (0.0, 0.0, np.cos(thetas)))
-    f = np.multiply.outer(np.sin(thetas) ** 2, t_fast + t_slow)
+    f = np.multiply.outer(np.sin(thetas) ** 2, np.tile(t_fast + t_slow, n_phi // period))
     f += (t_z + t_c)[:, None]
     f *= 0.5
     np.minimum(f, 0.0, out=f)

@@ -225,7 +225,7 @@ def test_criterion_10_s_eigensystem():
                 abs(np.vdot(eig.state_plus, z2)),
             )
             s = lindblad_s_operator(b)
-            jm = j_minus_alpha(b.psi, b.squeeze_ratio)
+            jm = j_minus_alpha(b.psi, b.squeeze_amplitude)
             worst_res = max(
                 worst_res, float(np.max(np.abs(s - 2 * eig.lambda_plus * jm)))
             )

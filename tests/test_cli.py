@@ -507,10 +507,9 @@ class TestIntelligent:
 
     @pytest.mark.parametrize("n", [1e-300, 1e-40, 1e-30, 1e-12])
     def test_squeeze_ratio_rounding_to_one(self, capsys, n):
-        # alpha = e^{2r} rounds to 1, where J_-(alpha) is singular, or so near 1 that its
-        # rounding would set the residual (4e-4 at N = 1e-30, 9e-12 at N = 1e-12): the
-        # eigensystem and the uncertainty report stand, and the factorization is left out
-        # as at N = 0.
+        # alpha = e^{2r} rounds to 1, or so near 1 that 1 - alpha^2 formed from it would set
+        # the residual (4e-4 at N = 1e-30): J_-(alpha) is formed from r, and the report keeps
+        # the factorization, to 1e-12, down to N -> 0.
         assert main(["intelligent", "--set", f"N={n}"]) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
@@ -520,8 +519,16 @@ class TestIntelligent:
             assert np.all(np.isfinite(report[key])), key
         for branch in ("plus", "minus"):
             assert abs(report["uncertainty"][branch]["saturation_gap"]) < 1e-12
-        assert "factorization_residual" not in report
-        assert "alpha_ratio" not in report
+        assert report["factorization_residual"] <= 1e-12
+        assert report["squeeze_amplitude"] > 0.0
+        assert_report_holds(report)
+
+    def test_largest_squeezing(self, capsys):
+        # alpha = e^{2r} is about 4e154 here, so alpha^2 is past the float range.
+        assert main(["intelligent", "--set", "N=1e154", "--set", "gamma=1e-10"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert np.all(np.isfinite(numbers(report)))
+        assert report["alpha_ratio"] > 1e154
 
     def test_eigenvalues_n2(self, tmp_path):
         out = tmp_path / "report.json"

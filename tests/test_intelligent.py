@@ -118,7 +118,7 @@ class TestJMinusAlpha:
             b = BathParams.maximal(1.0, n, psi)
             eig = s_eigensystem(b)
             s = lindblad_s_operator(b)
-            jm = j_minus_alpha(b.psi, b.squeeze_ratio)
+            jm = j_minus_alpha(b.psi, b.squeeze_amplitude)
             assert np.max(np.abs(s - 2 * eig.lambda_plus * jm)) < 1e-12
 
     def test_factorization_chain(self):
@@ -136,13 +136,27 @@ class TestJMinusAlpha:
     def test_eigenvalues_half(self):
         b = BathParams.maximal(1.0, 1.0, 0.0)
         eig = s_eigensystem(b)
-        jm = j_minus_alpha(b.psi, b.squeeze_ratio)
+        jm = j_minus_alpha(b.psi, b.squeeze_amplitude)
         assert np.linalg.norm(jm @ eig.state_plus - 0.5 * eig.state_plus) < 1e-12
         assert np.linalg.norm(jm @ eig.state_minus + 0.5 * eig.state_minus) < 1e-12
 
     def test_singular_at_unity(self):
+        # alpha = e^{2r} is 1 at r = 0.
         with pytest.raises(ParameterError):
-            j_minus_alpha(0.0, 1.0)
+            j_minus_alpha(0.0, 0.0)
+
+    @pytest.mark.parametrize("n", [5e-324, 1e-300, 1e-40, 1e-30, 1e-20, 1e-12, 1e-8, 1e150])
+    def test_factorization_formed_from_r(self, n):
+        # 1 - alpha^2 formed from the float alpha = e^{2r} is off by eps / (4r) relative (a
+        # residual of 4e-4 at N = 1e-30), and alpha^2 overflows for N above 3e153. Formed
+        # from r, the worst of 20 000 draws of N in [1e-320, 1e153] was 2.4 eps |S|.
+        for psi in (0.0, 2.1):
+            b = BathParams.maximal(1e-160, n, psi)
+            eig = s_eigensystem(b)
+            jm = j_minus_alpha(b.psi, b.squeeze_amplitude)
+            s = lindblad_s_operator(b)
+            scale = float(np.max(np.abs(s)))
+            assert np.max(np.abs(s - 2 * eig.lambda_plus * jm)) <= 16 * np.finfo(float).eps * scale
 
 
 class TestSqueezeFrame:

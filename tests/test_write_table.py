@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from squeezed_zeno import BathParams, survival_functional_grid, zeno_directions
+from squeezed_zeno import cli
 from squeezed_zeno.cli import ROWS_PER_CHUNK, main, write_table
 
 from oracles import reference_csv, reference_json
@@ -129,16 +130,7 @@ def test_write_table_matches_reference(table, fmt):
     assert stdout.getvalue() == expected
 
 
-def test_surface_stdout_is_table_then_sidecar(capsys):
-    # 65 x 64 = 4160 rows crosses a chunk boundary.
-    n_theta, n_phi, psi = 65, 64, 0.7
-    code = main(
-        ["surface", "--set", f"n_theta={n_theta}", "--set", f"n_phi={n_phi}", "--set", f"psi={psi}"]
-    )
-    assert code == 0
-    bath = BathParams.maximal(1.0, 1.0, psi)
-    thetas, phis, f = survival_functional_grid(bath, n_theta, n_phi)
-    rows = [(thetas[i], phis[j], f[i, j]) for i in range(n_theta) for j in range(n_phi)]
+def surface_sidecar(bath: BathParams) -> str:
     zd = zeno_directions(bath)
     sidecar = {
         "cos_theta_max": float(np.cos(zd.theta)),
@@ -146,11 +138,38 @@ def test_surface_stdout_is_table_then_sidecar(capsys):
         "phi2": zd.mu2.phi,
         "theta": zd.theta,
     }
-    expected = reference_csv(["theta", "phi", "F"], rows)
-    expected += json.dumps(sidecar, sort_keys=True, indent=2) + "\n"
-    captured = capsys.readouterr()
-    assert captured.out == expected
-    assert captured.err == ""
+    return json.dumps(sidecar, sort_keys=True, indent=2) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_theta=st.integers(1, 70),
+    n_phi=st.integers(1, 70),
+    n=st.one_of(st.floats(0.0, 50.0), st.floats(1e-45, 1e-15)),
+    psi=st.floats(-10.0, 10.0),
+    fmt=st.sampled_from(["csv", "json"]),
+)
+@example(n_theta=1, n_phi=1, n=1.0, psi=0.7, fmt="csv")
+@example(n_theta=1, n_phi=2, n=1.0, psi=0.7, fmt="json")
+# 65 x 64 = 4160 rows crosses a block boundary.
+@example(n_theta=65, n_phi=64, n=1.0, psi=0.7, fmt="csv")
+# Grid rows wider than a block, odd and even.
+@example(n_theta=1, n_phi=ROWS_PER_CHUNK + 1, n=1.0, psi=0.7, fmt="json")
+@example(n_theta=2, n_phi=ROWS_PER_CHUNK + 2, n=1.0, psi=0.7, fmt="csv")
+def test_surface_stdout_is_table_then_sidecar(n_theta, n_phi, n, psi, fmt):
+    argv = ["surface", "--format", fmt]
+    for key, value in {"n_theta": n_theta, "n_phi": n_phi, "N": n, "psi": psi}.items():
+        argv += ["--set", f"{key}={value!r}"]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        assert main(argv) == 0
+    bath = BathParams.maximal(1.0, n, psi)
+    thetas, phis, f = survival_functional_grid(bath, n_theta, n_phi)
+    rows = [(thetas[i], phis[j], f[i, j]) for i in range(n_theta) for j in range(n_phi)]
+    columns = ["theta", "phi", "F"]
+    expected = reference_csv(columns, rows) if fmt == "csv" else reference_json(columns, rows)
+    assert stdout.getvalue() == expected + surface_sidecar(bath)
+    assert stderr.getvalue() == ""
 
 
 def surface_like_table(n_rows: int) -> dict:
@@ -177,4 +196,35 @@ def traced_peak(path: Path, table: dict, fmt: str) -> int:
 def test_memory_is_bounded_by_the_block(tmp_path, fmt):
     # The writer holds a block at a time, so 16 times the rows must not double its peak.
     small, large = (traced_peak(tmp_path / "table", surface_like_table(2**k), fmt) for k in (14, 18))
+    assert large <= 2 * small, (small, large)
+
+
+def traced_surface_peak(monkeypatch, path: Path, grid: tuple, fmt: str) -> int:
+    """Peak bytes traced by tracemalloc while the surface command writes a given grid to path."""
+    monkeypatch.setattr(cli, "survival_functional_grid", lambda bath, n_theta, n_phi: grid)
+    thetas, phis, _ = grid
+    argv = ["surface", "--set", f"n_theta={len(thetas)}", "--set", f"n_phi={len(phis)}"]
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--format", fmt, "--out", str(path)]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Pairs of grid shapes, the second with 16 times the cells: more grid rows, or wider ones.
+GRID_SHAPES = [((16, 512), (256, 512)), ((1, 2 * ROWS_PER_CHUNK + 2), (1, 32 * ROWS_PER_CHUNK + 2))]
+
+
+@pytest.mark.parametrize("shapes", GRID_SHAPES, ids=["rows", "wide"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_surface_memory_is_bounded_by_the_block(monkeypatch, tmp_path, fmt, shapes):
+    # The grid is made before tracing starts; the writer holds a block of at most
+    # ROWS_PER_CHUNK rows at a time, so 16 times the cells must not double its peak.
+    bath = BathParams.maximal(1.0, 1.0, 0.7)
+    path = tmp_path / "surface"
+    small, large = (
+        traced_surface_peak(monkeypatch, path, survival_functional_grid(bath, *shape), fmt)
+        for shape in shapes
+    )
     assert large <= 2 * small, (small, large)

@@ -116,6 +116,32 @@ class TestSurvivalFunctionalMaximum:
         assert f.max() <= f_max + tol
 
 
+class TestSurvivalFunctionalGridPeriod:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        gamma=st.floats(1e-3, 1e3),
+        n=st.one_of(st.floats(0.0, 50.0), st.floats(1e-45, 1e-15), st.floats(1.0, 1e8)),
+        fraction=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+        psi=st.floats(0.0, 2 * np.pi),
+        n_theta=st.integers(1, 24),
+        half=st.integers(1, 35),
+    )
+    def test_second_half_repeats_the_first(self, gamma, n, fraction, psi, n_theta, half):
+        b = BathParams(gamma=gamma, n=n, m=fraction * maximal_m(n), psi=psi)
+        thetas, phis, f = survival_functional_grid(b, n_theta, 2 * half)
+        # q(phi + pi) = q(phi): the grid repeats its values, bit for bit (0.0 and -0.0 apart).
+        assert np.array_equal(f[:, :half].view(np.int64), f[:, half:].view(np.int64))
+        # Each cell against F at its own angles. Both sum four terms of size at most
+        # z = gamma(2N+1), each rounded a few times: a few eps z between them. A cell of the
+        # second half has q at phi_j - pi: both linspace angles are within eps of their exact
+        # values per unit of angle, so |phi_j - phi_{j-half} - pi| <= 3 pi eps, and
+        # |dF/dphi| = sin^2(theta) |q'(phi)| / 2 <= (fast - slow) / 2 <= z / 2 moves F by at
+        # most 1.5 pi eps z < 5 eps z. The worst of 1500 random draws was 2.4 eps z.
+        tol = 8 * EPS * b.gamma * (2 * b.n + 1)
+        expected = [[survival_functional_F(b, Direction(t, p)) for p in phis] for t in thetas]
+        assert np.max(np.abs(f - expected)) <= tol
+
+
 class TestZenoDirections:
     def test_closed_form_n1_psi0(self):
         zd = zeno_directions(BathParams.maximal(1.0, 1.0, 0.0))

@@ -10,12 +10,11 @@ import numpy as np
 
 from squeezed_zeno import (
     BathParams,
-    lindblad_s_operator,
+    factorization_residual,
     s_eigensystem,
     uncertainty_product,
     zeno_states,
 )
-from squeezed_zeno.intelligent import j_minus_alpha
 
 bath = BathParams.maximal(gamma=1.0, n=1.0, psi=0.8)
 print(f"bath: N = {bath.n}, M = {bath.m:.6f}, psi = {bath.psi}")
@@ -29,9 +28,7 @@ print("\neigenvector / frozen-state overlaps:")
 print(f"  |<lambda_minus | z1>| = {abs(np.vdot(eig.state_minus, z1)):.15f}")
 print(f"  |<lambda_plus  | z2>| = {abs(np.vdot(eig.state_plus, z2)):.15f}")
 
-s = lindblad_s_operator(bath)
-jm = j_minus_alpha(bath.psi, bath.squeeze_amplitude)
-residual = np.max(np.abs(s - 2 * eig.lambda_plus * jm))
+residual = factorization_residual(bath, eig)
 print(f"\nfactorization S = 2 lambda_+ J_-(alpha): residual {residual:.2e}")
 print(f"squeeze ratio alpha = e^(2r) = {bath.squeeze_ratio:.6f}")
 

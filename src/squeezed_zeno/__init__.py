@@ -35,6 +35,7 @@ from .errors import (
     SqueezedZenoError,
 )
 from .intelligent import (
+    factorization_residual,
     j_minus_alpha,
     rotated_j_operators,
     s_eigensystem,
@@ -64,6 +65,7 @@ from .zeno import (
     step_survival_probability,
     survival_functional_F,
     survival_functional_grid,
+    survival_laws,
     survival_rate,
     zeno_directions,
     zeno_states,

@@ -32,22 +32,19 @@ from . import (
     bloch_vector,
     evolve_free,
     evolve_measured,
+    factorization_residual,
     maximal_m,
     monte_carlo_survival,
     pure_state_bloch,
-    relax,
     repeated_measurement_survival,
     s_eigensystem,
-    second_order_rate,
     survival_functional_grid,
-    survival_rate,
+    survival_laws,
     uncertainty_product,
     zeno_directions,
     zeno_states,
 )
-from .bath import lindblad_s_operator
 from .errors import InvalidStateError, ParameterError
-from .intelligent import j_minus_alpha
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -439,19 +436,8 @@ def cmd_zeno(config: dict) -> int:
         state = _named(STATES, "state", config["state"])(bath)
         sched = MeasurementSchedule(config["dt"], config["count"])
 
-    exact = repeated_measurement_survival(bath, state, sched)
-    times = sched.times
-    try:
-        second_order = relax(1.0, -second_order_rate(bath, state, sched.dt), times)
-    except ParameterError:
-        # The second-order law holds only where the first-order rate vanishes.
-        second_order = np.full_like(times, math.nan)
-    table = {
-        "t": times,
-        "P_exact": exact,
-        "P_first_order": relax(1.0, -survival_rate(bath, state), times),
-        "P_second_order": second_order,
-    }
+    table = {"t": sched.times, "P_exact": repeated_measurement_survival(bath, state, sched)}
+    table["P_first_order"], table["P_second_order"] = survival_laws(bath, state, sched)
     if config["n_traj"] > 0:
         table["P_mc"], table["P_mc_stderr"] = monte_carlo_survival(
             bath, state, sched, config["n_traj"], config["seed"]
@@ -483,12 +469,9 @@ def cmd_intelligent(config: dict) -> int:
         }
     report["uncertainty"] = gaps
     if not eig.degenerate:
-        r = bath.squeeze_amplitude
-        s = lindblad_s_operator(bath)
-        residual = np.max(np.abs(s - 2.0 * eig.lambda_plus * j_minus_alpha(bath.psi, r)))
-        report["factorization_residual"] = float(residual)
+        report["factorization_residual"] = factorization_residual(bath, eig)
         report["alpha_ratio"] = bath.squeeze_ratio
-        report["squeeze_amplitude"] = r
+        report["squeeze_amplitude"] = bath.squeeze_amplitude
     _write_json(config.get("out"), report)
     return EXIT_OK
 

@@ -65,8 +65,10 @@ def relax(x0, rate, t, drift=0.0):
         value = np.exp(exponent)
         value *= x0
         if drift != 0.0:
-            # Not expm1 * drift / rate: at a subnormal gamma that product loses precision.
-            value -= np.expm1(exponent) / (rate / drift)
+            # Not expm1 * drift / rate, which loses precision at a subnormal gamma, unless
+            # rate / drift underflows to 0 (drift / rate is then past the float range).
+            ratio = rate / drift
+            value -= np.expm1(exponent) / ratio if ratio else np.expm1(exponent) / rate * drift
     return value
 
 

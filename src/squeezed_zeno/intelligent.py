@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import BathParams, _require_maximal, to_mode_frame
+from .bath import BathParams, _require_maximal, lindblad_s_operator, to_mode_frame
 from .errors import ParameterError
 from .pauli import GROUND, SIGMA_X, SIGMA_Y, SIGMA_Z, pure_state_bloch
 from .zeno import zeno_states
@@ -70,6 +70,13 @@ def j_minus_alpha(psi: float, r: float) -> np.ndarray:
         raise ParameterError(f"J_-(alpha) needs squeezing r > 0, got r={r} (singular at r = 0)")
     j1, j2, _ = rotated_j_operators(psi)
     return (np.exp(-2.0 * r) * j1 - 1j * j2) / (1j * np.sqrt(-np.expm1(-4.0 * r)))
+
+
+def factorization_residual(bath: BathParams, eig: SEigensystem) -> float:
+    """max |S - 2 lambda_+ J_-(alpha)| over the entries, for a non-degenerate eig of bath."""
+    s = lindblad_s_operator(bath)
+    jm = j_minus_alpha(bath.psi, bath.squeeze_amplitude)
+    return float(np.max(np.abs(s - 2.0 * eig.lambda_plus * jm)))
 
 
 def uncertainty_product(state, psi: float):

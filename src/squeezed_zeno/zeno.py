@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import BathParams, generator_terms
-from .dynamics import analytic_free
+from .dynamics import analytic_free, relax
 from .errors import ParameterError
 from .pauli import Direction, pure_state_bloch
 
@@ -187,6 +187,20 @@ def second_order_rate(bath: BathParams, state, dt: float) -> float:
     # v . A (A v + c) is each term times minus its mode's rate.
     value = -0.5 * float(fast * terms[0] + slow * terms[1] + rate_z * (terms[2] + terms[3]))
     return 0.5 * min(value, 0.0) * dt
+
+
+def survival_laws(bath: BathParams, state, sched: MeasurementSchedule):
+    """The first- and second-order survival laws at sched.times, as (first, second).
+
+    The second-order law holds only where the first-order rate vanishes: where
+    second_order_rate raises ParameterError, its curve is all NaN.
+    """
+    times = sched.times
+    try:
+        second = relax(1.0, -second_order_rate(bath, state, sched.dt), times)
+    except ParameterError:
+        second = np.full_like(times, np.nan)
+    return relax(1.0, -survival_rate(bath, state), times), second
 
 
 def monte_carlo_survival(

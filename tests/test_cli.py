@@ -15,8 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import squeezed_zeno
-from squeezed_zeno import SIGMA_MINUS, SIGMA_PLUS, maximal_m
-from squeezed_zeno.cli import ALLOWED_KEYS, DEFAULTS, main
+from squeezed_zeno import SIGMA_MINUS, SIGMA_PLUS, maximal_m, pure_state_bloch
+from squeezed_zeno.cli import ALLOWED_KEYS, DEFAULTS, STATES, bath_from_config, main
+
+from oracles import expm_propagator, moment_uncertainty_product
+
+EPS = np.finfo(float).eps
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -386,16 +390,60 @@ def below_maximal(n: float):
     return st.integers(1, 15).map(lambda k: maximal_m(n) * (1.0 - 10.0**-k))
 
 
+# The uncertainty keys of the report, in the order of moment_uncertainty_product's values.
+UNCERTAINTY_KEYS = ("var_j1", "var_j2", "bound", "saturation_gap")
+# Each variance is a difference of terms of size at most 1/4 (J1^2 = J2^2 = 1/4), and the
+# bound and the gap are differences of terms of size at most 1/16. Rounding errs by a few
+# eps of those sizes, not of the results, which vanish for a polarized state: at most
+# 4 eps / 4 and 6 eps / 16 against the moments in 40 000 draws. 16 eps of the size is allowed.
+UNCERTAINTY_TOLERANCE = 16 * EPS * np.array([1 / 4, 1 / 4, 1 / 16, 1 / 16])
+
+
 def assert_report_holds(report: dict):
-    """S z = lambda z for both eigenpairs, and S = 2 lambda_+ J_-(alpha) where reported."""
+    """S z = lambda z for both eigenpairs, the uncertainty numbers of each eigenvector
+    against its operator moments, and S = 2 lambda_+ J_-(alpha) where reported."""
     n, psi = report["N"], report["psi"]
     s = np.sqrt(n + 1) * SIGMA_MINUS - np.sqrt(n) * np.exp(1j * psi) * SIGMA_PLUS
     for branch in ("plus", "minus"):
         lam = complex(*report[f"lambda_{branch}"])
         z = np.array([complex(*amplitude) for amplitude in report[f"state_{branch}"]])
         assert np.linalg.norm(s @ z - lam * z) <= 1e-12, branch
+        printed = [report["uncertainty"][branch][key] for key in UNCERTAINTY_KEYS]
+        error = np.abs(np.subtract(printed, moment_uncertainty_product(z, psi)))
+        assert np.all(error <= UNCERTAINTY_TOLERANCE), (branch, error)
     if "factorization_residual" in report:
         assert report["factorization_residual"] <= 1e-12
+
+
+# scipy's expm returns NaN once gamma(2N+1) dt, the 1-norm of the augmented generator over
+# one step, reaches 2^128 (about 3.4e38); there P_exact is left to the survival invariants.
+EXPM_REACH = 1e38
+
+
+def assert_exact_survival_holds(config: dict, p_exact: np.ndarray):
+    """P_exact is p^k, p = (1 + v0 . (P v0 + q)) / 2 with (P, q) = expm_propagator(bath, dt).
+
+    scipy's expm scales A dt by 2^-s, s about log2 of x = gamma(2N+1) dt, and squares s
+    times; each squaring can double the error made so far, so its p errs by O(eps (1 + x))
+    (at most 10 eps (1 + x) in 20 000 draws; 32 allowed), and the closed form by an eps.
+    By the mean value theorem |p^k - p'^k| <= k |p - p'| max(p, p')^(k-1): relative to
+    p^k, k |p - p'| / p. Each power is one pow, within an ulp: 2 eps relative, or 2 ulps
+    of the subnormal range.
+    """
+    config = dict(DEFAULTS, **config)
+    bath = bath_from_config(config)
+    x = bath.gamma * (2 * bath.n + 1) * config["dt"]
+    if not x < EXPM_REACH:
+        return
+    v0 = pure_state_bloch(STATES[config["state"]](bath))
+    propagator, shift = expm_propagator(bath, config["dt"])
+    p = 0.5 * (1.0 + v0 @ (propagator @ v0 + shift))
+    k = np.arange(len(p_exact))
+    expected = p**k
+    spread = k * 32 * EPS * (1.0 + x) * max(abs(p), p_exact[1]) ** np.maximum(k - 1, 0)
+    tolerance = spread + 2 * EPS * np.maximum(p_exact, np.abs(expected))
+    tolerance += 2 * np.finfo(float).smallest_subnormal
+    assert np.all(np.abs(p_exact - expected) <= tolerance), (p, p_exact[1])
 
 
 def parse_output(text: str, fmt: str) -> list:
@@ -484,6 +532,7 @@ class TestCliInvariants:
         else:
             assert len(table["t"]) == config["count"] + 1
             assert_survival_invariants(table)
+            assert_exact_survival_holds(config, table["P_exact"])
 
 class TestIntelligent:
     def test_report_n1(self, tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +17,7 @@ from squeezed_zeno import (
     measured_coefficients,
     pure_state_bloch,
     pure_state_matrix,
+    relax,
     step_survival_probability,
     zeno_directions,
     zeno_states,
@@ -67,6 +70,26 @@ class TestEvolveFree:
         # long-time value approaches mu . v_steady
         v_steady = np.array([0, 0, -1 / 3])
         assert proj[-1] == pytest.approx(mu @ v_steady, abs=1e-3)
+
+
+class TestRelax:
+    """The limits that relax documents, for scalar and array t."""
+
+    T = np.array([0.0, 0.5, 3.0, 1e300])
+
+    @pytest.mark.parametrize("x0, drift", [(0.3, 0.0), (-0.7, 2.5), (1.0, -1e-300)])
+    def test_documented_limits(self, x0, drift):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rate in (0.0, 5e-324, 1.0, 1e300, np.inf):
+                assert relax(x0, rate, 0.0, drift) == x0
+                assert relax(x0, rate, self.T, drift)[0] == x0
+            assert np.array_equal(relax(x0, 0.0, self.T, drift), x0 + drift * self.T)
+            assert np.all(relax(x0, np.inf, self.T, drift)[1:] == drift / np.inf)
+            # At t = 1e300 the exponent -rate t is -2e300, or overflows to -inf at rate 1e300.
+            for rate in (2.0, 1e300):
+                assert relax(x0, rate, 1e300, drift) == pytest.approx(drift / rate, rel=1e-15)
+                assert relax(x0, rate, self.T, drift)[-1] == pytest.approx(drift / rate, rel=1e-15)
 
 
 class TestAnalyticFree:

@@ -4,6 +4,7 @@ import pytest
 from squeezed_zeno import (
     BathParams,
     GROUND,
+    factorization_residual,
     lindblad_s_operator,
     s_eigensystem,
     uncertainty_product,
@@ -119,7 +120,9 @@ class TestJMinusAlpha:
             eig = s_eigensystem(b)
             s = lindblad_s_operator(b)
             jm = j_minus_alpha(b.psi, b.squeeze_amplitude)
-            assert np.max(np.abs(s - 2 * eig.lambda_plus * jm)) < 1e-12
+            residual = np.max(np.abs(s - 2 * eig.lambda_plus * jm))
+            assert factorization_residual(b, eig) == residual
+            assert residual < 1e-12
 
     def test_factorization_chain(self):
         # S = e^{i psi/2} e^{-r} (J1 - i alpha J2) = 2 lambda_+ J_-(alpha)
@@ -156,7 +159,9 @@ class TestJMinusAlpha:
             jm = j_minus_alpha(b.psi, b.squeeze_amplitude)
             s = lindblad_s_operator(b)
             scale = float(np.max(np.abs(s)))
-            assert np.max(np.abs(s - 2 * eig.lambda_plus * jm)) <= 16 * np.finfo(float).eps * scale
+            residual = np.max(np.abs(s - 2 * eig.lambda_plus * jm))
+            for value in (residual, factorization_residual(b, eig)):
+                assert value <= 16 * np.finfo(float).eps * scale
 
 
 class TestSqueezeFrame:

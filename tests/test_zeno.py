@@ -17,11 +17,13 @@ from squeezed_zeno import (
     maximal_m,
     monte_carlo_survival,
     pure_state_bloch,
+    relax,
     repeated_measurement_survival,
     second_order_rate,
     step_survival_probability,
     survival_functional_F,
     survival_functional_grid,
+    survival_laws,
     survival_rate,
     zeno_directions,
     zeno_states,
@@ -291,10 +293,26 @@ class TestStepSurvivalProbability:
                 assert 0.0 <= p <= 1.0, (b, dt, p)
 
 
+def checked_survival_laws(bath, state, sched):
+    """survival_laws, checked: the first curve is the first-order law bit for bit, and the
+    second is all NaN exactly where second_order_rate raises, else that law bit for bit."""
+    first, second = survival_laws(bath, state, sched)
+    assert np.array_equal(first, relax(1.0, -survival_rate(bath, state), sched.times))
+    try:
+        rate = second_order_rate(bath, state, sched.dt)
+    except ParameterError:
+        assert np.all(np.isnan(second))
+    else:
+        assert np.array_equal(second, relax(1.0, -rate, sched.times))
+    return first, second
+
+
 class TestSecondOrderRate:
     def test_vacuum_ground_zero(self):
         b = BathParams(gamma=1.0, n=0.0, m=0.0)
         assert second_order_rate(b, GROUND, 0.01) == pytest.approx(0.0, abs=1e-14)
+        _, second = checked_survival_laws(b, GROUND, MeasurementSchedule(0.01, 5))
+        assert np.all(second == 1.0)
 
     def test_matches_repeated_measurement_fit(self):
         b = BathParams.maximal(1.0, 1.0, 0.0)
@@ -306,6 +324,8 @@ class TestSecondOrderRate:
         curve = repeated_measurement_survival(b, z1, sched)
         fitted = np.log(curve[-1]) / sched.times[-1]
         assert fitted == pytest.approx(rate2, rel=0.05)
+        first, _ = checked_survival_laws(b, z1, sched)
+        assert np.all(first == 1.0)
 
     def test_linear_scaling_in_dt(self):
         b = BathParams.maximal(1.0, 1.0, 0.0)
@@ -318,6 +338,8 @@ class TestSecondOrderRate:
         b = BathParams.maximal(1.0, 1.0, 0.0)
         with pytest.raises(ParameterError):
             second_order_rate(b, EXCITED, 0.01)
+        first, second = checked_survival_laws(b, EXCITED, MeasurementSchedule(0.01, 5))
+        assert np.all(np.diff(first) < 0) and np.all(np.isnan(second))
 
     def test_gate_scales_with_the_rate_terms(self):
         # The -1 eigenstate of the frozen direction decays at about gamma / (2N): below
@@ -327,9 +349,12 @@ class TestSecondOrderRate:
         assert survival_rate(b, minus) > -1e-10
         with pytest.raises(ParameterError):
             second_order_rate(b, minus, 1e6)
+        assert np.all(np.isnan(checked_survival_laws(b, minus, MeasurementSchedule(1e6, 2))[1]))
         # The ground state at N = 1e-14 decays at -1e-14 gamma, within the tolerance of its
         # terms (about gamma); its second-order value comes out positive and is clipped.
-        assert second_order_rate(BathParams.maximal(1.0, 1e-14), GROUND, 0.01) == 0.0
+        b = BathParams.maximal(1.0, 1e-14)
+        assert second_order_rate(b, GROUND, 0.01) == 0.0
+        assert np.all(checked_survival_laws(b, GROUND, MeasurementSchedule(0.01, 3))[1] == 1.0)
 
 
 class TestFrozenAtStrongSqueezing:
@@ -353,6 +378,8 @@ class TestFrozenAtStrongSqueezing:
             assert abs(survival_rate(b, state)) <= rate_tol
             assert abs(survival_functional_F(b, direction)) <= rate_tol
             assert second_order_rate(b, state, 0.01) <= 0.0
+            _, second = checked_survival_laws(b, state, MeasurementSchedule(0.01, 3))
+            assert np.all(np.diff(second) <= 0.0)
             values = evolve_measured(b, direction, pure_state_bloch(state), grid)
             assert np.all(np.abs(values - 1.0) <= 2 * rate_tol / slow), values
 

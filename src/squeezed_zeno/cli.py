@@ -278,15 +278,18 @@ _FORMATS = {
 
 
 def write_table(path: str | None, table: dict, fmt: str):
-    """Write named float columns of equal length as CSV or JSON {"columns", "rows"}.
+    """Write named float columns as CSV or JSON {"columns", "rows"}, a block of rows at a time.
 
-    CSV is a header line, then one line per row with every value as %.17g. JSON is
-    byte for byte json.dumps({"columns": ..., "rows": ...}, sort_keys=True, indent=2)
-    plus a newline. Both are formatted and written one block of rows at a time.
+    The columns are of equal length, one row per index, or the table is a grid: its
+    last column is 2-D, of shape (len(first), len(second)), and each cell is a row
+    (first[i], second[j], last[i, j]), first axis major. CSV is a header line, then one
+    line per row with every value as %.17g. JSON is byte for byte
+    json.dumps({"columns": ..., "rows": ...}, sort_keys=True, indent=2) plus a newline.
     """
     form = _FORMATS[fmt]
     columns = [np.asarray(column, dtype=np.float64) for column in table.values()]
-    _write_text(path, _table_text(form, list(table), _column_blocks(form, columns)))
+    blocks = _grid_blocks(form, *columns) if columns[-1].ndim == 2 else _blocks(form, columns)
+    _write_text(path, _table_text(form, list(table), blocks))
 
 
 def _table_text(form: _TextFormat, names: list, blocks):
@@ -297,12 +300,6 @@ def _table_text(form: _TextFormat, names: list, blocks):
         yield (form.opening if joint is None else joint) + text
         joint = form.separator
     yield form.empty if joint is None else form.closing
-
-
-def _column_blocks(form: _TextFormat, columns: list):
-    """The texts of the rows of columns, one block of rows per text."""
-    for n_rows, specs, values in _blocks(columns, form.spec):
-        yield form.numbers(form.separator.join([form.row(specs)] * n_rows) % tuple(values))
 
 
 def _texts(form: _TextFormat, values: np.ndarray) -> np.ndarray:
@@ -325,7 +322,7 @@ def _grid_blocks(form: _TextFormat, thetas: np.ndarray, phis: np.ndarray, f: np.
     n_phi = len(phis)
     if n_phi > ROWS_PER_CHUNK:
         for theta, f_row in zip(thetas.tolist(), f):
-            yield from _column_blocks(form, [np.broadcast_to(theta, n_phi), phis, f_row])
+            yield from _blocks(form, [np.broadcast_to(theta, n_phi), phis, f_row])
         return
     # One grid row with the phi texts in place and %s for each cell's theta and F text.
     row = form.separator.join([form.row(["%%s", "%s", "%%s"])] * n_phi) % tuple(_texts(form, phis))
@@ -343,12 +340,12 @@ def _grid_blocks(form: _TextFormat, thetas: np.ndarray, phis: np.ndarray, f: np.
         yield form.separator.join([row] * len(block)) % tuple(cells.ravel().tolist())
 
 
-def _blocks(columns: list, spec: str):
-    """Per block of ROWS_PER_CHUNK rows: its length, one %-spec per column, the values row-major.
+def _blocks(form: _TextFormat, columns: list):
+    """The texts of the rows of equal-length columns, one block of ROWS_PER_CHUNK rows per text.
 
     A column with at most half of a full block's values distinct is formatted once per
-    distinct bit pattern (so 0.0 and -0.0 stay apart) and spliced in with %s; the
-    floats of any other column go to `spec` as they are. Only full blocks are
+    distinct bit pattern (so 0.0 and -0.0 stay apart), by _texts, and spliced in with %s;
+    the floats of any other column go to the format's spec as they are. Only full blocks are
     searched: the first np.unique in a process maps in about 0.5 MiB of numpy's
     sorting code, which a table shorter than one block cannot win back. The search
     serves zeno's columns that repeat values (the Monte Carlo fractions and errors,
@@ -365,13 +362,13 @@ def _blocks(columns: list, spec: str):
             if len(block) == ROWS_PER_CHUNK:
                 bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
                 if 2 * len(bits) <= len(block):
-                    texts = [spec % x for x in bits.view(np.float64).tolist()]
-                    values[index::width] = np.array(texts, dtype=object)[inverse].tolist()
+                    values[index::width] = _texts(form, bits.view(np.float64))[inverse].tolist()
                     specs.append("%s")
                     continue
             values[index::width] = block.tolist()
-            specs.append(spec)
-        yield len(blocks[0]), specs, values
+            specs.append(form.spec)
+        rows = form.separator.join([form.row(specs)] * len(blocks[0]))
+        yield form.numbers(rows % tuple(values))
 
 
 def _write_json(path: str | None, obj):
@@ -393,11 +390,9 @@ def _write_text(path: str | None, parts):
 def cmd_surface(config: dict) -> int:
     with _config_checked():
         bath = bath_from_config(config)
-    n_theta, n_phi = config["n_theta"], config["n_phi"]
-    thetas, phis, f = survival_functional_grid(bath, n_theta, n_phi)
-    form = _FORMATS[config["format"]]
+    thetas, phis, f = survival_functional_grid(bath, config["n_theta"], config["n_phi"])
     out = config.get("out")
-    _write_text(out, _table_text(form, ["theta", "phi", "F"], _grid_blocks(form, thetas, phis, f)))
+    write_table(out, {"theta": thetas, "phi": phis, "F": f}, config["format"])
     zd = zeno_directions(bath)
     sidecar = {
         "cos_theta_max": float(np.cos(zd.theta)),

@@ -52,11 +52,10 @@ def evolve_free(bath: BathParams, v0, grid: TimeGrid) -> np.ndarray:
 def relax(x0, rate, t, drift=0.0):
     """x0 e^{-rate t} + (drift / rate)(1 - e^{-rate t}), the solution of dx/dt = drift - rate x.
 
-    For rate >= 0 and t >= 0, scalar or array: exactly x0 at t = 0, x0 + drift t at rate 0,
-    and drift / rate (with no warning) at rate inf or where the exponent overflows to -inf.
+    For rate >= 0 and t >= 0, scalar or array: exactly x0 at t = 0, x0 e^{-rate t} + drift t
+    where rate t is below the smallest normal float (so x0 + drift t at rate 0), and
+    drift / rate (with no warning) at rate inf or where the exponent overflows to -inf.
     """
-    if rate == 0.0:
-        return x0 + drift * t
     if rate == np.inf:
         return np.where(t > 0, drift / rate, x0)
     with np.errstate(over="ignore"):
@@ -65,10 +64,18 @@ def relax(x0, rate, t, drift=0.0):
         value = np.exp(exponent)
         value *= x0
         if drift != 0.0:
+            # There -rate t is 0 or subnormal, and expm1 of it drops (some of) drift t.
+            flat = exponent > -np.finfo(float).tiny
+            if np.all(flat):
+                return value + drift * t
             # Not expm1 * drift / rate, which loses precision at a subnormal gamma, unless
             # rate / drift underflows to 0 (drift / rate is then past the float range).
             ratio = rate / drift
-            value -= np.expm1(exponent) / ratio if ratio else np.expm1(exponent) / rate * drift
+            decay = np.expm1(exponent) / ratio if ratio else np.expm1(exponent) / rate * drift
+            if np.any(flat):
+                # Only an array of t gets here with flat entries, such as t = 0.
+                np.multiply(t, -drift, out=decay, where=flat)
+            value -= decay
     return value
 
 

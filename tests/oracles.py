@@ -5,6 +5,7 @@ None of this is on the package's runtime or import path.
 
 import json
 
+import mpmath
 import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import minimize
@@ -132,6 +133,18 @@ def expm_propagator(bath: BathParams, t: float):
     aug[:3, 3] = c
     phi = expm(aug * t)
     return phi[:3, :3], phi[:3, 3]
+
+
+def mp_relax(x0: float, rate: float, t: float, drift: float = 0.0) -> float:
+    """x0 e^{-rate t} + (drift / rate)(1 - e^{-rate t}) in 50-digit arithmetic, as a float.
+
+    The independent check of relax; x0 + drift t at rate 0.
+    """
+    with mpmath.workdps(50):
+        x0, rate, t, drift = (mpmath.mpf(x) for x in (x0, rate, t, drift))
+        if rate == 0:
+            return float(x0 + drift * t)
+        return float(x0 * mpmath.exp(-rate * t) - drift * mpmath.expm1(-rate * t) / rate)
 
 
 def eig_s_eigensystem(bath: BathParams) -> SEigensystem:

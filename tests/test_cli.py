@@ -15,12 +15,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import squeezed_zeno
-from squeezed_zeno import SIGMA_MINUS, SIGMA_PLUS, maximal_m, pure_state_bloch
-from squeezed_zeno.cli import ALLOWED_KEYS, DEFAULTS, STATES, bath_from_config, main
+from squeezed_zeno import (
+    SIGMA_MINUS,
+    SIGMA_PLUS,
+    BathParams,
+    Direction,
+    maximal_m,
+    pure_state_bloch,
+)
+from squeezed_zeno.cli import (
+    ALLOWED_KEYS,
+    DEFAULTS,
+    STATES,
+    bath_from_config,
+    main,
+    resolve_direction,
+    resolve_state,
+)
 
-from oracles import expm_propagator, moment_uncertainty_product
+from oracles import (
+    expm_propagator,
+    find_zeno_directions_grid,
+    moment_uncertainty_product,
+    mp_relax,
+    oracle_bloch_rates,
+)
 
 EPS = np.finfo(float).eps
+TINY = np.finfo(float).smallest_subnormal
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -446,6 +468,85 @@ def assert_exact_survival_holds(config: dict, p_exact: np.ndarray):
     assert np.all(np.abs(p_exact - expected) <= tolerance), (p, p_exact[1])
 
 
+def assert_evolve_holds(config: dict, table: dict):
+    """Each row against oracles: sigma_mu_free against expm_propagator, sigma_mu_measured
+    against the monitored law in 50 digits, mu . v0 relaxing at rate -beta toward -alpha / beta
+    with alpha = mu . c and beta = mu . A mu, (A, c) from oracle_bloch_rates.
+
+    With x = gamma(2N+1) t, the rows err by:
+    - expm: O(eps (1 + x)), as for P_exact (assert_exact_survival_holds); at most
+      20 eps (1 + x) in 6000 draws, 64 eps (1 + x) allowed. Rows with x >= EXPM_REACH are
+      left to the invariants.
+    - the monitored law: (A, c) from the 2x2 dissipator err by a few eps gamma(2N+1), the
+      size of their terms, not of beta, which the slow mode makes as small as
+      gamma / (4(2N+1)). An error d(alpha) + 2 d(beta) moves the law by at most
+      min(t, 1/|beta|) times it: a few eps times min(x, 4(2N+1)^2). The closed form errs by
+      a few eps. At most 0.5 eps (1 + min(x, 4(2N+1)^2)) in 6000 draws; 8 eps (1 + ...) allowed.
+    - both: at a subnormal gamma, each term of (A, c) and of the mode rates is rounded to
+      a multiple of the smallest subnormal, which t multiplies: 64 of it times t.
+    Each side then rounds once more, within 2 eps of the value.
+    """
+    config = dict(DEFAULTS, **config)
+    bath = bath_from_config(config)
+    v0 = resolve_state(config["state"], bath)
+    mu = resolve_direction(config["measure"], bath).unit_vector
+    t = table["t"]
+    with np.errstate(over="ignore"):
+        x = bath.gamma * (2 * bath.n + 1) * t
+    free, measured = table["sigma_mu_free"], table["sigma_mu_measured"]
+    for k in np.flatnonzero(x < EXPM_REACH):
+        propagator, shift = expm_propagator(bath, t[k])
+        expected = np.clip(mu @ (propagator @ v0 + shift), -1.0, 1.0)
+        tolerance = 64 * EPS * (1 + x[k]) + 64 * TINY * t[k] + 2 * EPS * abs(expected)
+        assert abs(free[k] - expected) <= tolerance, (k, free[k], expected)
+    a, c = oracle_bloch_rates(bath)
+    alpha, beta = mu @ c, mu @ a @ mu
+    reach = np.minimum(x, 4 * (2 * bath.n + 1) ** 2)
+    for k, time in enumerate(t):
+        expected = np.clip(mp_relax(mu @ v0, -beta, time, alpha), -1.0, 1.0)
+        tolerance = 8 * EPS * (1 + reach[k]) + 64 * TINY * time + 2 * EPS * abs(expected)
+        assert abs(measured[k] - expected) <= tolerance, (k, measured[k], expected)
+
+
+def assert_surface_holds(config: dict, table: dict, sidecar: dict):
+    """F against 1/2 mu . (A mu + c), (A, c) from oracle_bloch_rates, and the sidecar's
+    maxima against a grid scan with polish (find_zeno_directions_grid).
+
+    F: (A, c) err by a few eps of gamma(2N+1), the size of their terms, and so does the
+    closed form (generator_terms): at most 2.2 eps gamma(2N+1) in 6000 draws. 16 eps
+    gamma(2N+1) is allowed, plus 64 times the smallest subnormal for a subnormal gamma.
+    Maxima: they do not depend on gamma, so the scan runs at gamma = 1, where its F is
+    of order 1. At the maxima F has curvature kappa_phi = 2 M sin^2(theta) along phi
+    and fast sin^2(theta) >= kappa_phi / 2 along theta (gamma = 1). The polish stops
+    where F changes by less than its rounding, about 4 eps (2N+1), or its fatol 1e-14;
+    so an angle is found within sqrt(2 (1e-14 + 4 eps (2N+1)) / kappa), kappa the
+    smaller curvature (at most 0.13 of it in 6000 draws). Where kappa < 1e-3 (N below about
+    1.3e-4 at maximal M, or M near 0), F is nearly flat along a ring of phi, the scan
+    finds other points of the ring, and the sidecar is left to the invariants.
+    """
+    config = dict(DEFAULTS, **config)
+    bath = bath_from_config(config)
+    theta, phi = table["theta"], table["phi"]
+    mus = np.stack((np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)), -1)
+    a, c = oracle_bloch_rates(bath)
+    expected = np.minimum(0.5 * np.einsum("ri,ri->r", mus, mus @ a.T + c), 0.0)
+    tolerance = 16 * EPS * bath.gamma * (2 * bath.n + 1) + 64 * TINY
+    assert np.all(np.abs(table["F"] - expected) <= tolerance)
+    sin_sq = 1.0 - sidecar["cos_theta_max"] ** 2
+    kappa = sin_sq * min(2 * bath.m, bath.n + 0.5 + bath.m)
+    if kappa < 1e-3:
+        return
+    unit = BathParams(1.0, bath.n, bath.m, bath.psi)
+    found = find_zeno_directions_grid(unit)
+    within = np.sqrt(2 * (1e-14 + 4 * EPS * (2 * bath.n + 1)) / kappa)
+    targets = [
+        Direction(sidecar["theta"], sidecar["phi1"]).unit_vector,
+        Direction(sidecar["theta"], sidecar["phi2"]).unit_vector,
+    ]
+    distances = [[np.linalg.norm(d.unit_vector - target) for target in targets] for d, _ in found]
+    assert len(found) == 2 and np.all(np.min(distances, axis=0) <= within), distances
+
+
 def parse_output(text: str, fmt: str) -> list:
     """What a command wrote to stdout: each table as {name: column}, each JSON document as is."""
     documents = []
@@ -525,10 +626,12 @@ class TestCliInvariants:
             # F is the survival rate of the measured state: survival never increases.
             assert np.all(table["F"] <= 0.0)
             assert np.all(np.isfinite(numbers(documents[1])))
+            assert_surface_holds(config, table, documents[1])
         elif command == "evolve":
             assert len(table["t"]) == config["n_steps"] + 1
             for name in ("sigma_mu_free", "sigma_mu_measured"):
                 assert np.all(np.abs(table[name]) <= 1.0), name
+            assert_evolve_holds(config, table)
         else:
             assert len(table["t"]) == config["count"] + 1
             assert_survival_invariants(table)

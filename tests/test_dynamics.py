@@ -30,6 +30,7 @@ from oracles import (
     expm_propagator,
     liouvillian,
     measurement_modified_rhs,
+    mp_relax,
     rk4_free,
     sigma_mu,
 )
@@ -90,6 +91,28 @@ class TestRelax:
             for rate in (2.0, 1e300):
                 assert relax(x0, rate, 1e300, drift) == pytest.approx(drift / rate, rel=1e-15)
                 assert relax(x0, rate, self.T, drift)[-1] == pytest.approx(drift / rate, rel=1e-15)
+
+    # Below the smallest normal float, -rate t is 0 or subnormal, and expm1 of it dropped all
+    # or part of drift t: relax(0.3, 5e-324, 0.5, 2.5) was 0.3, and the second case 1 - 3e-15
+    # of its drift term. Each value is within 4 eps of the 50-digit law.
+    @pytest.mark.parametrize(
+        "x0, rate, t, drift",
+        [
+            (0.3, 5e-324, 0.5, 2.5),
+            (0.0, 1e-300, 1e-10, 2.5),
+            (0.0, 1e-300, 3e-9, -2.5),
+            (-0.7, 0.0, 0.5, 2.5),
+        ],
+    )
+    def test_drift_where_the_exponent_is_not_normal(self, x0, rate, t, drift):
+        times = np.array([0.0, t, 2 * t, 1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scalar = relax(x0, rate, t, drift)
+            values = relax(x0, rate, times, drift)
+        expected = [mp_relax(x0, rate, s, drift) for s in times]
+        assert scalar == pytest.approx(expected[1], rel=4 * np.finfo(float).eps, abs=0)
+        assert values == pytest.approx(expected, rel=4 * np.finfo(float).eps, abs=0)
 
 
 class TestAnalyticFree:

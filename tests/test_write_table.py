@@ -95,6 +95,27 @@ def tables(draw):
     return table
 
 
+@st.composite
+def grid_tables(draw):
+    """theta, phi and a 2-D F of random bits, whose phi halves agree bit for bit or not.
+
+    "mirrored" F repeats its first half of columns, as survival_functional_grid does for
+    even n_phi; "signed" does too, but with 0.0 in one half where the other has -0.0.
+    """
+    n_phi = draw(st.integers(1, 300) | st.sampled_from([ROWS_PER_CHUNK, ROWS_PER_CHUNK + 1]))
+    # Up to three blocks of rows.
+    n_theta = draw(st.integers(1, max(2, 3 * ROWS_PER_CHUNK // n_phi)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f = random_bits(rng, n_theta * n_phi).reshape(n_theta, n_phi).copy()
+    kind = draw(st.sampled_from(["random", "mirrored", "signed"]))
+    half = n_phi // 2
+    if kind != "random" and n_phi % 2 == 0:
+        f[:, half:] = f[:, :half]
+        if kind == "signed":
+            f[:, 0], f[:, half] = 0.0, -0.0
+    return {"theta": random_bits(rng, n_theta), "phi": random_bits(rng, n_phi), "F": f}
+
+
 def mixed_table(n_rows: int = 2 * ROWS_PER_CHUNK + 5) -> dict:
     """One column of each kind over three blocks; the switch column goes from cached to raw."""
     rng = np.random.default_rng(7)
@@ -110,12 +131,18 @@ def mixed_table(n_rows: int = 2 * ROWS_PER_CHUNK + 5) -> dict:
 
 
 def _reference(table: dict, fmt: str) -> str:
-    rows = list(zip(*table.values()))
+    """The table formatted value by value; a grid has a row per cell, first axis major."""
+    columns = list(table.values())
+    if np.ndim(columns[-1]) == 2:
+        first, second, cells = columns
+        rows = [(a, b, cells[i, j]) for i, a in enumerate(first) for j, b in enumerate(second)]
+    else:
+        rows = list(zip(*columns))
     return reference_csv(table, rows) if fmt == "csv" else reference_json(table, rows)
 
 
-@settings(max_examples=100, deadline=None)
-@given(table=tables(), fmt=st.sampled_from(["csv", "json"]))
+@settings(max_examples=150, deadline=None)
+@given(table=st.one_of(tables(), grid_tables()), fmt=st.sampled_from(["csv", "json"]))
 @example(table=mixed_table(), fmt="csv")
 @example(table=mixed_table(), fmt="json")
 def test_write_table_matches_reference(table, fmt):
@@ -148,28 +175,48 @@ def surface_sidecar(bath: BathParams) -> str:
     n=st.one_of(st.floats(0.0, 50.0), st.floats(1e-45, 1e-15)),
     psi=st.floats(-10.0, 10.0),
     fmt=st.sampled_from(["csv", "json"]),
+    direct=st.booleans(),
 )
-@example(n_theta=1, n_phi=1, n=1.0, psi=0.7, fmt="csv")
-@example(n_theta=1, n_phi=2, n=1.0, psi=0.7, fmt="json")
+@example(n_theta=1, n_phi=1, n=1.0, psi=0.7, fmt="csv", direct=False)
+@example(n_theta=1, n_phi=2, n=1.0, psi=0.7, fmt="json", direct=False)
 # 65 x 64 = 4160 rows crosses a block boundary.
-@example(n_theta=65, n_phi=64, n=1.0, psi=0.7, fmt="csv")
-# Grid rows wider than a block, odd and even.
-@example(n_theta=1, n_phi=ROWS_PER_CHUNK + 1, n=1.0, psi=0.7, fmt="json")
-@example(n_theta=2, n_phi=ROWS_PER_CHUNK + 2, n=1.0, psi=0.7, fmt="csv")
-def test_surface_stdout_is_table_then_sidecar(n_theta, n_phi, n, psi, fmt):
+@example(n_theta=65, n_phi=64, n=1.0, psi=0.7, fmt="csv", direct=False)
+@example(n_theta=65, n_phi=63, n=1.0, psi=0.7, fmt="json", direct=True)
+# Grid rows wider than a block, odd and even, through main and through write_table.
+@example(n_theta=1, n_phi=ROWS_PER_CHUNK + 1, n=1.0, psi=0.7, fmt="json", direct=False)
+@example(n_theta=2, n_phi=ROWS_PER_CHUNK + 2, n=1.0, psi=0.7, fmt="csv", direct=False)
+@example(n_theta=3, n_phi=ROWS_PER_CHUNK + 1, n=1.0, psi=0.7, fmt="csv", direct=True)
+@example(n_theta=2, n_phi=ROWS_PER_CHUNK + 2, n=1.0, psi=0.7, fmt="json", direct=True)
+def test_surface_stdout_is_table_then_sidecar(n_theta, n_phi, n, psi, fmt, direct):
+    # direct: write_table writes the grid table itself, without the sidecar.
+    bath = BathParams.maximal(1.0, n, psi)
+    thetas, phis, f = survival_functional_grid(bath, n_theta, n_phi)
     argv = ["surface", "--format", fmt]
     for key, value in {"n_theta": n_theta, "n_phi": n_phi, "N": n, "psi": psi}.items():
         argv += ["--set", f"{key}={value!r}"]
+    table = {"theta": thetas, "phi": phis, "F": f}
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        assert main(argv) == 0
-    bath = BathParams.maximal(1.0, n, psi)
-    thetas, phis, f = survival_functional_grid(bath, n_theta, n_phi)
-    rows = [(thetas[i], phis[j], f[i, j]) for i in range(n_theta) for j in range(n_phi)]
-    columns = ["theta", "phi", "F"]
-    expected = reference_csv(columns, rows) if fmt == "csv" else reference_json(columns, rows)
-    assert stdout.getvalue() == expected + surface_sidecar(bath)
+        if direct:
+            write_table(None, table, fmt)
+        else:
+            assert main(argv) == 0
+    expected = _reference(table, fmt) + ("" if direct else surface_sidecar(bath))
+    assert stdout.getvalue() == expected
     assert stderr.getvalue() == ""
+
+
+def test_surface_goes_through_write_table(monkeypatch):
+    calls = []
+
+    def spy(path, table, fmt):
+        calls.append((path, list(table), np.shape(table["F"]), fmt))
+        return write_table(path, table, fmt)
+
+    monkeypatch.setattr(cli, "write_table", spy)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["surface", "--set", "n_theta=3", "--set", "n_phi=4", "--format", "json"]) == 0
+    assert calls == [(None, ["theta", "phi", "F"], (3, 4), "json")]
 
 
 def surface_like_table(n_rows: int) -> dict:

@@ -297,7 +297,8 @@ def _table_text(form: _TextFormat, names: list, blocks):
     yield form.head(names)
     joint = None
     for text in blocks:
-        yield (form.opening if joint is None else joint) + text
+        yield form.opening if joint is None else joint
+        yield text
         joint = form.separator
     yield form.empty if joint is None else form.closing
 
@@ -343,30 +344,29 @@ def _grid_blocks(form: _TextFormat, thetas: np.ndarray, phis: np.ndarray, f: np.
 def _blocks(form: _TextFormat, columns: list):
     """The texts of the rows of equal-length columns, one block of ROWS_PER_CHUNK rows per text.
 
-    A column with at most half of a full block's values distinct is formatted once per
-    distinct bit pattern (so 0.0 and -0.0 stay apart), by _texts, and spliced in with %s;
-    the floats of any other column go to the format's spec as they are. Only full blocks are
-    searched: the first np.unique in a process maps in about 0.5 MiB of numpy's
-    sorting code, which a table shorter than one block cannot win back. The search
-    serves zeno's columns that repeat values (the Monte Carlo fractions and errors,
-    and survival laws that stay at 1 or decay to 0) and the theta of a surface grid row
-    wider than a block. Without it, zeno --set count=2**22 --set n_traj=1000 took
-    18.8-19.4 s instead of 14.0-15.6 s as CSV and 22.6-23.9 s instead of 20.3-22.9 s
-    as JSON, end to end on 2 shared vCPUs.
+    A column whose values in a block form at most half as many runs of equal neighbours
+    as the block has rows is formatted once per run, by _texts, and spliced in with %s;
+    the floats of any other column go to the format's spec as they are. Neighbours are
+    equal when their bit patterns are, so 0.0 and -0.0 stay apart. Runs are what zeno's
+    survival columns repeat, since survival never increases, and the theta of a surface
+    grid row wider than a block. Without them, zeno --set count=2**22 --set n_traj=1000
+    took 16.5-22.3 s instead of 13.4-18.6 s as CSV and 25.4-31.0 s instead of
+    15.0-22.6 s as JSON, end to end on 2 shared vCPUs (four runs each).
     """
     width = len(columns)
     for start in range(0, len(columns[0]), ROWS_PER_CHUNK):
         blocks = [column[start : start + ROWS_PER_CHUNK] for column in columns]
         specs, values = [], [None] * (len(blocks[0]) * width)
         for index, block in enumerate(blocks):
-            if len(block) == ROWS_PER_CHUNK:
-                bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
-                if 2 * len(bits) <= len(block):
-                    values[index::width] = _texts(form, bits.view(np.float64))[inverse].tolist()
-                    specs.append("%s")
-                    continue
-            values[index::width] = block.tolist()
-            specs.append(form.spec)
+            bits = block.view(np.int64)
+            starts = np.flatnonzero(np.r_[True, bits[1:] != bits[:-1]])
+            if 2 * len(starts) <= len(block):
+                lengths = np.diff(starts, append=len(block))
+                values[index::width] = np.repeat(_texts(form, block[starts]), lengths).tolist()
+                specs.append("%s")
+            else:
+                values[index::width] = block.tolist()
+                specs.append(form.spec)
         rows = form.separator.join([form.row(specs)] * len(blocks[0]))
         yield form.numbers(rows % tuple(values))
 

@@ -47,7 +47,7 @@ SIGNED = np.concatenate(
         ).view(np.float64),
     ]
 )
-COLUMN_KINDS = ["pool", "distinct", "repeat", "tile", "switch", "signed"]
+COLUMN_KINDS = ["pool", "distinct", "repeat", "tile", "switch", "signed", "runs"]
 
 
 def random_bits(rng, size: int) -> np.ndarray:
@@ -55,14 +55,25 @@ def random_bits(rng, size: int) -> np.ndarray:
     return np.frombuffer(rng.bytes(8 * size), dtype=np.float64)
 
 
+def runs(rng, values: np.ndarray, size: int) -> np.ndarray:
+    """Runs of 1-600 equal floats, one per value of values in turn, cycling: in SIGNED order
+    a run of 0.0 meets one of -0.0, and NaN runs meet NaN runs of other bit patterns."""
+    lengths = rng.integers(1, 601, size=size + 1)
+    lengths = lengths[: np.searchsorted(np.cumsum(lengths), size) + 1]
+    return np.repeat(np.resize(values, len(lengths)), lengths)[:size]
+
+
 @st.composite
 def tables(draw):
     """1-6 named float columns of one drawn length, each of a drawn kind.
 
-    The kinds steer the writer's two paths per full block: "distinct" columns take the
-    raw path, "pool", "repeat" and "signed" ones (few distinct values per block) the
-    cached path, "tile" either, and "switch" changes path after the first block.
-    "signed" mixes 0.0, -0.0 and NaNs of different payloads in every block.
+    The kinds steer the writer's two paths per block, partial blocks included: "repeat"
+    and "runs" columns (few runs of equal neighbours per block) take the run path;
+    "distinct", "tile" and the random picks of "pool" and "signed" mostly the raw path,
+    unless they repeat one value; and "switch" changes path after the first block.
+    "signed" mixes 0.0, -0.0 and NaNs of different payloads in every block, and "runs"
+    puts them and the pool's values in runs, some across a block boundary, which only
+    their bit patterns tell apart.
     """
     names = draw(
         st.lists(st.text("abtxyzFP_01", min_size=1, max_size=6), min_size=1, max_size=6, unique=True)
@@ -87,10 +98,12 @@ def tables(draw):
             first_block = np.arange(n_rows) < ROWS_PER_CHUNK
             pooled_first = draw(st.booleans())
             column = np.where(
-                first_block == pooled_first, rng.choice(pool, size=n_rows), random_bits(rng, n_rows)
+                first_block == pooled_first, runs(rng, pool, n_rows), random_bits(rng, n_rows)
             )
-        else:
+        elif kind == "signed":
             column = rng.choice(SIGNED, size=n_rows)
+        else:
+            column = runs(rng, np.concatenate([SIGNED, pool]), n_rows)
         table[name] = column
     return table
 
@@ -117,16 +130,17 @@ def grid_tables(draw):
 
 
 def mixed_table(n_rows: int = 2 * ROWS_PER_CHUNK + 5) -> dict:
-    """One column of each kind over three blocks; the switch column goes from cached to raw."""
+    """One column of each kind over three blocks; the switch column goes from runs to raw."""
     rng = np.random.default_rng(7)
     return {
         "distinct": random_bits(rng, n_rows),
         "repeat": np.repeat(random_bits(rng, n_rows // 512 + 1), 512)[:n_rows],
         "tile": np.tile(random_bits(rng, 512), n_rows // 512 + 1)[:n_rows],
         "switch": np.where(
-            np.arange(n_rows) < ROWS_PER_CHUNK, rng.choice(SIGNED, n_rows), random_bits(rng, n_rows)
+            np.arange(n_rows) < ROWS_PER_CHUNK, runs(rng, SIGNED, n_rows), random_bits(rng, n_rows)
         ),
         "signed": rng.choice(SIGNED, size=n_rows),
+        "runs": runs(rng, np.concatenate([SIGNED, [1.0, 0.5, 0.25]]), n_rows),
     }
 
 

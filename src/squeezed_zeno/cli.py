@@ -22,8 +22,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import (
-    EXCITED,
-    GROUND,
     BathParams,
     Direction,
     MeasurementSchedule,
@@ -45,6 +43,7 @@ from . import (
     zeno_states,
 )
 from .errors import InvalidStateError, ParameterError
+from .pauli import EXCITED, GROUND
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -139,7 +138,9 @@ def load_config(path: str | None, overrides, command: str, flags=None) -> dict:
                 config = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}")
-        except json.JSONDecodeError as exc:
+        # Undecodable bytes, bad syntax and an integer of more digits than int() takes are
+        # ValueErrors; nesting deeper than the recursion limit is a RecursionError.
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}")
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
@@ -149,7 +150,7 @@ def load_config(path: str | None, overrides, command: str, flags=None) -> dict:
         key, _, raw = item.partition("=")
         try:
             config[key] = json.loads(raw)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):
             config[key] = raw
     config.update(flags or {})
     unknown = set(config) - ALLOWED_KEYS[command]
@@ -173,7 +174,9 @@ def load_config(path: str | None, overrides, command: str, flags=None) -> dict:
             f"n_theta*n_phi must be at most {MAX_ROWS}, "
             f"got {merged['n_theta']}*{merged['n_phi']}"
         )
-    if "format" in merged and merged["format"] not in _FORMATS:
+    if "format" in merged and not (
+        isinstance(merged["format"], str) and merged["format"] in _FORMATS
+    ):
         raise ConfigError(f"format must be csv or json, got {merged['format']!r}")
     return merged
 

@@ -99,29 +99,22 @@ def analytic_free(bath: BathParams, v0, t):
     return v
 
 
-def measured_coefficients(bath: BathParams, d: Direction):
-    """Drift and relaxation coefficients of the monitored scalar ODE.
-
-    d<sigma_mu>/dt = alpha + beta <sigma_mu> with
-    alpha = Tr(L{1} sigma_mu) / 2 = mu . c and
-    beta = Tr(L{sigma_mu} sigma_mu) / 2 = mu . A mu,
-    projections of the affine Bloch generator (A, c) onto mu.
-    """
-    *beta_terms, alpha = generator_terms(bath, d.unit_vector)
-    return float(alpha), float(sum(beta_terms))
-
-
 def evolve_measured(bath: BathParams, d: Direction, v0, grid: TimeGrid) -> np.ndarray:
     """Evolution of <sigma_mu> under continuous monitoring of sigma_mu.
 
-    The monitored dynamics closes on the measured expectation value, so
-    the scalar ODE is solved in closed form (relax). The first measurement removes
-    the components of the initial Bloch vector v0 orthogonal to mu (the
-    coherences in the sigma_mu eigenbasis), so only mu . v0 enters.
+    The monitored dynamics closes on the measured expectation value:
+    d<sigma_mu>/dt = alpha + beta <sigma_mu> with
+    alpha = Tr(L{1} sigma_mu) / 2 = mu . c and
+    beta = Tr(L{sigma_mu} sigma_mu) / 2 = mu . A mu,
+    projections of the affine Bloch generator (A, c) onto mu, and this scalar ODE
+    is solved in closed form (relax). The first measurement removes the components
+    of the initial Bloch vector v0 orthogonal to mu (the coherences in the sigma_mu
+    eigenbasis), so only mu . v0 enters.
 
     Returns <sigma_mu> at grid.times, shape (n_steps + 1,), clipped to [-1, 1].
     """
     rho_mu0 = float(d.unit_vector @ bloch_vector(v0))
-    alpha, beta = measured_coefficients(bath, d)
+    *beta_terms, alpha = generator_terms(bath, d.unit_vector)
+    beta = float(sum(beta_terms))
     # <sigma_mu> lies in [-1, 1]; rounding puts a frozen state's value a few ulp outside.
-    return np.clip(relax(rho_mu0, -beta, grid.times, alpha), -1.0, 1.0)
+    return np.clip(relax(rho_mu0, -beta, grid.times, float(alpha)), -1.0, 1.0)

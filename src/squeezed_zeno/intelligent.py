@@ -13,12 +13,8 @@ import numpy as np
 
 from .bath import BathParams, _require_maximal, lindblad_s_operator, to_mode_frame
 from .errors import ParameterError
-from .pauli import GROUND, SIGMA_X, SIGMA_Y, SIGMA_Z, pure_state_bloch
+from .pauli import GROUND, SIGMA_X, SIGMA_Y, pure_state_bloch
 from .zeno import zeno_states
-
-J_X = 0.5 * SIGMA_X
-J_Y = 0.5 * SIGMA_Y
-J_Z = 0.5 * SIGMA_Z
 
 
 @dataclass(frozen=True)
@@ -47,19 +43,11 @@ def s_eigensystem(bath: BathParams) -> SEigensystem:
     return SEigensystem(lambda_plus=lam, state_plus=z2, lambda_minus=-lam, state_minus=z1)
 
 
-def rotated_j_operators(psi: float):
-    """Spin-1/2 operators rotated by psi/2 about z.
-
-    J1 = cos(psi/2) Jx - sin(psi/2) Jy (major fluctuation axis),
-    J2 = sin(psi/2) Jx + cos(psi/2) Jy (minor axis). Returns (J1, J2, Jz).
-    """
-    j1, j2 = to_mode_frame(psi, J_X, J_Y)
-    return j1, j2, J_Z
-
-
 def j_minus_alpha(psi: float, r: float) -> np.ndarray:
     """Non-Hermitian operator (J1 - i alpha J2) / sqrt(1 - alpha^2), alpha = e^{2r}, from r > 0.
 
+    J1 = cos(psi/2) Jx - sin(psi/2) Jy and J2 = sin(psi/2) Jx + cos(psi/2) Jy are the
+    spin-1/2 operators along the major and minor fluctuation axes (the mode frame).
     The principal branch sqrt(1 - alpha^2) = i alpha sqrt(1 - alpha^-2) is used, so the
     factorization S = 2 lambda_+ J_-(alpha) with r = bath.squeeze_amplitude holds
     literally. It is formed as (J1 / alpha - i J2) / (i sqrt(-expm1(-4r))), accurate to a
@@ -68,7 +56,7 @@ def j_minus_alpha(psi: float, r: float) -> np.ndarray:
     """
     if not r > 0.0:
         raise ParameterError(f"J_-(alpha) needs squeezing r > 0, got r={r} (singular at r = 0)")
-    j1, j2, _ = rotated_j_operators(psi)
+    j1, j2 = to_mode_frame(psi, 0.5 * SIGMA_X, 0.5 * SIGMA_Y)
     return (np.exp(-2.0 * r) * j1 - 1j * j2) / (1j * np.sqrt(-np.expm1(-4.0 * r)))
 
 

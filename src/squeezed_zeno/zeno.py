@@ -4,6 +4,9 @@ Covers the first- and second-order survival rates under the master
 equation, the survival functional over measurement directions, its two
 maxima (the bath-determined "preferential" directions), the corresponding
 frozen states, and exact / Monte Carlo repeated-measurement survival curves.
+The survival functional F at a direction d is the survival rate of the +1
+eigenstate of sigma . mu_hat, survival_rate(bath, eigenstates_mu(d)[0]); that
+eigenstate has Bloch vector mu, so F = mu . (A mu + c) / 2 (<= 0).
 """
 
 from dataclasses import dataclass
@@ -50,34 +53,22 @@ class ZenoDirections:
     theta: float
 
 
-def _first_order_rate(bath: BathParams, v: np.ndarray) -> float:
-    """Survival rate 0.5 v . (A v + c) of the pure state with Bloch vector v.
-
-    This is <a| L{|a><a|} |a>, since L{|a><a|} = (A v + c) . sigma / 2.
-    For a frozen state rounding can leave it a few ulp above 0, which would
-    make exp(rate t) exceed 1, so it is clipped at 0.
-    """
-    return min(0.5 * float(sum(generator_terms(bath, v))), 0.0)
-
-
 def survival_rate(bath: BathParams, state) -> float:
-    """First-order survival rate <a| L{|a><a|} |a> (real, <= 0)."""
-    return _first_order_rate(bath, pure_state_bloch(state))
+    """First-order survival rate <a| L{|a><a|} |a> (real, <= 0).
 
-
-def survival_functional_F(bath: BathParams, d: Direction) -> float:
-    """Survival rate of the +1 eigenstate of sigma . mu_hat along d, as a function of angles.
-
-    That eigenstate has Bloch vector mu, so F = mu . (A mu + c) / 2 (<= 0).
+    With v the Bloch vector of |a>, L{|a><a|} = (A v + c) . sigma / 2, so the rate is
+    0.5 v . (A v + c). For a frozen state rounding can leave it a few ulp above 0,
+    which would make exp(rate t) exceed 1, so it is clipped at 0.
     """
-    return _first_order_rate(bath, d.unit_vector)
+    return min(0.5 * float(sum(generator_terms(bath, pure_state_bloch(state)))), 0.0)
 
 
 def survival_functional_grid(bath: BathParams, n_theta: int = 256, n_phi: int = 256):
     """Evaluate the survival functional on an (n_theta x n_phi) angle grid.
 
     2F = sin^2(theta) q(phi) + l(cos theta) with q and l the transverse and
-    longitudinal terms (generator_terms); F is clipped at 0 as in survival_functional_F.
+    longitudinal terms (generator_terms); F is clipped at 0, as is
+    survival_rate(bath, eigenstates_mu(d)[0]), its value at a single direction d.
     q is a quadratic form in (cos phi, sin phi), so q(phi + pi) = q(phi): for even
     n_phi, q is evaluated on the first n_phi/2 angles only and repeated, and
     F[:, j + n_phi/2] is F[:, j] bit for bit. Odd n_phi evaluates q at every angle.

@@ -16,7 +16,6 @@ from squeezed_zeno import (
     TimeGrid,
     lindblad_s_operator,
     step_survival_probability,
-    survival_functional_F,
     survival_functional_grid,
 )
 from squeezed_zeno.intelligent import SEigensystem
@@ -175,15 +174,20 @@ def eig_s_eigensystem(bath: BathParams) -> SEigensystem:
     )
 
 
+def rotated_spin_operators(psi: float):
+    """(J1, J2, Jz) with J1 = (cos(psi/2) sigma_x - sin(psi/2) sigma_y) / 2,
+    J2 = (sin(psi/2) sigma_x + cos(psi/2) sigma_y) / 2 and Jz = sigma_z / 2."""
+    c, s = np.cos(psi / 2), np.sin(psi / 2)
+    return 0.5 * (c * SIGMA_X - s * SIGMA_Y), 0.5 * (s * SIGMA_X + c * SIGMA_Y), 0.5 * SIGMA_Z
+
+
 def moment_uncertainty_product(state, psi: float):
     """(var_j1, var_j2, bound, gap) of uncertainty_product from operator moments.
 
-    var(J) = <J^2> - <J>^2 for J1 = (cos(psi/2) sigma_x - sin(psi/2) sigma_y) / 2,
-    J2 = (sin(psi/2) sigma_x + cos(psi/2) sigma_y) / 2, and bound = <Jz>^2 / 4.
+    var(J) = <J^2> - <J>^2 for J1 and J2 of rotated_spin_operators, and bound = <Jz>^2 / 4.
     """
     state = np.asarray(state, dtype=complex)
-    c, s = np.cos(psi / 2), np.sin(psi / 2)
-    j1, j2, jz = 0.5 * (c * SIGMA_X - s * SIGMA_Y), 0.5 * (s * SIGMA_X + c * SIGMA_Y), 0.5 * SIGMA_Z
+    j1, j2, jz = rotated_spin_operators(psi)
 
     def moments(op):
         mean = np.vdot(state, op @ state).real
@@ -214,10 +218,17 @@ def measurement_modified_rhs(bath: BathParams, d: Direction, rho: np.ndarray) ->
 def find_zeno_directions_grid(bath: BathParams, n_theta: int = 256, n_phi: int = 256):
     """Locate the survival-functional maxima by grid scan plus local polish.
 
-    The independent check of the closed-form zeno_directions. Returns a
-    list of (Direction, F value), one per local maximum found (the global
-    maximum and any grid point within 1e-9 of it).
+    The independent check of the closed-form zeno_directions. The polish reads
+    F = mu . (A mu + c) / 2 with (A, c) from oracle_bloch_rates, not the package's
+    closed form. Returns a list of (Direction, F value), one per local maximum
+    found (the global maximum and any grid point within 1e-9 of it).
     """
+    a, c = oracle_bloch_rates(bath)
+
+    def survival_functional(x):
+        mu = Direction(float(np.clip(x[0], 0, np.pi)), float(x[1])).unit_vector
+        return 0.5 * float(mu @ (a @ mu + c))
+
     thetas, phis, f = survival_functional_grid(bath, n_theta, n_phi)
     fmax = f.max()
     candidates = np.argwhere(f >= fmax - 1e-9 * max(1.0, abs(fmax)))
@@ -234,16 +245,14 @@ def find_zeno_directions_grid(bath: BathParams, n_theta: int = 256, n_phi: int =
         ):
             continue
         res = minimize(
-            lambda x: -survival_functional_F(
-                bath, Direction(float(np.clip(x[0], 0, np.pi)), float(x[1]))
-            ),
+            lambda x: -survival_functional(x),
             x0=[th, ph],
             method="Nelder-Mead",
             options={"xatol": 1e-12, "fatol": 1e-14},
         )
         th, ph = float(np.clip(res.x[0], 0, np.pi)), float(res.x[1])
         d = Direction(th, ph)
-        results.append((d, survival_functional_F(bath, d)))
+        results.append((d, survival_functional(res.x)))
     return results
 
 

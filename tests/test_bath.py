@@ -5,10 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from squeezed_zeno import (
-    GROUND,
     BathParams,
-    SIGMA_MINUS,
-    SIGMA_PLUS,
     bloch_rates,
     lindblad_s_operator,
     maximal_m,
@@ -18,6 +15,7 @@ from squeezed_zeno import (
     zeno_states,
 )
 from squeezed_zeno.errors import ParameterError
+from squeezed_zeno.pauli import GROUND, SIGMA_MINUS, SIGMA_PLUS
 
 from oracles import liouvillian, liouvillian_from_s, oracle_bloch_rates
 

@@ -1,9 +1,11 @@
 import contextlib
 import importlib
+import inspect
 import io
 import json
 import os
 import pkgutil
+import re
 import shlex
 import subprocess
 import sys
@@ -16,8 +18,6 @@ from hypothesis import strategies as st
 
 import squeezed_zeno
 from squeezed_zeno import (
-    SIGMA_MINUS,
-    SIGMA_PLUS,
     BathParams,
     Direction,
     maximal_m,
@@ -32,6 +32,7 @@ from squeezed_zeno.cli import (
     resolve_direction,
     resolve_state,
 )
+from squeezed_zeno.pauli import SIGMA_MINUS, SIGMA_PLUS
 
 from oracles import (
     expm_propagator,
@@ -377,7 +378,7 @@ KEY_VALUES = {
     "M": (st.one_of(st.just("maximal"), st.floats(0.0, 1.0)), ["1e9", '"max"'] + NOT_A_NUMBER),
     "psi": (st.floats(-10.0, 10.0), NOT_A_NUMBER),
     "seed": (st.integers(0, 2**64 - 1), ["-1", "1.5", "true"]),
-    "format": (st.sampled_from(["csv", "json"]), ['"xml"', "1"]),
+    "format": (st.sampled_from(["csv", "json"]), ['"xml"', "1", "[1]", "{}"]),
     "out": (st.nothing(), ["1", "null", '""']),
     "n_theta": (st.integers(1, 24), NOT_A_COUNT),
     "n_phi": (st.integers(1, 24), NOT_A_COUNT),
@@ -466,6 +467,53 @@ def assert_exact_survival_holds(config: dict, p_exact: np.ndarray):
     tolerance = spread + 2 * EPS * np.maximum(p_exact, np.abs(expected))
     tolerance += 2 * np.finfo(float).smallest_subnormal
     assert np.all(np.abs(p_exact - expected) <= tolerance), (p, p_exact[1])
+
+
+def assert_laws_hold(config: dict, table: dict):
+    """P_first_order and P_second_order against their exponential laws in 50 digits, and
+    the Monte Carlo columns against their definitions.
+
+    With v the Bloch vector of the state and (A, c) from oracle_bloch_rates, the first-order
+    law decays at r1 = min(v . (A v + c) / 2, 0) and the second-order law, where printed, at
+    r2 = min(v . A (A v + c) dt / 4, 0). Both sides form each rate from terms of size up to
+    z = gamma(2N+1), or z^2 for r2, each rounded to a few eps of its size, not of the rate,
+    which vanishes for a frozen state. A rate off by d moves exp(r t) by a relative d t: with
+    x = z t and y = z dt, a few eps x for P_first_order and a few eps x y for P_second_order.
+    At a subnormal gamma each term is rounded to a multiple of the smallest subnormal, which
+    t (and dt) multiply. Each side rounds once more, within 2 eps. In 15 000 random draws
+    the worst was 1.1 eps (1 + x) and 0.5 eps (1 + x y) relative; 16 eps is allowed, plus
+    64 times the smallest subnormal times t, or dt t, relative, and 2 of it absolute.
+
+    P_mc starts at 1, as every trajectory is alive before the first measurement, and
+    P_mc_stderr is the binomial standard error sqrt(P_mc (1 - P_mc) / n_traj) of the printed
+    P_mc, which is exact in both formats: equal but for the order of its operations, 1 eps.
+    """
+    config = dict(DEFAULTS, **config)
+    bath = bath_from_config(config)
+    v = pure_state_bloch(STATES[config["state"]](bath))
+    a, c = oracle_bloch_rates(bath)
+    t, dt = table["t"], config["dt"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        r1 = min(0.5 * v @ (a @ v + c), 0.0)
+        r2 = min(0.25 * v @ a @ (a @ v + c) * dt, 0.0)
+        x = bath.gamma * (2 * bath.n + 1) * t
+        y = bath.gamma * (2 * bath.n + 1) * dt
+        checks = [("P_first_order", r1, 16 * EPS * (1 + x) + 64 * TINY * t)]
+        if not np.all(np.isnan(table["P_second_order"])):
+            # x y is 0 at t = 0, also where y overflows.
+            xy = np.where(t > 0, x * y, 0.0)
+            checks.append(("P_second_order", r2, 16 * EPS * (1 + xy) + 64 * TINY * dt * t))
+        for name, rate, relative in checks:
+            # exp(rate t) in 50 digits; 1 at t = 0, also for an infinite rate.
+            expected = np.array([mp_relax(1.0, -rate, time) if time else 1.0 for time in t])
+            scale = np.maximum(table[name], expected)
+            tolerance = np.where(scale > 0, relative * scale, 0.0) + 2 * TINY
+            assert np.all(np.abs(table[name] - expected) <= tolerance), (name, rate)
+    if config["n_traj"]:
+        p_mc = table["P_mc"]
+        assert p_mc[0] == 1.0
+        stderr = np.sqrt(p_mc * (1.0 - p_mc) / config["n_traj"])
+        assert np.all(np.abs(table["P_mc_stderr"] - stderr) <= EPS * stderr)
 
 
 def assert_evolve_holds(config: dict, table: dict):
@@ -636,6 +684,7 @@ class TestCliInvariants:
             assert len(table["t"]) == config["count"] + 1
             assert_survival_invariants(table)
             assert_exact_survival_holds(config, table["P_exact"])
+            assert_laws_hold(config, table)
 
 class TestIntelligent:
     def test_report_n1(self, tmp_path):
@@ -880,6 +929,13 @@ REMOVED_NAMES = (
     "validate_density_matrix",
     "TimeSeries",
     "SurvivalCurve",
+    "survival_functional_F",
+    "_first_order_rate",
+    "measured_coefficients",
+    "rotated_j_operators",
+    "J_X",
+    "J_Y",
+    "J_Z",
 )
 
 
@@ -891,6 +947,30 @@ def test_removed_name_stays_removed(name):
     ]
     for module in modules:
         assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def public_names() -> set:
+    """The names of squeezed_zeno without a leading underscore, its submodules excepted."""
+    return {
+        name
+        for name, value in vars(squeezed_zeno).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+
+
+def test_public_names_are_readmes_list():
+    section = (ROOT / "README.md").read_text().split("\n## Public API\n", 1)[1]
+    items = section.split("\n- ", 1)[1].split("\n\n", 1)[0]
+    listed = re.findall(r"`([A-Za-z_]\w*)`", items)
+    assert len(listed) == len(set(listed))
+    assert set(listed) == public_names()
+
+
+def test_no_stray_module_at_the_top_level():
+    # Such as os and numpy, which the package imports while it loads.
+    for name, value in vars(squeezed_zeno).items():
+        if not name.startswith("_") and inspect.ismodule(value):
+            assert value.__name__ == f"squeezed_zeno.{name}", name
 
 
 def readme_examples():

@@ -3,23 +3,20 @@ import pytest
 
 from squeezed_zeno import (
     BathParams,
-    GROUND,
     factorization_residual,
     lindblad_s_operator,
     s_eigensystem,
     uncertainty_product,
     zeno_states,
 )
+from squeezed_zeno.bath import to_mode_frame
 from squeezed_zeno.errors import ParameterError
-from squeezed_zeno.intelligent import (
-    J_X,
-    J_Y,
-    J_Z,
-    j_minus_alpha,
-    rotated_j_operators,
-)
+from squeezed_zeno.intelligent import j_minus_alpha
+from squeezed_zeno.pauli import GROUND, SIGMA_X, SIGMA_Y, SIGMA_Z
 
-from oracles import eig_s_eigensystem, moment_uncertainty_product
+from oracles import eig_s_eigensystem, moment_uncertainty_product, rotated_spin_operators
+
+J_X, J_Y, J_Z = 0.5 * SIGMA_X, 0.5 * SIGMA_Y, 0.5 * SIGMA_Z
 
 
 def haar_random_states(n, seed=0):
@@ -85,21 +82,22 @@ class TestSEigensystem:
 
 
 class TestRotatedJOperators:
+    """J1 and J2 as j_minus_alpha forms them: the mode-frame rotation of Jx and Jy."""
+
     def test_psi_zero(self):
-        j1, j2, jz = rotated_j_operators(0.0)
+        j1, j2 = to_mode_frame(0.0, J_X, J_Y)
         assert np.allclose(j1, J_X)
         assert np.allclose(j2, J_Y)
-        assert np.allclose(jz, J_Z)
 
     def test_psi_pi(self):
-        j1, j2, _ = rotated_j_operators(np.pi)
+        j1, j2 = to_mode_frame(np.pi, J_X, J_Y)
         assert np.allclose(j1, -J_Y, atol=1e-15)
         assert np.allclose(j2, J_X, atol=1e-15)
 
     def test_commutator_and_squares(self):
         for psi in (0.0, 0.7, np.pi, 5.1):
-            j1, j2, jz = rotated_j_operators(psi)
-            assert np.max(np.abs(j1 @ j2 - j2 @ j1 - 1j * jz)) < 1e-13
+            j1, j2 = to_mode_frame(psi, J_X, J_Y)
+            assert np.max(np.abs(j1 @ j2 - j2 @ j1 - 1j * J_Z)) < 1e-13
             assert np.max(np.abs(j1 @ j1 - np.eye(2) / 4)) < 1e-13
             assert np.max(np.abs(j2 @ j2 - np.eye(2) / 4)) < 1e-13
 
@@ -107,7 +105,7 @@ class TestRotatedJOperators:
         from scipy.linalg import expm
 
         for psi in (0.4, 2.0):
-            j1, j2, _ = rotated_j_operators(psi)
+            j1, j2 = to_mode_frame(psi, J_X, J_Y)
             u = expm(1j * (psi / 2) * J_Z)  # rotation by psi/2 about z
             assert np.max(np.abs(u @ J_X @ u.conj().T - j1)) < 1e-13
             assert np.max(np.abs(u @ J_Y @ u.conj().T - j2)) < 1e-13
@@ -127,7 +125,7 @@ class TestJMinusAlpha:
     def test_factorization_chain(self):
         # S = e^{i psi/2} e^{-r} (J1 - i alpha J2) = 2 lambda_+ J_-(alpha)
         b = BathParams.maximal(1.0, 1.7, 0.9)
-        j1, j2, _ = rotated_j_operators(b.psi)
+        j1, j2, _ = rotated_spin_operators(b.psi)
         s = lindblad_s_operator(b)
         middle = (
             np.exp(1j * b.psi / 2)

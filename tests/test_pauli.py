@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from squeezed_zeno import (
+from squeezed_zeno.pauli import (
     Direction,
     EXCITED,
     GROUND,

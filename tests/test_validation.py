@@ -58,6 +58,12 @@ def run_cli(capsys, command, *items):
         ("intelligent", 'gamma="1"', "gamma"),
         ("evolve", 'state=[0,"a",0]', "state"),
         ("evolve", "measure=[1,null]", "measure"),
+        ("evolve", "format=[1]", "format"),
+        ("evolve", "format={}", "format"),
+        # Text that json cannot take, too deep or (from Python 3.11 on) too many digits for
+        # int(), is kept as text, as is any text that is not JSON.
+        pytest.param("zeno", "count=" + "[" * 50000 + "]" * 50000, "count", id="count-too-deep"),
+        pytest.param("zeno", "count=" + "1" * 5000, "count", id="count-5000-digits"),
     ],
 )
 def test_non_numeric_value_is_config_error(capsys, command, item, key):
@@ -303,6 +309,33 @@ def test_flags_and_keys_checked_with_the_config(capsys, argv):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("config error: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        # UTF-16 with a byte-order mark, which is not UTF-8.
+        ("{}".encode("utf-16"), "is not valid JSON: 'utf-8' codec can't decode byte 0xff"),
+        (b'{"psi": "\xe9"}', "is not valid JSON: 'utf-8' codec can't decode byte 0xe9"),
+        # A list or object is not hashable, so it could not be looked up as a format name.
+        (b'{"format": [1]}', "format must be csv or json, got [1]"),
+        (b'{"format": {}}', "format must be csv or json, got {}"),
+        (b"[" * 50000 + b"]" * 50000, "is not valid JSON: maximum recursion depth exceeded"),
+        # int() takes at most 4300 digits from Python 3.11 on; before, count's maximum applies.
+        (b'{"count": ' + b"1" * 5000 + b"}", ""),
+    ],
+    ids=["utf-16", "latin-1", "format-list", "format-object", "too-deep", "5000-digits"],
+)
+def test_config_file_errors(capsys, tmp_path, content, message):
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    code = main(["zeno", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
+    assert message in captured.err
     assert captured.err.count("\n") == 1
 
 

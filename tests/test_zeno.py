@@ -21,7 +21,6 @@ from squeezed_zeno import (
     repeated_measurement_survival,
     second_order_rate,
     step_survival_probability,
-    survival_functional_F,
     survival_functional_grid,
     survival_laws,
     survival_rate,
@@ -29,8 +28,9 @@ from squeezed_zeno import (
     zeno_states,
 )
 from squeezed_zeno.errors import ParameterError
+from squeezed_zeno.zeno import ZenoDirections
 
-from oracles import find_zeno_directions_grid, per_trajectory_survival
+from oracles import find_zeno_directions_grid, oracle_bloch_rates, per_trajectory_survival
 
 EPS = np.finfo(float).eps
 
@@ -53,26 +53,31 @@ class TestSurvivalRate:
         assert survival_rate(b, EXCITED) == pytest.approx(-1.0, abs=1e-13)
 
 
+def survival_functional(b, d):
+    """F at d: the survival rate of the +1 eigenstate of sigma . mu_hat."""
+    return survival_rate(b, eigenstates_mu(d)[0])
+
+
 class TestSurvivalFunctional:
     def test_matches_survival_rate(self):
+        # That eigenstate has Bloch vector mu, so F = mu . (A mu + c) / 2 of the oracle's (A, c).
         rng = np.random.default_rng(15)
         b = BathParams.maximal(1.0, 1.3, 0.8)
+        a, c = oracle_bloch_rates(b)
         for _ in range(25):
             d = Direction(np.arccos(rng.uniform(-1, 1)), rng.uniform(0, 2 * np.pi))
-            plus, _ = eigenstates_mu(d)
-            assert survival_functional_F(b, d) == pytest.approx(
-                survival_rate(b, plus), abs=1e-12
-            )
+            mu = d.unit_vector
+            assert survival_functional(b, d) == pytest.approx(0.5 * mu @ (a @ mu + c), abs=1e-12)
 
     def test_zero_at_maxima(self):
         b = BathParams.maximal(1.0, 1.0, 0.0)
         zd = zeno_directions(b)
-        assert abs(survival_functional_F(b, zd.mu1)) < 1e-12
-        assert abs(survival_functional_F(b, zd.mu2)) < 1e-12
+        assert abs(survival_functional(b, zd.mu1)) < 1e-12
+        assert abs(survival_functional(b, zd.mu2)) < 1e-12
 
     def test_negative_at_north_pole(self):
         b = BathParams.maximal(1.0, 1.0, 0.0)
-        assert survival_functional_F(b, Direction(0.0, 0.0)) < -0.5
+        assert survival_functional(b, Direction(0.0, 0.0)) < -0.5
 
     def test_nonpositive_on_grid(self):
         for n, psi in [(0.5, 0.0), (1.0, np.pi / 3), (2.0, np.pi), (5.0, 4.7)]:
@@ -113,7 +118,7 @@ class TestSurvivalFunctionalMaximum:
         tol = 4 * EPS * b.gamma * (2 * b.n + 1)
         zd = zeno_directions(b)
         for d in (zd.mu1, zd.mu2):
-            assert abs(survival_functional_F(b, d) - f_max) <= tol
+            assert abs(survival_functional(b, d) - f_max) <= tol
         _, _, f = survival_functional_grid(b, 16, 16)
         assert f.max() <= f_max + tol
 
@@ -140,13 +145,14 @@ class TestSurvivalFunctionalGridPeriod:
         # |dF/dphi| = sin^2(theta) |q'(phi)| / 2 <= (fast - slow) / 2 <= z / 2 moves F by at
         # most 1.5 pi eps z < 5 eps z. The worst of 1500 random draws was 2.4 eps z.
         tol = 8 * EPS * b.gamma * (2 * b.n + 1)
-        expected = [[survival_functional_F(b, Direction(t, p)) for p in phis] for t in thetas]
+        expected = [[survival_functional(b, Direction(t, p)) for p in phis] for t in thetas]
         assert np.max(np.abs(f - expected)) <= tol
 
 
 class TestZenoDirections:
     def test_closed_form_n1_psi0(self):
         zd = zeno_directions(BathParams.maximal(1.0, 1.0, 0.0))
+        assert isinstance(zd, ZenoDirections)
         assert zd.mu1.phi == pytest.approx(np.pi / 2)
         assert zd.mu2.phi == pytest.approx(3 * np.pi / 2)
         assert np.cos(zd.theta) == pytest.approx(-1 / (2 * (1.5 + np.sqrt(2))))
@@ -376,7 +382,7 @@ class TestFrozenAtStrongSqueezing:
         grid = TimeGrid(1e3 / slow, 4)
         for state, direction in zip(zeno_states(b), (zd.mu1, zd.mu2)):
             assert abs(survival_rate(b, state)) <= rate_tol
-            assert abs(survival_functional_F(b, direction)) <= rate_tol
+            assert abs(survival_functional(b, direction)) <= rate_tol
             assert second_order_rate(b, state, 0.01) <= 0.0
             _, second = checked_survival_laws(b, state, MeasurementSchedule(0.01, 3))
             assert np.all(np.diff(second) <= 0.0)

@@ -4,45 +4,54 @@ the frozen states.
 
 Units: hbar = 1; rates in units of the vacuum decay constant gamma unless
 stated otherwise.
+
+The public names load their submodule, and with it numpy, on first access, so
+importing the package (or its CLI) costs no numpy until something computes.
 """
 
-import os as _os
+from importlib import import_module as _import_module
 
-# The package's arrays are 2x2 and 3x3, and its largest product, evolve's
-# (n, 3) @ (3,), takes as long on one thread as on two. OpenBLAS starts its
-# worker threads when numpy loads and reads OPENBLAS_NUM_THREADS only then, so
-# load numpy with one thread unless the user chose a count, and leave the
-# environment as it was for child processes.
-if "OPENBLAS_NUM_THREADS" not in _os.environ:
-    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        import numpy as _numpy  # noqa: F401
-    finally:
-        del _os.environ["OPENBLAS_NUM_THREADS"]
-
-from .bath import BathParams, bloch_rates, lindblad_s_operator, maximal_m
-from .dynamics import TimeGrid, analytic_free, evolve_free, evolve_measured, relax
-from .errors import InvalidStateError, ParameterError, SqueezedZenoError
-from .intelligent import factorization_residual, s_eigensystem, uncertainty_product
-from .pauli import (
-    Direction,
-    bloch_vector,
-    eigenstates_mu,
-    matrix_to_bloch,
-    pure_state_bloch,
-    pure_state_matrix,
-)
-from .zeno import (
-    MeasurementSchedule,
-    monte_carlo_survival,
-    repeated_measurement_survival,
-    second_order_rate,
-    step_survival_probability,
-    survival_functional_grid,
-    survival_laws,
-    survival_rate,
-    zeno_directions,
-    zeno_states,
-)
+# Submodule -> the public names it defines.
+_PUBLIC = {
+    "bath": ("BathParams", "bloch_rates", "lindblad_s_operator", "maximal_m"),
+    "dynamics": ("TimeGrid", "analytic_free", "evolve_free", "evolve_measured", "relax"),
+    "errors": ("InvalidStateError", "ParameterError", "SqueezedZenoError"),
+    "intelligent": ("factorization_residual", "s_eigensystem", "uncertainty_product"),
+    "pauli": (
+        "Direction",
+        "bloch_vector",
+        "eigenstates_mu",
+        "matrix_to_bloch",
+        "pure_state_bloch",
+        "pure_state_matrix",
+    ),
+    "zeno": (
+        "MeasurementSchedule",
+        "monte_carlo_survival",
+        "repeated_measurement_survival",
+        "second_order_rate",
+        "step_survival_probability",
+        "survival_functional_grid",
+        "survival_laws",
+        "survival_rate",
+        "zeno_directions",
+        "zeno_states",
+    ),
+}
+_SUBMODULE = {name: module for module, names in _PUBLIC.items() for name in names}
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """A public name, from its submodule, which loads on the first access (PEP 562)."""
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f"{__name__}.{_SUBMODULE[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    """The module's globals and every public name, loaded or not."""
+    return sorted(set(globals()) | set(_SUBMODULE))

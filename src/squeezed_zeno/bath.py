@@ -10,8 +10,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-import numpy as np
-
+from ._numpy import np
 from .errors import ParameterError
 from .pauli import SIGMA_MINUS, SIGMA_PLUS
 

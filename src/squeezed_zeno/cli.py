@@ -12,38 +12,17 @@ config (including the seed). Exit codes: 0 success, 2 config error,
 3 numeric contract violation, 4 I/O error.
 """
 
+from __future__ import annotations
+
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
 from typing import Callable, NamedTuple
 
-import numpy as np
-
-from . import (
-    BathParams,
-    Direction,
-    MeasurementSchedule,
-    SqueezedZenoError,
-    TimeGrid,
-    bloch_vector,
-    evolve_free,
-    evolve_measured,
-    factorization_residual,
-    maximal_m,
-    monte_carlo_survival,
-    pure_state_bloch,
-    repeated_measurement_survival,
-    s_eigensystem,
-    survival_functional_grid,
-    survival_laws,
-    uncertainty_product,
-    zeno_directions,
-    zeno_states,
-)
-from .errors import InvalidStateError, ParameterError
-from .pauli import EXCITED, GROUND
+from .errors import InvalidStateError, ParameterError, SqueezedZenoError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -181,6 +160,51 @@ def load_config(path: str | None, overrides, command: str, flags=None) -> dict:
     return merged
 
 
+def _bind_compute():
+    """Bind numpy and the compute layers' names into this module, on the first call only.
+
+    Importing cli loads no numpy, so --help, usage errors and config errors exit
+    without it. main binds once the config is checked, and each entry that a caller
+    may reach before any command binds first (_computes). The names stay attributes
+    of this module, bound once: a caller that replaces one, as a tracer wrapping
+    them does, keeps its replacement for later commands.
+    """
+    global np, EXCITED, GROUND, BathParams, Direction, MeasurementSchedule, TimeGrid
+    global bloch_vector, evolve_free, evolve_measured, factorization_residual, maximal_m
+    global monte_carlo_survival, pure_state_bloch, repeated_measurement_survival
+    global s_eigensystem, survival_functional_grid, survival_laws, uncertainty_product
+    global zeno_directions, zeno_states
+    if "np" in globals():
+        return
+    from .bath import BathParams, maximal_m
+    from .dynamics import TimeGrid, evolve_free, evolve_measured
+    from .intelligent import factorization_residual, s_eigensystem, uncertainty_product
+    from .pauli import EXCITED, GROUND, Direction, bloch_vector, pure_state_bloch
+    from .zeno import (
+        MeasurementSchedule,
+        monte_carlo_survival,
+        repeated_measurement_survival,
+        survival_functional_grid,
+        survival_laws,
+        zeno_directions,
+        zeno_states,
+    )
+    # Last, since its name marks the others bound.
+    from ._numpy import np
+
+
+def _computes(fn):
+    """fn, binding the compute names before it runs: an entry reachable before any command."""
+
+    @functools.wraps(fn)
+    def entry(*args, **kwargs):
+        _bind_compute()
+        return fn(*args, **kwargs)
+
+    return entry
+
+
+@_computes
 def bath_from_config(config: dict) -> BathParams:
     n, m = config["N"], config["M"]
     return BathParams(
@@ -195,10 +219,12 @@ def bath_from_config(config: dict) -> BathParams:
 # orthogonal to it at every M, with exactly the opposite Bloch vector, and at maximal
 # squeezing the -1 eigenstate of sigma . mu1.
 STATES = {
-    "excited": lambda bath: EXCITED,
-    "ground": lambda bath: GROUND,
-    "zeno-plus": lambda bath: zeno_states(bath)[0],
-    "zeno-minus": lambda bath: (lambda a, b: np.array([-b, a]).conj())(*zeno_states(bath)[0]),
+    "excited": _computes(lambda bath: EXCITED),
+    "ground": _computes(lambda bath: GROUND),
+    "zeno-plus": _computes(lambda bath: zeno_states(bath)[0]),
+    "zeno-minus": _computes(
+        lambda bath: (lambda a, b: np.array([-b, a]).conj())(*zeno_states(bath)[0])
+    ),
 }
 
 DIRECTIONS = {
@@ -218,6 +244,7 @@ def _named(table: dict, kind: str, name: str):
     return table[name]
 
 
+@_computes
 def resolve_direction(spec, bath: BathParams) -> Direction:
     """Measurement direction from a name in DIRECTIONS or an explicit [theta, phi]."""
     if isinstance(spec, str):
@@ -227,6 +254,7 @@ def resolve_direction(spec, bath: BathParams) -> Direction:
     raise ConfigError(f"direction must be a name or [theta, phi], got {spec!r}")
 
 
+@_computes
 def resolve_state(spec, bath: BathParams) -> np.ndarray:
     """Initial Bloch vector from a name in STATES or an explicit [x, y, z]."""
     if isinstance(spec, str):
@@ -280,6 +308,7 @@ _FORMATS = {
 }
 
 
+@_computes
 def write_table(path: str | None, table: dict, fmt: str):
     """Write named float columns as CSV or JSON {"columns", "rows"}, a block of rows at a time.
 
@@ -507,6 +536,7 @@ def main(argv=None) -> int:
     flags = {key: getattr(args, key) for key in ("out", "format") if getattr(args, key) is not None}
     try:
         config = load_config(args.config, args.overrides, args.command, flags)
+        _bind_compute()
         return COMMANDS[args.command](config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

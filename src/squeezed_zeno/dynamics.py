@@ -6,8 +6,7 @@ of a spin component leaves one relaxing expectation value: one law (relax) serve
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .bath import BathParams, generator_terms, to_mode_frame
 from .errors import ParameterError
 from .pauli import Direction, bloch_vector

@@ -9,8 +9,7 @@ alpha = e^{2r} of that operator is BathParams.squeeze_ratio.
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .bath import BathParams, _require_maximal, lindblad_s_operator, to_mode_frame
 from .errors import ParameterError
 from .pauli import GROUND, SIGMA_X, SIGMA_Y, pure_state_bloch

@@ -11,8 +11,7 @@ sigma_z |+-> = +-|+-> and the lowering operator sends |+> to |->.
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .errors import InvalidStateError
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -11,8 +11,7 @@ eigenstate has Bloch vector mu, so F = mu . (A mu + c) / 2 (<= 0).
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .bath import BathParams, generator_terms
 from .dynamics import analytic_free, relax
 from .errors import ParameterError

@@ -20,6 +20,7 @@ import squeezed_zeno
 from squeezed_zeno import (
     BathParams,
     Direction,
+    cli,
     maximal_m,
     pure_state_bloch,
 )
@@ -779,19 +780,53 @@ SMALL_RUNS = (
 TEST_EXTRA_MODULES = ("scipy", "mpmath", "hypothesis", "pytest", "_pytest")
 
 
-def test_cli_import_loads_no_scipy():
-    # Importing the CLI and running every subcommand loads numpy alone, and no
-    # module of the test extra, on one thread unless OPENBLAS_NUM_THREADS chose a
-    # count, and leaves the environment as it was.
+# argv of a usage error (argparse's SystemExit 2) or a config error (main returns 2), each
+# caught before the command computes; {missing} and {invalid} are config file paths.
+CONFIG_ERRORS = (
+    ["bogus"],
+    ["evolve", "--set", "N"],
+    ["zeno", "--set", "bogus=1"],
+    ["evolve", "--set", "gamma=NaN"],
+    ["zeno", "--set", "count=0"],
+    ["evolve", "--format", "xml"],
+    ["evolve", "--out", ""],
+    ["evolve", "--config", "{missing}"],
+    ["evolve", "--config", "{invalid}"],
+)
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    # Importing the package and the CLI, --help, and every usage or config error load
+    # no numpy. Running every subcommand then loads numpy alone, and no module of the
+    # test extra, on one thread unless OPENBLAS_NUM_THREADS chose a count, and leaves
+    # the environment as it was.
     src = ROOT / "src"
+    invalid = tmp_path / "invalid.json"
+    invalid.write_text("{")
+    paths = {"missing": str(tmp_path / "missing.json"), "invalid": str(invalid)}
+    errors = [[arg.format(**paths) for arg in argv] for argv in CONFIG_ERRORS]
     script = (
         "import contextlib, io, os, sys\n"
         "import squeezed_zeno\n"
         "from squeezed_zeno.cli import main\n"
+        "assert 'BathParams' in dir(squeezed_zeno)\n"
+        "assert 'numpy' not in sys.modules, 'import'\n"
+        "def code(argv):\n"
+        "    try:\n"
+        "        with contextlib.redirect_stdout(io.StringIO()):\n"
+        "            with contextlib.redirect_stderr(io.StringIO()):\n"
+        "                return main(argv)\n"
+        "    except SystemExit as exc:\n"
+        "        return exc.code\n"
+        "assert code(['--help']) == 0\n"
+        "assert 'numpy' not in sys.modules, '--help'\n"
+        f"for argv in {errors!r}:\n"
+        "    assert code(argv) == 2, argv\n"
+        "    assert 'numpy' not in sys.modules, argv\n"
         f"for argv in {SMALL_RUNS!r}:\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert main(argv) == 0, argv\n"
+        "    assert code(argv) == 0, argv\n"
         f"print(sorted(m for m in sys.modules if m.partition('.')[0] in {TEST_EXTRA_MODULES!r}))\n"
+        "print('numpy' in sys.modules)\n"
         "tasks = '/proc/self/task'\n"
         "print(len(os.listdir(tasks)) if os.path.isdir(tasks) else None)\n"
         "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
@@ -807,13 +842,86 @@ def test_cli_import_loads_no_scipy():
             capture_output=True,
             text=True,
             timeout=120,
-            check=True,
         )
-        modules, threads, blas_env = proc.stdout.splitlines()
+        assert proc.returncode == 0, proc.stderr
+        modules, numpy_loaded, threads, blas_env = proc.stdout.splitlines()
         assert modules == "[]"
+        assert numpy_loaded == "True"
         assert blas_env == str(blas_threads)
         if blas_threads is None and threads != "None":
             assert threads == "1"
+
+
+# The functions that a tracer of the cli -> layer boundary wraps: cli.write_table and
+# each layer function that cli calls.
+BOUNDARY_FUNCTIONS = (
+    "bloch_vector",
+    "evolve_free",
+    "evolve_measured",
+    "factorization_residual",
+    "maximal_m",
+    "monte_carlo_survival",
+    "pure_state_bloch",
+    "repeated_measurement_survival",
+    "s_eigensystem",
+    "survival_functional_grid",
+    "survival_laws",
+    "uncertainty_product",
+    "write_table",
+    "zeno_directions",
+    "zeno_states",
+)
+
+
+def test_a_command_binds_the_boundary_functions_once(capsys, monkeypatch):
+    # After a command, each boundary function is a cli attribute, the layer's own
+    # object; one replaced there serves later commands, so the binding ran once.
+    assert main(["evolve", "--set", "n_steps=3"]) == 0
+    table = capsys.readouterr().out
+    for name in BOUNDARY_FUNCTIONS:
+        assert inspect.isfunction(vars(cli).get(name)), name
+        if name != "write_table":
+            assert vars(cli)[name] is getattr(squeezed_zeno, name), name
+    calls = []
+    evolve_free = cli.evolve_free
+
+    def spy(*args):
+        calls.append(args)
+        return evolve_free(*args)
+
+    monkeypatch.setattr(cli, "evolve_free", spy)
+    assert main(["evolve", "--set", "n_steps=3"]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == table
+
+
+BATH = "squeezed_zeno.BathParams.maximal(1.0, 1.0, 0.5)"
+# Calls of the cli entries that tests make directly, each with no command run before it.
+DIRECT_CALLS = {
+    "write_table": "cli.write_table(None, {'t': [0.0, 1.0], 'P': [1.0, 0.5]}, 'json')",
+    "resolve_state": f"cli.resolve_state('zeno-minus', {BATH})",
+    "resolve_state-vector": f"cli.resolve_state([0.0, 0.6, 0.8], {BATH})",
+    "resolve_direction": f"cli.resolve_direction('mu2', {BATH})",
+    "resolve_direction-angles": f"cli.resolve_direction([1.0, 2.0], {BATH})",
+    "bath_from_config": "cli.bath_from_config({'gamma': 1.0, 'N': 1.0, 'M': 'maximal', 'psi': 0.5})",
+    **{f"STATES-{name}": f"cli.STATES[{name!r}]({BATH})" for name in STATES},
+}
+
+
+@pytest.mark.parametrize("call", DIRECT_CALLS.values(), ids=DIRECT_CALLS)
+def test_cli_entry_works_before_any_command(call):
+    # In a fresh interpreter, the entry binds what it needs itself; it prints there
+    # what it prints and returns here.
+    script = f"import squeezed_zeno\nfrom squeezed_zeno import cli\nprint(repr({call}))\n"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        print(repr(eval(call, {"cli": cli, "squeezed_zeno": squeezed_zeno})))
+    assert proc.stdout == buffer.getvalue()
 
 
 def run_module(argv):
@@ -950,11 +1058,14 @@ def test_removed_name_stays_removed(name):
 
 
 def public_names() -> set:
-    """The names of squeezed_zeno without a leading underscore, its submodules excepted."""
+    """The names of squeezed_zeno without a leading underscore, its submodules excepted.
+
+    dir, not vars: a public name enters the module's dict only on first access.
+    """
     return {
         name
-        for name, value in vars(squeezed_zeno).items()
-        if not name.startswith("_") and not inspect.ismodule(value)
+        for name in dir(squeezed_zeno)
+        if not name.startswith("_") and not inspect.ismodule(getattr(squeezed_zeno, name))
     }
 
 
@@ -966,8 +1077,18 @@ def test_public_names_are_readmes_list():
     assert set(listed) == public_names()
 
 
+def test_public_names_are_their_submodules_objects():
+    # Each name resolves to the very object that the submodule defining it holds.
+    for name in public_names():
+        value = getattr(squeezed_zeno, name)
+        module = sys.modules[value.__module__]
+        assert module.__name__.startswith("squeezed_zeno."), name
+        assert value.__name__ == name
+        assert vars(module)[name] is value, name
+
+
 def test_no_stray_module_at_the_top_level():
-    # Such as os and numpy, which the package imports while it loads.
+    # Such as os or numpy, were the package to import one under a public name.
     for name, value in vars(squeezed_zeno).items():
         if not name.startswith("_") and inspect.ismodule(value):
             assert value.__name__ == f"squeezed_zeno.{name}", name

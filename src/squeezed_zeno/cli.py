@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import importlib
 import json
 import math
 import sys
@@ -160,8 +161,28 @@ def load_config(path: str | None, overrides, command: str, flags=None) -> dict:
     return merged
 
 
+# Submodule -> the names that the commands take from it, bound into this module by
+# _bind_compute. _numpy comes last, since its np marks the others bound.
+_COMPUTE_NAMES = {
+    "bath": ("BathParams", "maximal_m"),
+    "dynamics": ("TimeGrid", "evolve_free", "evolve_measured"),
+    "intelligent": ("factorization_residual", "s_eigensystem", "uncertainty_product"),
+    "pauli": ("EXCITED", "GROUND", "Direction", "bloch_vector", "pure_state_bloch"),
+    "zeno": (
+        "MeasurementSchedule",
+        "monte_carlo_survival",
+        "repeated_measurement_survival",
+        "survival_functional_grid",
+        "survival_laws",
+        "zeno_directions",
+        "zeno_states",
+    ),
+    "_numpy": ("np",),
+}
+
+
 def _bind_compute():
-    """Bind numpy and the compute layers' names into this module, on the first call only.
+    """Bind numpy and the compute layers' names (_COMPUTE_NAMES) into this module, once.
 
     Importing cli loads no numpy, so --help, usage errors and config errors exit
     without it. main binds once the config is checked, and each entry that a caller
@@ -169,28 +190,11 @@ def _bind_compute():
     of this module, bound once: a caller that replaces one, as a tracer wrapping
     them does, keeps its replacement for later commands.
     """
-    global np, EXCITED, GROUND, BathParams, Direction, MeasurementSchedule, TimeGrid
-    global bloch_vector, evolve_free, evolve_measured, factorization_residual, maximal_m
-    global monte_carlo_survival, pure_state_bloch, repeated_measurement_survival
-    global s_eigensystem, survival_functional_grid, survival_laws, uncertainty_product
-    global zeno_directions, zeno_states
     if "np" in globals():
         return
-    from .bath import BathParams, maximal_m
-    from .dynamics import TimeGrid, evolve_free, evolve_measured
-    from .intelligent import factorization_residual, s_eigensystem, uncertainty_product
-    from .pauli import EXCITED, GROUND, Direction, bloch_vector, pure_state_bloch
-    from .zeno import (
-        MeasurementSchedule,
-        monte_carlo_survival,
-        repeated_measurement_survival,
-        survival_functional_grid,
-        survival_laws,
-        zeno_directions,
-        zeno_states,
-    )
-    # Last, since its name marks the others bound.
-    from ._numpy import np
+    for module, names in _COMPUTE_NAMES.items():
+        layer = importlib.import_module(f".{module}", __package__)
+        globals().update((name, getattr(layer, name)) for name in names)
 
 
 def _computes(fn):

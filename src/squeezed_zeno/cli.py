@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
-import importlib
 import json
 import math
 import sys
@@ -161,54 +159,29 @@ def load_config(path: str | None, overrides, command: str, flags=None) -> dict:
     return merged
 
 
-# Submodule -> the names that the commands take from it, bound into this module by
-# _bind_compute. _numpy comes last, since its np marks the others bound.
-_COMPUTE_NAMES = {
-    "bath": ("BathParams", "maximal_m"),
-    "dynamics": ("TimeGrid", "evolve_free", "evolve_measured"),
-    "intelligent": ("factorization_residual", "s_eigensystem", "uncertainty_product"),
-    "pauli": ("EXCITED", "GROUND", "Direction", "bloch_vector", "pure_state_bloch"),
-    "zeno": (
-        "MeasurementSchedule",
-        "monte_carlo_survival",
-        "repeated_measurement_survival",
-        "survival_functional_grid",
-        "survival_laws",
-        "zeno_directions",
-        "zeno_states",
-    ),
-    "_numpy": ("np",),
-}
-
-
 def _bind_compute():
-    """Bind numpy and the compute layers' names (_COMPUTE_NAMES) into this module, once.
+    """Bind the package's public names, and np, EXCITED and GROUND, into this module, once.
 
     Importing cli loads no numpy, so --help, usage errors and config errors exit
-    without it. main binds once the config is checked, and each entry that a caller
-    may reach before any command binds first (_computes). The names stay attributes
-    of this module, bound once: a caller that replaces one, as a tracer wrapping
-    them does, keeps its replacement for later commands.
+    without it; main binds once the config is checked. The public names are those
+    of the package's table (_SUBMODULE), each loaded through the package. The names
+    stay attributes of this module, bound once: a caller that replaces one, as a
+    tracer wrapping them does, keeps its replacement for later commands. np comes
+    last, since it marks the others bound.
     """
     if "np" in globals():
         return
-    for module, names in _COMPUTE_NAMES.items():
-        layer = importlib.import_module(f".{module}", __package__)
-        globals().update((name, getattr(layer, name)) for name in names)
+    from . import _numpy, pauli
+
+    package = sys.modules[__package__]
+    globals().update(
+        {name: getattr(package, name) for name in package._SUBMODULE},
+        EXCITED=pauli.EXCITED,
+        GROUND=pauli.GROUND,
+        np=_numpy.np,
+    )
 
 
-def _computes(fn):
-    """fn, binding the compute names before it runs: an entry reachable before any command."""
-
-    @functools.wraps(fn)
-    def entry(*args, **kwargs):
-        _bind_compute()
-        return fn(*args, **kwargs)
-
-    return entry
-
-
-@_computes
 def bath_from_config(config: dict) -> BathParams:
     n, m = config["N"], config["M"]
     return BathParams(
@@ -223,12 +196,10 @@ def bath_from_config(config: dict) -> BathParams:
 # orthogonal to it at every M, with exactly the opposite Bloch vector, and at maximal
 # squeezing the -1 eigenstate of sigma . mu1.
 STATES = {
-    "excited": _computes(lambda bath: EXCITED),
-    "ground": _computes(lambda bath: GROUND),
-    "zeno-plus": _computes(lambda bath: zeno_states(bath)[0]),
-    "zeno-minus": _computes(
-        lambda bath: (lambda a, b: np.array([-b, a]).conj())(*zeno_states(bath)[0])
-    ),
+    "excited": lambda bath: EXCITED,
+    "ground": lambda bath: GROUND,
+    "zeno-plus": lambda bath: zeno_states(bath)[0],
+    "zeno-minus": lambda bath: (lambda a, b: np.array([-b, a]).conj())(*zeno_states(bath)[0]),
 }
 
 DIRECTIONS = {
@@ -248,7 +219,6 @@ def _named(table: dict, kind: str, name: str):
     return table[name]
 
 
-@_computes
 def resolve_direction(spec, bath: BathParams) -> Direction:
     """Measurement direction from a name in DIRECTIONS or an explicit [theta, phi]."""
     if isinstance(spec, str):
@@ -258,7 +228,6 @@ def resolve_direction(spec, bath: BathParams) -> Direction:
     raise ConfigError(f"direction must be a name or [theta, phi], got {spec!r}")
 
 
-@_computes
 def resolve_state(spec, bath: BathParams) -> np.ndarray:
     """Initial Bloch vector from a name in STATES or an explicit [x, y, z]."""
     if isinstance(spec, str):
@@ -312,7 +281,6 @@ _FORMATS = {
 }
 
 
-@_computes
 def write_table(path: str | None, table: dict, fmt: str):
     """Write named float columns as CSV or JSON {"columns", "rows"}, a block of rows at a time.
 

@@ -1,0 +1,9 @@
+import pytest
+
+from squeezed_zeno import cli
+
+
+@pytest.fixture(scope="session", autouse=True)
+def bound_cli():
+    """cli's compute names, which main binds, bound before any test calls a cli entry."""
+    cli._bind_compute()

@@ -278,6 +278,19 @@ def per_trajectory_survival(
     return counts
 
 
+def bernstein_bound(p_exact, n_traj: int, alpha: float) -> np.ndarray:
+    """Bound on |P_mc - P_exact| that a correct sampler exceeds at one point with probability
+    at most alpha.
+
+    Each of n_traj trajectories survives to a point on its own with probability P, so by
+    Bernstein's inequality |P_mc - P| <= sqrt(2 var u / n_traj) + 2u / (3 n_traj), with
+    var = P(1 - P), fails with probability at most alpha = 2 exp(-u).
+    """
+    u = np.log(2.0 / alpha)
+    var = np.clip(p_exact * (1.0 - p_exact), 0.0, None)
+    return np.sqrt(2.0 * var * u / n_traj) + 2.0 * u / (3.0 * n_traj)
+
+
 def reference_csv(columns, rows) -> str:
     """CSV text with every value formatted on its own by format(float(x), ".17g")."""
     lines = [",".join(columns)]

@@ -36,6 +36,7 @@ from squeezed_zeno.cli import (
 from squeezed_zeno.pauli import SIGMA_MINUS, SIGMA_PLUS
 
 from oracles import (
+    bernstein_bound,
     expm_propagator,
     find_zeno_directions_grid,
     moment_uncertainty_product,
@@ -485,9 +486,11 @@ def assert_laws_hold(config: dict, table: dict):
     the worst was 1.1 eps (1 + x) and 0.5 eps (1 + x y) relative; 16 eps is allowed, plus
     64 times the smallest subnormal times t, or dt t, relative, and 2 of it absolute.
 
-    P_mc starts at 1, as every trajectory is alive before the first measurement, and
-    P_mc_stderr is the binomial standard error sqrt(P_mc (1 - P_mc) / n_traj) of the printed
-    P_mc, which is exact in both formats: equal but for the order of its operations, 1 eps.
+    P_mc starts at 1, as every trajectory is alive before the first measurement, and lies
+    within bernstein_bound of P_exact at a false-alarm probability of 1e-10 per point, that
+    of bench/checks.py. P_mc_stderr is the binomial standard error
+    sqrt(P_mc (1 - P_mc) / n_traj) of the printed P_mc, which is exact in both formats:
+    equal but for the order of its operations, 1 eps.
     """
     config = dict(DEFAULTS, **config)
     bath = bath_from_config(config)
@@ -513,6 +516,8 @@ def assert_laws_hold(config: dict, table: dict):
     if config["n_traj"]:
         p_mc = table["P_mc"]
         assert p_mc[0] == 1.0
+        bound = bernstein_bound(table["P_exact"], config["n_traj"], 1e-10)
+        assert np.all(np.abs(p_mc - table["P_exact"]) <= bound)
         stderr = np.sqrt(p_mc * (1.0 - p_mc) / config["n_traj"])
         assert np.all(np.abs(table["P_mc_stderr"] - stderr) <= EPS * stderr)
 
@@ -874,14 +879,24 @@ BOUNDARY_FUNCTIONS = (
 
 
 def test_a_command_binds_the_boundary_functions_once(capsys, monkeypatch):
-    # After a command, each boundary function is a cli attribute, the layer's own
-    # object; one replaced there serves later commands, so the binding ran once.
+    # After a command, each boundary function and every public function of the
+    # package is a cli attribute, the package's own object, and so are np, EXCITED
+    # and GROUND; one replaced there serves later commands, so the binding ran once.
     assert main(["evolve", "--set", "n_steps=3"]) == 0
     table = capsys.readouterr().out
     for name in BOUNDARY_FUNCTIONS:
         assert inspect.isfunction(vars(cli).get(name)), name
-        if name != "write_table":
-            assert vars(cli)[name] is getattr(squeezed_zeno, name), name
+    public = [
+        name
+        for name in dir(squeezed_zeno)
+        if not name.startswith("_") and inspect.isfunction(getattr(squeezed_zeno, name))
+    ]
+    assert set(BOUNDARY_FUNCTIONS) - {"write_table"} <= set(public)
+    for name in public:
+        assert vars(cli).get(name) is getattr(squeezed_zeno, name), name
+    assert cli.np is np
+    assert cli.EXCITED is squeezed_zeno.pauli.EXCITED
+    assert cli.GROUND is squeezed_zeno.pauli.GROUND
     calls = []
     evolve_free = cli.evolve_free
 
@@ -893,35 +908,6 @@ def test_a_command_binds_the_boundary_functions_once(capsys, monkeypatch):
     assert main(["evolve", "--set", "n_steps=3"]) == 0
     assert len(calls) == 1
     assert capsys.readouterr().out == table
-
-
-BATH = "squeezed_zeno.BathParams.maximal(1.0, 1.0, 0.5)"
-# Calls of the cli entries that tests make directly, each with no command run before it.
-DIRECT_CALLS = {
-    "write_table": "cli.write_table(None, {'t': [0.0, 1.0], 'P': [1.0, 0.5]}, 'json')",
-    "resolve_state": f"cli.resolve_state('zeno-minus', {BATH})",
-    "resolve_state-vector": f"cli.resolve_state([0.0, 0.6, 0.8], {BATH})",
-    "resolve_direction": f"cli.resolve_direction('mu2', {BATH})",
-    "resolve_direction-angles": f"cli.resolve_direction([1.0, 2.0], {BATH})",
-    "bath_from_config": "cli.bath_from_config({'gamma': 1.0, 'N': 1.0, 'M': 'maximal', 'psi': 0.5})",
-    **{f"STATES-{name}": f"cli.STATES[{name!r}]({BATH})" for name in STATES},
-}
-
-
-@pytest.mark.parametrize("call", DIRECT_CALLS.values(), ids=DIRECT_CALLS)
-def test_cli_entry_works_before_any_command(call):
-    # In a fresh interpreter, the entry binds what it needs itself; it prints there
-    # what it prints and returns here.
-    script = f"import squeezed_zeno\nfrom squeezed_zeno import cli\nprint(repr({call}))\n"
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    buffer = io.StringIO()
-    with contextlib.redirect_stdout(buffer):
-        print(repr(eval(call, {"cli": cli, "squeezed_zeno": squeezed_zeno})))
-    assert proc.stdout == buffer.getvalue()
 
 
 def run_module(argv):

@@ -100,18 +100,42 @@ def test_library_rejects_non_finite(make, error):
 
 
 @pytest.mark.parametrize(
-    "make, match",
+    "make, error, match",
     [
         # A step below the smallest normal float: linspace repeats a time.
-        pytest.param(lambda: TimeGrid(5e-324, 2), "smallest normal", id="grid-5e-324-2"),
-        pytest.param(lambda: TimeGrid(1e-320, 2**22), "smallest normal", id="grid-1e-320-2**22"),
+        pytest.param(
+            lambda: TimeGrid(5e-324, 2), ParameterError, "smallest normal", id="grid-5e-324-2"
+        ),
+        pytest.param(
+            lambda: TimeGrid(1e-320, 2**22),
+            ParameterError,
+            "smallest normal",
+            id="grid-1e-320-2**22",
+        ),
         # The second-order rate squares gamma(2N+1).
-        pytest.param(lambda: BathParams(gamma=1e160, n=0.0, m=0.0), "rate", id="bath-gamma"),
-        pytest.param(lambda: BathParams.maximal(1e300, 1e10), "rate", id="bath-gamma-N"),
+        pytest.param(
+            lambda: BathParams(gamma=1e160, n=0.0, m=0.0), ParameterError, "rate", id="bath-gamma"
+        ),
+        pytest.param(
+            lambda: BathParams.maximal(1e300, 1e10), ParameterError, "rate", id="bath-gamma-N"
+        ),
+        # A pure state is two amplitudes of norm 1; each message is pinned whole.
+        pytest.param(
+            lambda: pure_state_bloch([1, 0, 0]),
+            InvalidStateError,
+            r"^a pure state is two amplitudes, got shape \(3,\)$",
+            id="state-three-amplitudes",
+        ),
+        pytest.param(
+            lambda: pure_state_bloch([1, 1]),
+            InvalidStateError,
+            r"^state norm 1\.4142135623730951 != 1$",
+            id="state-norm",
+        ),
     ],
 )
-def test_library_rejects_out_of_range(make, match):
-    with pytest.raises(ParameterError, match=match):
+def test_library_rejects_out_of_range(make, error, match):
+    with pytest.raises(error, match=match):
         make()
 
 
@@ -268,6 +292,19 @@ def test_request_size_caps(capsys, command, items, message):
             "config error: frozen states require n > 0 (else they degenerate)\n",
         ),
         ("evolve", "measure=[-1,0]", 2, "config error: theta must lie in [0, pi], got -1.0\n"),
+        # A state or direction that is neither a name nor a list of the right length.
+        (
+            "evolve",
+            "state=[0,1]",
+            2,
+            "config error: state must be a name or [x, y, z], got [0, 1]\n",
+        ),
+        (
+            "evolve",
+            "measure=[1,2,3]",
+            2,
+            "config error: direction must be a name or [theta, phi], got [1, 2, 3]\n",
+        ),
         ("evolve", "t_end=-2", 2, "config error: t_end must be positive and finite, got -2.0\n"),
         ("zeno", "dt=-2", 2, "config error: dt must be positive and finite, got -2.0\n"),
         (
@@ -324,8 +361,9 @@ def test_flags_and_keys_checked_with_the_config(capsys, argv):
         (b"[" * 50000 + b"]" * 50000, "is not valid JSON: maximum recursion depth exceeded"),
         # int() takes at most 4300 digits from Python 3.11 on; before, count's maximum applies.
         (b'{"count": ' + b"1" * 5000 + b"}", ""),
+        (b"[1]", "config error: config root must be a JSON object\n"),
     ],
-    ids=["utf-16", "latin-1", "format-list", "format-object", "too-deep", "5000-digits"],
+    ids=["utf-16", "latin-1", "format-list", "format-object", "too-deep", "5000-digits", "root-list"],
 )
 def test_config_file_errors(capsys, tmp_path, content, message):
     path = tmp_path / "config.json"

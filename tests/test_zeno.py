@@ -30,7 +30,12 @@ from squeezed_zeno import (
 from squeezed_zeno.errors import ParameterError
 from squeezed_zeno.zeno import ZenoDirections
 
-from oracles import find_zeno_directions_grid, oracle_bloch_rates, per_trajectory_survival
+from oracles import (
+    bernstein_bound,
+    find_zeno_directions_grid,
+    oracle_bloch_rates,
+    per_trajectory_survival,
+)
 
 EPS = np.finfo(float).eps
 
@@ -407,11 +412,10 @@ class TestMonteCarloSurvival:
         assert np.all(dev <= bound)
 
     def test_within_bernstein_bound_for_every_seed(self):
-        # Each trajectory survives k steps on its own with probability P = p^k, so
-        # |P_mc - P| <= sqrt(2 var u / n) + 2u / (3n), var = P(1 - P), fails at one
-        # point with probability at most alpha = 2 exp(-u) (Bernstein; the bound of
-        # bench/checks.py). alpha is split over every point of every seed, so the
-        # test fails for a correct sampler with probability below 1e-6 at any seed.
+        # Each trajectory survives k steps on its own with probability P = p^k, and
+        # bernstein_bound (the bound of bench/checks.py) fails at one point with
+        # probability at most alpha. alpha is split over every point of every seed, so
+        # the test fails for a correct sampler with probability below 1e-6 at any seed.
         cases = [
             (BathParams(gamma=1.0, n=0.0, m=0.0), EXCITED, MeasurementSchedule(0.05, 100)),
             (BathParams.maximal(1.0, 1.0, 0.0), EXCITED, MeasurementSchedule(0.02, 150)),
@@ -423,11 +427,9 @@ class TestMonteCarloSurvival:
         ]
         seeds, n_traj = range(1000, 1400), 100000
         points = len(seeds) * sum(sched.count for _, _, sched in cases)
-        u = np.log(2.0 / (1e-6 / points))
         for b, state, sched in cases:
             exact = repeated_measurement_survival(b, state, sched)[1:]
-            var = np.clip(exact * (1.0 - exact), 0.0, None)
-            bound = np.sqrt(2.0 * var * u / n_traj) + 2.0 * u / (3.0 * n_traj)
+            bound = bernstein_bound(exact, n_traj, 1e-6 / points)
             for seed in seeds:
                 fractions, _ = monte_carlo_survival(b, state, sched, n_traj, seed)
                 assert np.all(np.abs(fractions[1:] - exact) <= bound), seed

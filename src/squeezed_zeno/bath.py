@@ -19,7 +19,12 @@ MAX_RATE = 1e150
 
 
 def maximal_m(n: float) -> float:
-    """Largest physical two-photon correlation magnitude sqrt(N(N+1))."""
+    """Largest two-photon correlation magnitude sqrt(N(N+1)), for N >= 0 with N(N+1) finite."""
+    if n < 0:
+        raise ParameterError(f"mean photon number must be >= 0, got {n}")
+    # A Python float, so that a product past the float range is inf without a warning.
+    if float(n) * (float(n) + 1.0) == np.inf:
+        raise ParameterError(f"mean photon number must have a finite n(n+1), got {n}")
     return np.sqrt(n * (n + 1.0))
 
 
@@ -62,16 +67,13 @@ class BathParams:
             )
         if self.gamma <= 0:
             raise ParameterError(f"gamma must be positive, got {self.gamma}")
-        if self.n < 0:
-            raise ParameterError(f"mean photon number must be >= 0, got {self.n}")
+        top = maximal_m(self.n)
         # Python floats, so that a product past the float range is inf without a warning.
         rate = float(self.gamma) * (2.0 * float(self.n) + 1.0)
         if rate > MAX_RATE:
             raise ParameterError(f"the largest rate gamma(2N+1) = {rate} exceeds {MAX_RATE}")
-        if self.m < 0 or self.m > maximal_m(self.n):
-            raise ParameterError(
-                f"m={self.m} outside physical range [0, sqrt(n(n+1))={maximal_m(self.n)}]"
-            )
+        if self.m < 0 or self.m > top:
+            raise ParameterError(f"m={self.m} outside physical range [0, sqrt(n(n+1))={top}]")
         object.__setattr__(self, "psi", float(np.mod(self.psi, 2 * np.pi)))
 
     @classmethod

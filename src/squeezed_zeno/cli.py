@@ -31,31 +31,14 @@ EXIT_IO = 4
 # Rows per block of the table writer; each block is formatted by one %-operation.
 ROWS_PER_CHUNK = 4096
 
-COMMON_KEYS = {"gamma", "N", "M", "psi", "out"}
-TABLE_KEYS = COMMON_KEYS | {"format"}
-ALLOWED_KEYS = {
-    "surface": TABLE_KEYS | {"n_theta", "n_phi"},
-    "evolve": TABLE_KEYS | {"state", "measure", "t_end", "n_steps"},
-    "zeno": TABLE_KEYS | {"state", "dt", "count", "n_traj", "seed"},
-    "intelligent": COMMON_KEYS,
-}
-
-DEFAULTS = {
-    "gamma": 1.0,
-    "N": 1.0,
-    "M": "maximal",
-    "psi": 0.0,
-    "format": "csv",
-    "seed": 0,
-    "n_theta": 256,
-    "n_phi": 256,
-    "state": "zeno-plus",
-    "measure": "mu1",
-    "t_end": 5.0,
-    "n_steps": 200,
-    "dt": 0.01,
-    "count": 500,
-    "n_traj": 0,
+_BATH_KEYS = {"gamma": 1.0, "N": 1.0, "M": "maximal", "psi": 0.0}
+_TABLE_KEYS = {**_BATH_KEYS, "format": "csv"}
+# Each subcommand's keys with their defaults; every subcommand also takes "out", which has none.
+KEYS = {
+    "surface": {**_TABLE_KEYS, "n_theta": 256, "n_phi": 256},
+    "evolve": {**_TABLE_KEYS, "state": "zeno-plus", "measure": "mu1", "t_end": 5.0, "n_steps": 200},
+    "zeno": {**_TABLE_KEYS, "state": "zeno-plus", "dt": 0.01, "count": 500, "n_traj": 0, "seed": 0},
+    "intelligent": _BATH_KEYS,
 }
 
 # Keys holding a finite real number ("M" also accepts "maximal").
@@ -131,13 +114,12 @@ def load_config(path: str | None, overrides, command: str, flags=None) -> dict:
         except (ValueError, RecursionError):
             config[key] = raw
     config.update(flags or {})
-    unknown = set(config) - ALLOWED_KEYS[command]
+    unknown = set(config) - set(KEYS[command]) - {"out"}
     if unknown:
         raise ConfigError(
             f"unknown config key(s) for {command}: {', '.join(sorted(unknown))}"
         )
-    merged = {k: DEFAULTS[k] for k in ALLOWED_KEYS[command] if k in DEFAULTS}
-    merged.update(config)
+    merged = {**KEYS[command], **config}
     if "out" in merged and not (isinstance(merged["out"], str) and merged["out"]):
         raise ConfigError(f"out must be a non-empty path, got {merged['out']!r}")
     for key in sorted(merged):
@@ -391,9 +373,7 @@ def _write_text(path: str | None, parts):
         raise IOError(f"cannot write {path}: {exc}")
 
 
-def cmd_surface(config: dict) -> int:
-    with _config_checked():
-        bath = bath_from_config(config)
+def cmd_surface(config: dict, bath: BathParams) -> None:
     thetas, phis, f = survival_functional_grid(bath, config["n_theta"], config["n_phi"])
     out = config.get("out")
     write_table(out, {"theta": thetas, "phi": phis, "F": f}, config["format"])
@@ -405,12 +385,10 @@ def cmd_surface(config: dict) -> int:
         "theta": zd.theta,
     }
     _write_json(None if out is None else out + ".maxima.json", sidecar)
-    return EXIT_OK
 
 
-def cmd_evolve(config: dict) -> int:
+def cmd_evolve(config: dict, bath: BathParams) -> None:
     with _config_checked():
-        bath = bath_from_config(config)
         v0 = resolve_state(config["state"], bath)
         direction = resolve_direction(config["measure"], bath)
         grid = TimeGrid(config["t_end"], config["n_steps"])
@@ -424,12 +402,10 @@ def cmd_evolve(config: dict) -> int:
         "sigma_mu_measured": measured,
     }
     write_table(config.get("out"), table, config["format"])
-    return EXIT_OK
 
 
-def cmd_zeno(config: dict) -> int:
+def cmd_zeno(config: dict, bath: BathParams) -> None:
     with _config_checked():
-        bath = bath_from_config(config)
         if not isinstance(config["state"], str):
             raise ConfigError("zeno requires a named pure initial state")
         state = _named(STATES, "state", config["state"])(bath)
@@ -442,37 +418,30 @@ def cmd_zeno(config: dict) -> int:
             bath, state, sched, config["n_traj"], config["seed"]
         )
     write_table(config.get("out"), table, config["format"])
-    return EXIT_OK
 
 
-def cmd_intelligent(config: dict) -> int:
+def cmd_intelligent(config: dict, bath: BathParams) -> None:
     with _config_checked():
-        bath = bath_from_config(config)
         eig = s_eigensystem(bath)
     report: dict = {"N": bath.n, "M": bath.m, "gamma": bath.gamma, "psi": bath.psi}
     report["degenerate"] = eig.degenerate
     if eig.degenerate:
         report["warning"] = "N=0: jump operator is nilpotent, single eigenvector"
-    report["lambda_plus"] = [eig.lambda_plus.real, eig.lambda_plus.imag]
-    report["lambda_minus"] = [eig.lambda_minus.real, eig.lambda_minus.imag]
-    for name, vec in (("state_plus", eig.state_plus), ("state_minus", eig.state_minus)):
-        report[name] = [[a.real, a.imag] for a in vec]
-    gaps = {}
-    for name, vec in (("plus", eig.state_plus), ("minus", eig.state_minus)):
-        var1, var2, bound, gap = uncertainty_product(vec, bath.psi)
-        gaps[name] = {
-            "var_j1": var1,
-            "var_j2": var2,
-            "bound": bound,
-            "saturation_gap": gap,
-        }
-    report["uncertainty"] = gaps
+    report["uncertainty"] = {}
+    for name, lam, vec in (
+        ("plus", eig.lambda_plus, eig.state_plus),
+        ("minus", eig.lambda_minus, eig.state_minus),
+    ):
+        report[f"lambda_{name}"] = [lam.real, lam.imag]
+        report[f"state_{name}"] = [[a.real, a.imag] for a in vec]
+        report["uncertainty"][name] = dict(
+            zip(("var_j1", "var_j2", "bound", "saturation_gap"), uncertainty_product(vec, bath.psi))
+        )
     if not eig.degenerate:
         report["factorization_residual"] = factorization_residual(bath, eig)
         report["alpha_ratio"] = bath.squeeze_ratio
         report["squeeze_amplitude"] = bath.squeeze_amplitude
     _write_json(config.get("out"), report)
-    return EXIT_OK
 
 
 COMMANDS = {
@@ -509,7 +478,9 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config, args.overrides, args.command, flags)
         _bind_compute()
-        return COMMANDS[args.command](config)
+        with _config_checked():
+            bath = bath_from_config(config)
+        COMMANDS[args.command](config, bath)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -519,3 +490,4 @@ def main(argv=None) -> int:
     except SqueezedZenoError as exc:
         print(f"numeric contract violation: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    return EXIT_OK

@@ -25,8 +25,7 @@ from squeezed_zeno import (
     pure_state_bloch,
 )
 from squeezed_zeno.cli import (
-    ALLOWED_KEYS,
-    DEFAULTS,
+    KEYS,
     STATES,
     bath_from_config,
     main,
@@ -455,7 +454,7 @@ def assert_exact_survival_holds(config: dict, p_exact: np.ndarray):
     p^k, k |p - p'| / p. Each power is one pow, within an ulp: 2 eps relative, or 2 ulps
     of the subnormal range.
     """
-    config = dict(DEFAULTS, **config)
+    config = dict(KEYS["zeno"], **config)
     bath = bath_from_config(config)
     x = bath.gamma * (2 * bath.n + 1) * config["dt"]
     if not x < EXPM_REACH:
@@ -492,7 +491,7 @@ def assert_laws_hold(config: dict, table: dict):
     sqrt(P_mc (1 - P_mc) / n_traj) of the printed P_mc, which is exact in both formats:
     equal but for the order of its operations, 1 eps.
     """
-    config = dict(DEFAULTS, **config)
+    config = dict(KEYS["zeno"], **config)
     bath = bath_from_config(config)
     v = pure_state_bloch(STATES[config["state"]](bath))
     a, c = oracle_bloch_rates(bath)
@@ -540,7 +539,7 @@ def assert_evolve_holds(config: dict, table: dict):
       a multiple of the smallest subnormal, which t multiplies: 64 of it times t.
     Each side then rounds once more, within 2 eps of the value.
     """
-    config = dict(DEFAULTS, **config)
+    config = dict(KEYS["evolve"], **config)
     bath = bath_from_config(config)
     v0 = resolve_state(config["state"], bath)
     mu = resolve_direction(config["measure"], bath).unit_vector
@@ -578,7 +577,7 @@ def assert_surface_holds(config: dict, table: dict, sidecar: dict):
     1.3e-4 at maximal M, or M near 0), F is nearly flat along a ring of phi, the scan
     finds other points of the ring, and the sidecar is left to the invariants.
     """
-    config = dict(DEFAULTS, **config)
+    config = dict(KEYS["surface"], **config)
     bath = bath_from_config(config)
     theta, phi = table["theta"], table["phi"]
     mus = np.stack((np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)), -1)
@@ -637,9 +636,9 @@ class TestCliInvariants:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_any_config(self, data):
-        command = data.draw(st.sampled_from(sorted(ALLOWED_KEYS)))
+        command = data.draw(st.sampled_from(sorted(KEYS)))
         # M is drawn last, so that it can be drawn just below maximal_m(N).
-        keys = sorted(ALLOWED_KEYS[command], key=lambda key: (key == "M", key))
+        keys = sorted({*KEYS[command], "out"}, key=lambda key: (key == "M", key))
         argv, config = [command], {}
         for key in keys:
             valid, invalid = KEY_VALUES[key]
@@ -650,7 +649,7 @@ class TestCliInvariants:
                 continue
             else:
                 if key == "M":
-                    valid = st.one_of(valid, below_maximal(config.get("N", DEFAULTS["N"])))
+                    valid = st.one_of(valid, below_maximal(config.get("N", KEYS[command]["N"])))
                 config[key] = data.draw(valid)
                 text = json.dumps(config[key])
             argv += ["--set", f"{key}={text}"]
@@ -1078,6 +1077,26 @@ def test_no_stray_module_at_the_top_level():
     for name, value in vars(squeezed_zeno).items():
         if not name.startswith("_") and inspect.ismodule(value):
             assert value.__name__ == f"squeezed_zeno.{name}", name
+
+
+def test_readme_key_table_is_keys():
+    # README's table of the keys each subcommand accepts, with their defaults, is cli.KEYS
+    # plus "out", which every subcommand accepts and whose default is stdout.
+    text = (ROOT / "README.md").read_text()
+    section = text.split("Each subcommand accepts only the keys it reads", 1)[1]
+    rows = re.findall(r"^\| (.+) \| (.+) \|$", section.split("\n\n", 2)[1], re.M)[1:]
+    table = {
+        subcommand.strip("`"): dict(re.findall(r"`(\w+)` \(([^)]*)\)", keys))
+        for subcommand, keys in rows
+    }
+    common = table.pop("all four")
+    assert common.pop("out") == "stdout"
+    assert sorted(table) == sorted(KEYS)
+    for command, keys in table.items():
+        defaults = {**common, **keys}
+        documented = {key: json.loads(default.strip("`")) for key, default in defaults.items()}
+        assert documented == KEYS[command], command
+        assert "out" not in KEYS[command]
 
 
 def readme_examples():

@@ -12,6 +12,7 @@ from squeezed_zeno import (
     evolve_free,
     evolve_measured,
     matrix_to_bloch,
+    maximal_m,
     pure_state_bloch,
     pure_state_matrix,
     second_order_rate,
@@ -118,6 +119,20 @@ def test_library_rejects_non_finite(make, error):
         ),
         pytest.param(
             lambda: BathParams.maximal(1e300, 1e10), ParameterError, "rate", id="bath-gamma-N"
+        ),
+        # The maximal M sqrt(N(N+1)) needs N >= 0 and a finite N(N+1); sqrt(N(N+1)) at the
+        # largest such N, about 1.34e154, is still finite.
+        pytest.param(
+            lambda: maximal_m(-0.5),
+            ParameterError,
+            r"^mean photon number must be >= 0, got -0\.5$",
+            id="maximal-m-negative",
+        ),
+        pytest.param(
+            lambda: maximal_m(1.35e154),
+            ParameterError,
+            r"^mean photon number must have a finite n\(n\+1\), got 1\.35e\+154$",
+            id="maximal-m-overflow",
         ),
         # A pure state is two amplitudes of norm 1; each message is pinned whole.
         pytest.param(
@@ -292,6 +307,38 @@ def test_request_size_caps(capsys, command, items, message):
             "config error: frozen states require n > 0 (else they degenerate)\n",
         ),
         ("evolve", "measure=[-1,0]", 2, "config error: theta must lie in [0, pi], got -1.0\n"),
+        # N is checked where the maximal M is formed, before sqrt(N(N+1)) can warn or be NaN,
+        # and a finite N whose N(N+1) overflows is rejected, not printed as NaN rows.
+        (
+            "surface",
+            "N=-0.5",
+            2,
+            "config error: mean photon number must be >= 0, got -0.5\n",
+        ),
+        (
+            "surface",
+            "N=1e200 gamma=1e-320 M=0 n_theta=2 n_phi=2",
+            2,
+            "config error: mean photon number must have a finite n(n+1), got 1e+200\n",
+        ),
+        (
+            "evolve",
+            "N=1e200 gamma=1e-320 M=0 n_steps=2 state=excited measure=z",
+            2,
+            "config error: mean photon number must have a finite n(n+1), got 1e+200\n",
+        ),
+        (
+            "zeno",
+            "N=1e200 gamma=1e-320 M=0 count=2 state=excited",
+            2,
+            "config error: mean photon number must have a finite n(n+1), got 1e+200\n",
+        ),
+        (
+            "intelligent",
+            "N=1e155",
+            2,
+            "config error: mean photon number must have a finite n(n+1), got 1e+155\n",
+        ),
         # A state or direction that is neither a name nor a list of the right length.
         (
             "evolve",

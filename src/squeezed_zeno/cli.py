@@ -43,12 +43,14 @@ KEYS = {
 
 # Keys holding a finite real number ("M" also accepts "maximal").
 REAL_KEYS = {"gamma", "N", "M", "psi", "t_end", "dt"}
-# Keys holding an integer, with the smallest value each accepts.
-INTEGER_MINIMUM = {"seed": 0, "n_theta": 1, "n_phi": 1, "n_steps": 1, "count": 1, "n_traj": 0}
 # Rows of one table at most: a larger request is a config error, not a failed allocation.
 MAX_ROWS = 2**22
-# Integer keys with an upper bound: up to 2**53 every survivor count is an exact float.
-INTEGER_MAXIMUM = {"n_traj": 2**53, "count": MAX_ROWS, "n_steps": MAX_ROWS}
+# Keys holding an integer, with (smallest, largest) value each accepts: up to 2**53 every
+# survivor count is an exact float.
+INTEGER_BOUNDS = {
+    "seed": (0, math.inf), "n_theta": (1, math.inf), "n_phi": (1, math.inf),
+    "n_steps": (1, MAX_ROWS), "count": (1, MAX_ROWS), "n_traj": (0, 2**53),
+}
 
 
 class ConfigError(Exception):
@@ -123,10 +125,8 @@ def load_config(path: str | None, overrides, command: str, flags=None) -> dict:
     if "out" in merged and not (isinstance(merged["out"], str) and merged["out"]):
         raise ConfigError(f"out must be a non-empty path, got {merged['out']!r}")
     for key in sorted(merged):
-        if key in INTEGER_MINIMUM:
-            merged[key] = _integer(
-                key, merged[key], INTEGER_MINIMUM[key], INTEGER_MAXIMUM.get(key, math.inf)
-            )
+        if key in INTEGER_BOUNDS:
+            merged[key] = _integer(key, merged[key], *INTEGER_BOUNDS[key])
         elif key in REAL_KEYS and not (key == "M" and merged[key] == "maximal"):
             merged[key] = _real(key, merged[key])
     if "n_theta" in merged and merged["n_theta"] * merged["n_phi"] > MAX_ROWS:
@@ -165,13 +165,9 @@ def _bind_compute():
 
 
 def bath_from_config(config: dict) -> BathParams:
-    n, m = config["N"], config["M"]
-    return BathParams(
-        gamma=config["gamma"],
-        n=n,
-        m=maximal_m(n) if m == "maximal" else m,
-        psi=config["psi"],
-    )
+    if config["M"] == "maximal":
+        return BathParams.maximal(config["gamma"], config["N"], config["psi"])
+    return BathParams(config["gamma"], config["N"], config["M"], config["psi"])
 
 
 # Named pure initial states, as amplitudes. zeno-minus is (-b*, a*) for zeno-plus = (a, b):
@@ -362,15 +358,18 @@ def _write_json(path: str | None, obj):
 
 
 def _write_text(path: str | None, parts):
-    """Write an iterable of strings to path, or to stdout when path is None."""
-    if path is None:
-        sys.stdout.writelines(parts)
-        return
+    """Write an iterable of strings to path, or to stdout, flushed, when path is None."""
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(parts)
+        if path is None:
+            if sys.stdout is None:  # the process started without one, as under >&-
+                raise OSError("not open")
+            sys.stdout.writelines(parts)
+            sys.stdout.flush()
+        else:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.writelines(parts)
     except OSError as exc:
-        raise IOError(f"cannot write {path}: {exc}")
+        raise IOError(f"cannot write {'stdout' if path is None else path}: {exc}")
 
 
 def cmd_surface(config: dict, bath: BathParams) -> None:

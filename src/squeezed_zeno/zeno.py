@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from ._numpy import np
 from .bath import BathParams, generator_terms
-from .dynamics import analytic_free, relax
+from .dynamics import relax
 from .errors import ParameterError
 from .pauli import Direction, pure_state_bloch
 
@@ -128,15 +128,14 @@ def zeno_states(bath: BathParams):
 def step_survival_probability(bath: BathParams, state, dt: float) -> float:
     """Probability that one measurement after time dt returns the initial state.
 
-    The projector is evolved exactly for dt under the free master
-    equation (closed-form affine Bloch propagator, analytic_free) and
-    the overlap with the initial state is read off. Rounding can put
-    0.5 (1 + v0 . v_dt) an ulp or two above 1 for a nearly frozen
-    state, so the result is clipped to [0, 1].
+    Each generator term T relaxes at its mode's rate r (z for the last two), so the loss
+    1 - p = -sum T (1 - e^{-r dt}) / (2r) is exact, with no 1 - |v|^2 to cancel, and clipped
+    to [0, 1]. Its slope at dt = 0 is -survival_rate and its dt^2 term -second_order_rate dt.
     """
-    v0 = pure_state_bloch(state)
-    v_dt = analytic_free(bath, v0, dt)
-    return float(np.clip(0.5 * (1.0 + v0 @ v_dt), 0.0, 1.0))
+    t_fast, t_slow, t_z, t_c = generator_terms(bath, pure_state_bloch(state))
+    terms = (t_fast, t_slow, t_z + t_c)
+    loss = -0.5 * sum(t * relax(0.0, rate, dt, 1.0) for t, rate in zip(terms, bath.rates))
+    return float(np.clip(1.0 - loss, 0.0, 1.0))
 
 
 def repeated_measurement_survival(

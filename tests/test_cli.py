@@ -940,6 +940,26 @@ def test_module_entry_exit_codes(tmp_path):
     assert unwritable.stderr.startswith(b"i/o error:")
 
 
+class _FullStream(io.StringIO):
+    """A stdout whose every write fails, as on a full disk."""
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("argv", SMALL_RUNS, ids=[argv[0] for argv in SMALL_RUNS])
+@pytest.mark.parametrize("stdout", [None, _FullStream()], ids=["closed", "full"])
+def test_a_failed_stdout_write_is_an_io_error(argv, stdout):
+    # sys.stdout is None where the process started without one (>&-): once an
+    # AttributeError traceback and exit 1.
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        assert main(argv) == cli.EXIT_IO
+    assert stdout is None or stdout.getvalue() == ""
+    assert stderr.getvalue().startswith("i/o error: cannot write stdout: ")
+    assert stderr.getvalue().count("\n") == 1
+
+
 def test_options_before_or_after_the_subcommand(capsys):
     # One parser: the subcommand is a positional, and the options may stand on either side.
     outputs = []

@@ -303,6 +303,24 @@ class TestStepSurvivalProbability:
                 p = step_survival_probability(b, state, dt)
                 assert 0.0 <= p <= 1.0, (b, dt, p)
 
+    def test_zeno_limit_for_frozen_states(self):
+        # As dt -> 0 a frozen state's one-step loss 1 - p is the second-order loss
+        # -second_order_rate dt, to within 1 % plus the 2**-53 spacing of doubles below 1,
+        # and p never decreases. Propagating the Bloch vector and reading 0.5 (1 + v0 . v_dt)
+        # instead left 1 - p at 2 to 4 times 2**-53 for every dt below about 1e-8 / gamma(2N+1).
+        rng = np.random.default_rng(505)
+        scaled_dts = np.logspace(-3, -12, 37)
+        for _ in range(200):
+            b = BathParams.maximal(
+                10 ** rng.uniform(-3, 2), 10 ** rng.uniform(-4, 2), rng.uniform(0, 2 * np.pi)
+            )
+            for state in zeno_states(b):
+                dts = scaled_dts / b.rates.z
+                ps = np.array([step_survival_probability(b, state, dt) for dt in dts])
+                second = np.array([-second_order_rate(b, state, dt) * dt for dt in dts])
+                assert np.all(np.abs((1.0 - ps) - second) <= 0.01 * second + 2.0**-53), (b, ps)
+                assert np.all(np.diff(ps) >= 0.0), (b, ps)
+
 
 def checked_survival_laws(bath, state, sched):
     """survival_laws, checked: the first curve is the first-order law bit for bit, and the

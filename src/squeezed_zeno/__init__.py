@@ -5,8 +5,9 @@ the frozen states.
 Units: hbar = 1; rates in units of the vacuum decay constant gamma unless
 stated otherwise.
 
-The public names load their submodule, and with it numpy, on first access, so
-importing the package (or its CLI) costs no numpy until something computes.
+The public names load their submodule on first access, and with it numpy, except
+those of bath, errors and intelligent (_NUMPY_FREE), so importing the package (or
+its CLI) costs no numpy until something computes with arrays.
 """
 
 from importlib import import_module as _import_module
@@ -18,27 +19,17 @@ _PUBLIC = {
     "errors": ("InvalidStateError", "ParameterError", "SqueezedZenoError"),
     "intelligent": ("factorization_residual", "s_eigensystem", "uncertainty_product"),
     "pauli": (
-        "Direction",
-        "bloch_vector",
-        "eigenstates_mu",
-        "matrix_to_bloch",
-        "pure_state_bloch",
+        "Direction", "bloch_vector", "eigenstates_mu", "matrix_to_bloch", "pure_state_bloch",
         "pure_state_matrix",
     ),
     "zeno": (
-        "MeasurementSchedule",
-        "monte_carlo_survival",
-        "repeated_measurement_survival",
-        "second_order_rate",
-        "step_survival_probability",
-        "survival_functional_grid",
-        "survival_laws",
-        "survival_rate",
-        "zeno_directions",
-        "zeno_states",
+        "MeasurementSchedule", "monte_carlo_survival", "repeated_measurement_survival",
+        "second_order_rate", "step_survival_probability", "survival_functional_grid",
+        "survival_laws", "survival_rate", "zeno_directions", "zeno_states",
     ),
 }
 _SUBMODULE = {name: module for module, names in _PUBLIC.items() for name in names}
+_NUMPY_FREE = ("bath", "errors", "intelligent")  # the submodules whose import loads no numpy
 
 __version__ = "0.1.0"
 

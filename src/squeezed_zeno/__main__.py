@@ -1,22 +1,25 @@
 """Process entry of the squeezed-zeno CLI: `python -m squeezed_zeno` and the console script."""
 
 import gc
+import os
 import sys
 
-from .cli import main
+from .cli import EXIT_IO, main
 
 
 def run(argv=None) -> int:
     """Run one CLI command as the whole process and return its exit code.
 
-    After the command, gc.freeze() moves every container the collector tracks,
-    the roughly 20k that importing numpy and the package made among them, into
-    the permanent generation. The collection at interpreter exit does not walk
-    them again, which saves about 20 ms per process. The freeze comes after the
-    command because numpy loads only when a command computes. cli.main itself
-    does not freeze: callers that run it in-process keep their collector as it was.
+    gc.freeze() then moves every tracked container into the permanent generation, which the
+    collection at exit does not walk: roughly 20k where a table command imported numpy, which
+    saves it about 20 ms (intelligent loads no numpy). cli.main does not freeze, so in-process
+    callers keep their collector. After an I/O error (exit 4), fd 1 points at os.devnull, as
+    the Python docs advise for a broken pipe: the flush at exit then drops what a failed
+    stdout still buffers instead of failing again, which would exit 120.
     """
     code = main(argv)
+    if code == EXIT_IO and sys.stdout is not None:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     gc.freeze()
     return code
 

@@ -1,11 +1,11 @@
 """numpy, loaded with one OpenBLAS thread; every module of the package takes np from here.
 
-The package's arrays are 2x2 and 3x3, and its largest product, evolve's
-(n, 3) @ (3,), takes as long on one thread as on two. OpenBLAS starts its
-worker threads when numpy loads and reads OPENBLAS_NUM_THREADS only then, so
-numpy loads with one thread unless the user chose a count, and the environment
-is left as it was for child processes. If numpy was imported before this
-module, its thread count stays as it was.
+bath and intelligent take it inside the functions that return arrays, so intelligent runs
+without it. The package's arrays are 2x2 and 3x3, and its largest product, evolve's
+(n, 3) @ (3,), takes as long on one thread as on two. OpenBLAS starts its worker threads
+when numpy loads and reads OPENBLAS_NUM_THREADS only then, so numpy loads with one thread
+unless the user chose a count, and the environment is left as it was for child processes.
+If numpy was imported before this module, its thread count stays as it was.
 """
 
 import os

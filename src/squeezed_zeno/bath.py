@@ -2,17 +2,19 @@
 
 Provides the bath parameters with the decay rates of the dissipator's
 three modes, the rotation by psi/2 into the mode frame where the affine
-Bloch equations of motion are diagonal, and the single jump operator
-(Lindblad form), valid at maximal two-photon correlation.
+Bloch equations of motion are diagonal, a pure state's Bloch vector, and
+the single jump operator (Lindblad form), valid at maximal two-photon
+correlation, with its eigenvectors, the frozen states. Every entry is a
+Python scalar: the module loads numpy only to return an array.
 """
 
+import cmath
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from ._numpy import np
-from .errors import ParameterError
-from .pauli import SIGMA_MINUS, SIGMA_PLUS
+from .errors import InvalidStateError, ParameterError
 
 # Bound on the largest rate gamma(2N+1): the second-order survival rate squares it.
 MAX_RATE = 1e150
@@ -23,9 +25,9 @@ def maximal_m(n: float) -> float:
     if n < 0:
         raise ParameterError(f"mean photon number must be >= 0, got {n}")
     # A Python float, so that a product past the float range is inf without a warning.
-    if float(n) * (float(n) + 1.0) == np.inf:
+    if float(n) * (float(n) + 1.0) == math.inf:
         raise ParameterError(f"mean photon number must have a finite n(n+1), got {n}")
-    return np.sqrt(n * (n + 1.0))
+    return math.sqrt(n * (n + 1.0))
 
 
 class ModeRates(NamedTuple):
@@ -38,7 +40,7 @@ class ModeRates(NamedTuple):
 
 def to_mode_frame(psi: float, x, y):
     """(u_fast, u_slow): x, y rotated by psi/2 onto the mode axes; -psi rotates back."""
-    c, s = np.cos(psi / 2), np.sin(psi / 2)
+    c, s = math.cos(psi / 2), math.sin(psi / 2)
     return c * x - s * y, s * x + c * y
 
 
@@ -60,7 +62,7 @@ class BathParams:
     psi: float = 0.0
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.gamma, self.n, self.m, self.psi])):
+        if not all(map(math.isfinite, (self.gamma, self.n, self.m, self.psi))):
             raise ParameterError(
                 f"bath parameters must be finite, got gamma={self.gamma}, "
                 f"n={self.n}, m={self.m}, psi={self.psi}"
@@ -74,7 +76,7 @@ class BathParams:
             raise ParameterError(f"the largest rate gamma(2N+1) = {rate} exceeds {MAX_RATE}")
         if self.m < 0 or self.m > top:
             raise ParameterError(f"m={self.m} outside physical range [0, sqrt(n(n+1))={top}]")
-        object.__setattr__(self, "psi", float(np.mod(self.psi, 2 * np.pi)))
+        object.__setattr__(self, "psi", float(self.psi % (2 * math.pi)))
 
     @classmethod
     def maximal(cls, gamma: float, n: float, psi: float = 0.0) -> "BathParams":
@@ -100,12 +102,12 @@ class BathParams:
     @property
     def squeeze_amplitude(self) -> float:
         """Squeeze parameter r with sinh(r) = sqrt(n), the bath's at maximal m."""
-        return float(np.arcsinh(np.sqrt(self.n)))
+        return math.asinh(math.sqrt(self.n))
 
     @property
     def squeeze_ratio(self) -> float:
         """Squeeze ratio alpha = e^{2r}, the bath's at maximal m."""
-        return float(np.exp(2.0 * self.squeeze_amplitude))
+        return math.exp(2.0 * self.squeeze_amplitude)
 
 
 def _require_maximal(bath: BathParams) -> None:
@@ -116,15 +118,34 @@ def _require_maximal(bath: BathParams) -> None:
         )
 
 
-def lindblad_s_operator(bath: BathParams) -> np.ndarray:
-    """Jump operator S = sqrt(N+1) sigma - sqrt(N) e^{i psi} sigma+.
-
-    Only defined at maximal squeezing, where the three-term dissipator
-    collapses to a single Lindblad term.
-    """
+def lindblad_s_entries(bath: BathParams):
+    """Rows of the jump operator S = sqrt(N+1) sigma- - sqrt(N) e^{i psi} sigma+ (maximal M)."""
     _require_maximal(bath)
-    phase = np.exp(1j * bath.psi)
-    return np.sqrt(bath.n + 1) * SIGMA_MINUS - np.sqrt(bath.n) * phase * SIGMA_PLUS
+    upper = -(math.sqrt(bath.n) * cmath.exp(1j * bath.psi))
+    return (0j, upper), (complex(math.sqrt(bath.n + 1)), 0j)
+
+
+def lindblad_s_operator(bath: BathParams):
+    """Jump operator S as a 2x2 complex array (lindblad_s_entries)."""
+    from ._numpy import np
+    return np.array(lindblad_s_entries(bath))
+
+
+def frozen_amplitudes(bath: BathParams):
+    """The two frozen states as amplitude pairs (a, b) of a|+> + b|->.
+
+    |z1> = sqrt(N/(N+M)) |+> + i sqrt(M/(N+M)) e^{-i psi/2} |->
+    |z2> = sqrt(N/(N+M)) |+> - i sqrt(M/(N+M)) e^{-i psi/2} |->
+
+    At maximal squeezing they are the +1 eigenstates of the spin components
+    along the two preferential directions, and the eigenvectors of S.
+    """
+    n, m = bath.n, bath.m
+    if n + m <= 0:
+        raise ParameterError("frozen states require n > 0 (else they degenerate)")
+    up = complex(math.sqrt(n / (n + m)))
+    down = math.sqrt(m / (n + m)) * cmath.exp(-1j * bath.psi / 2)
+    return (up, 1j * down), (up, -1j * down)
 
 
 def bloch_rates(bath: BathParams):
@@ -133,12 +154,26 @@ def bloch_rates(bath: BathParams):
     A[k, j] = Tr(L{sigma_j} sigma_k) / 2 and c[k] = Tr(L{1} sigma_k) / 2: A is
     diag(-fast, -slow, -z) in the mode frame (generator_terms) and c = (0, 0, -gamma).
     """
+    from ._numpy import np
     fast, slow, z = bath.rates
     # The transverse block is -fast r r^T - slow q q^T for the mode axes r, q in the lab frame.
     r, q = to_mode_frame(bath.psi, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     a = np.diag([0.0, 0.0, -z])
     a[:2, :2] = -fast * np.outer(r, r) - slow * np.outer(q, q)
     return a, np.array([0.0, 0.0, -bath.gamma])
+
+
+def state_bloch(state):
+    """Bloch vector (2 Re(a* b), 2 Im(a* b), |a|^2 - |b|^2) of the pure state (a, b) = a|+> + b|->.
+
+    Its norm sqrt(|a|^2 + |b|^2) must be 1 within 1e-10, else InvalidStateError.
+    """
+    a, b = map(complex, state)
+    norm = math.hypot(abs(a), abs(b))
+    if abs(norm - 1.0) > 1e-10:
+        raise InvalidStateError(f"state norm {norm} != 1")
+    ab = a.conjugate() * b
+    return 2 * ab.real, 2 * ab.imag, (a * a.conjugate()).real - (b * b.conjugate()).real
 
 
 def generator_terms(bath: BathParams, v):

@@ -141,27 +141,22 @@ def load_config(path: str | None, overrides, command: str, flags=None) -> dict:
     return merged
 
 
-def _bind_compute():
-    """Bind the package's public names, and np, EXCITED and GROUND, into this module, once.
+def _bind_compute(command: str) -> None:
+    """Bind the package's public names that command computes with into this module.
 
-    Importing cli loads no numpy, so --help, usage errors and config errors exit
-    without it; main binds once the config is checked. The public names are those
-    of the package's table (_SUBMODULE), each loaded through the package. The names
-    stay attributes of this module, bound once: a caller that replaces one, as a
-    tracer wrapping them does, keeps its replacement for later commands. np comes
-    last, since it marks the others bound.
+    Importing cli loads no numpy, so --help, usage errors and config errors exit without it;
+    main binds once the config is checked. intelligent binds the names of the submodules that
+    load no numpy (_NUMPY_FREE), the others every public name, np, EXCITED and GROUND. A bound
+    name stays: a caller that replaces one, as a tracer does, keeps it for later commands.
     """
-    if "np" in globals():
-        return
-    from . import _numpy, pauli
-
     package = sys.modules[__package__]
-    globals().update(
-        {name: getattr(package, name) for name in package._SUBMODULE},
-        EXCITED=pauli.EXCITED,
-        GROUND=pauli.GROUND,
-        np=_numpy.np,
-    )
+    scalar = command == "intelligent"
+    modules = package._NUMPY_FREE if scalar else package._PUBLIC
+    names = {name: getattr(package, name) for key in modules for name in package._PUBLIC[key]}
+    if not scalar:
+        from . import _numpy, pauli
+        names.update(EXCITED=pauli.EXCITED, GROUND=pauli.GROUND, np=_numpy.np)
+    globals().update({name: value for name, value in names.items() if name not in globals()})
 
 
 def bath_from_config(config: dict) -> BathParams:
@@ -460,10 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", metavar="FILE", help="flat JSON config file")
     parser.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        metavar="KEY=VALUE",
+        "--set", dest="overrides", action="append", metavar="KEY=VALUE",
         help="override a config key (value parsed as JSON when possible)",
     )
     parser.add_argument("--out", metavar="PATH", help="output path (default: stdout)")
@@ -476,7 +468,7 @@ def main(argv=None) -> int:
     flags = {key: getattr(args, key) for key in ("out", "format") if getattr(args, key) is not None}
     try:
         config = load_config(args.config, args.overrides, args.command, flags)
-        _bind_compute()
+        _bind_compute(args.command)
         with _config_checked():
             bath = bath_from_config(config)
         COMMANDS[args.command](config, bath)

@@ -12,6 +12,7 @@ sigma_z |+-> = +-|+-> and the lowering operator sends |+> to |->.
 from dataclasses import dataclass
 
 from ._numpy import np
+from .bath import state_bloch
 from .errors import InvalidStateError
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -41,9 +42,7 @@ class Direction:
 
     def __post_init__(self):
         if not np.all(np.isfinite([self.theta, self.phi])):
-            raise InvalidStateError(
-                f"theta and phi must be finite, got {self.theta}, {self.phi}"
-            )
+            raise InvalidStateError(f"theta and phi must be finite, got {self.theta}, {self.phi}")
         if not 0.0 <= self.theta <= np.pi:
             raise InvalidStateError(f"theta must lie in [0, pi], got {self.theta}")
         object.__setattr__(self, "phi", float(np.mod(self.phi, 2 * np.pi)))
@@ -52,9 +51,7 @@ class Direction:
     def unit_vector(self) -> np.ndarray:
         """Cartesian unit vector (cos phi sin theta, sin phi sin theta, cos theta)."""
         st = np.sin(self.theta)
-        return np.array(
-            [np.cos(self.phi) * st, np.sin(self.phi) * st, np.cos(self.theta)]
-        )
+        return np.array([np.cos(self.phi) * st, np.sin(self.phi) * st, np.cos(self.theta)])
 
 
 def bloch_vector(v) -> np.ndarray:
@@ -103,25 +100,20 @@ def eigenstates_mu(d: Direction):
 
 
 def _pure_state(state) -> np.ndarray:
-    """state as a complex array of two amplitudes with norm 1 (within 1e-10)."""
+    """state as a complex array of two amplitudes; state_bloch checks that their norm is 1."""
     state = np.asarray(state, dtype=complex)
     if state.shape != (2,):
         raise InvalidStateError(f"a pure state is two amplitudes, got shape {state.shape}")
-    norm = np.linalg.norm(state)
-    if abs(norm - 1.0) > 1e-10:
-        raise InvalidStateError(f"state norm {norm} != 1")
     return state
 
 
 def pure_state_matrix(state) -> np.ndarray:
     """Projector |state><state| for a normalized two-component state."""
     state = _pure_state(state)
+    state_bloch(state)  # the norm check
     return np.outer(state, state.conj())
 
 
 def pure_state_bloch(state) -> np.ndarray:
-    """Bloch vector (2 Re(a* b), 2 Im(a* b), |a|^2 - |b|^2) of the pure state a|+> + b|->."""
-    a, b = _pure_state(state).tolist()
-    ab = a.conjugate() * b
-    z = (a * a.conjugate()).real - (b * b.conjugate()).real
-    return np.array([2 * ab.real, 2 * ab.imag, z])
+    """Bloch vector of the pure state a|+> + b|-> as an array (bath.state_bloch)."""
+    return np.array(state_bloch(_pure_state(state)))

@@ -12,7 +12,7 @@ eigenstate has Bloch vector mu, so F = mu . (A mu + c) / 2 (<= 0).
 from dataclasses import dataclass
 
 from ._numpy import np
-from .bath import BathParams, generator_terms
+from .bath import BathParams, frozen_amplitudes, generator_terms
 from .dynamics import relax
 from .errors import ParameterError
 from .pauli import Direction, pure_state_bloch
@@ -107,22 +107,8 @@ def zeno_directions(bath: BathParams) -> ZenoDirections:
 
 
 def zeno_states(bath: BathParams):
-    """The two frozen states, written in the energy eigenbasis.
-
-    |z1> = sqrt(N/(N+M)) |+> + i sqrt(M/(N+M)) e^{-i psi/2} |->
-    |z2> = sqrt(N/(N+M)) |+> - i sqrt(M/(N+M)) e^{-i psi/2} |->
-
-    At maximal squeezing they are the +1 eigenstates of the spin components
-    along the two preferential directions.
-    """
-    n, m, psi = bath.n, bath.m, bath.psi
-    if n + m <= 0:
-        raise ParameterError("frozen states require n > 0 (else they degenerate)")
-    up = np.sqrt(n / (n + m))
-    down = np.sqrt(m / (n + m)) * np.exp(-1j * psi / 2)
-    z1 = np.array([up, 1j * down])
-    z2 = np.array([up, -1j * down])
-    return z1, z2
+    """The two frozen states |z1>, |z2> as complex arrays (bath.frozen_amplitudes)."""
+    return tuple(np.array(state) for state in frozen_amplitudes(bath))
 
 
 def step_survival_probability(bath: BathParams, state, dt: float) -> float:
@@ -193,11 +179,7 @@ def survival_laws(bath: BathParams, state, sched: MeasurementSchedule):
 
 
 def monte_carlo_survival(
-    bath: BathParams,
-    state,
-    sched: MeasurementSchedule,
-    n_traj: int,
-    seed: int,
+    bath: BathParams, state, sched: MeasurementSchedule, n_traj: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stochastic estimate of the repeated-measurement survival curve.
 

@@ -5,5 +5,8 @@ from squeezed_zeno import cli
 
 @pytest.fixture(scope="session", autouse=True)
 def bound_cli():
-    """cli's compute names, which main binds, bound before any test calls a cli entry."""
-    cli._bind_compute()
+    """cli's compute names, which main binds, bound before any test calls a cli entry.
+
+    A table command binds every name, intelligent only those that load no numpy.
+    """
+    cli._bind_compute("surface")

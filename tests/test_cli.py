@@ -856,6 +856,35 @@ def test_cli_import_loads_no_scipy(tmp_path):
             assert threads == "1"
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["intelligent", "--set", "N=2", "--set", "psi=1.3"], 0),
+        (["intelligent", "--set", "N=0"], 0),
+        (["intelligent", "--set", "M=0.5"], 2),
+    ],
+    ids=["maximal", "degenerate", "non-maximal"],
+)
+def test_intelligent_loads_no_numpy(argv, code):
+    # intelligent computes from closed-form scalars: at maximal squeezing, at the degenerate
+    # N = 0 and on the config error of a non-maximal M, numpy stays unloaded, and the three
+    # functions of the report are cli attributes, the ones that a tracer wraps.
+    script = (
+        "import contextlib, io, sys\n"
+        "from squeezed_zeno import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    assert cli.main({argv!r}) == {code}\n"
+        "assert 'numpy' not in sys.modules\n"
+        "for name in ('s_eigensystem', 'uncertainty_product', 'factorization_residual'):\n"
+        "    assert vars(cli)[name].__module__ == 'squeezed_zeno.intelligent', name\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 # The functions that a tracer of the cli -> layer boundary wraps: cli.write_table and
 # each layer function that cli calls.
 BOUNDARY_FUNCTIONS = (
@@ -958,6 +987,30 @@ def test_a_failed_stdout_write_is_an_io_error(argv, stdout):
     assert stdout is None or stdout.getvalue() == ""
     assert stderr.getvalue().startswith("i/o error: cannot write stdout: ")
     assert stderr.getvalue().count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv", [["intelligent"], ["evolve", "--set", "n_steps=3"]], ids=["intelligent", "evolve"]
+)
+def test_a_full_device_on_stdout_exits_4_with_one_line(argv):
+    # Without PYTHONUNBUFFERED, stdout is block-buffered, and the text that the full device
+    # refused stays in its buffer. The process entry drops it, so the flush at exit does
+    # not fail again, add an "Exception ignored" message and turn exit 4 into 120.
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "squeezed_zeno", *argv],
+            env=env,
+            stdout=full,
+            stderr=subprocess.PIPE,
+            timeout=120,
+        )
+    assert proc.returncode == cli.EXIT_IO, proc.stderr
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("i/o error: cannot write stdout: ")
 
 
 def test_options_before_or_after_the_subcommand(capsys):

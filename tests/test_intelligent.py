@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from squeezed_zeno import (
     BathParams,
@@ -9,9 +11,9 @@ from squeezed_zeno import (
     uncertainty_product,
     zeno_states,
 )
-from squeezed_zeno.bath import to_mode_frame
+from squeezed_zeno.bath import frozen_amplitudes, lindblad_s_entries, to_mode_frame
 from squeezed_zeno.errors import ParameterError
-from squeezed_zeno.intelligent import j_minus_alpha
+from squeezed_zeno.intelligent import j_minus_alpha, j_minus_alpha_entries
 from squeezed_zeno.pauli import GROUND, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 from oracles import eig_s_eigensystem, moment_uncertainty_product, rotated_spin_operators
@@ -43,11 +45,9 @@ class TestSEigensystem:
         b = BathParams.maximal(1.0, 2.0, 1.1)
         s = lindblad_s_operator(b)
         eig = s_eigensystem(b)
-        assert np.linalg.norm(s @ eig.state_plus - eig.lambda_plus * eig.state_plus) < 1e-12
-        assert (
-            np.linalg.norm(s @ eig.state_minus - eig.lambda_minus * eig.state_minus)
-            < 1e-12
-        )
+        plus, minus = np.array(eig.state_plus), np.array(eig.state_minus)
+        assert np.linalg.norm(s @ plus - eig.lambda_plus * plus) < 1e-12
+        assert np.linalg.norm(s @ minus - eig.lambda_minus * minus) < 1e-12
 
     def test_eigenvectors_are_frozen_states(self):
         # The eigenvector set coincides with the two frozen states; the
@@ -138,8 +138,9 @@ class TestJMinusAlpha:
         b = BathParams.maximal(1.0, 1.0, 0.0)
         eig = s_eigensystem(b)
         jm = j_minus_alpha(b.psi, b.squeeze_amplitude)
-        assert np.linalg.norm(jm @ eig.state_plus - 0.5 * eig.state_plus) < 1e-12
-        assert np.linalg.norm(jm @ eig.state_minus + 0.5 * eig.state_minus) < 1e-12
+        plus, minus = np.array(eig.state_plus), np.array(eig.state_minus)
+        assert np.linalg.norm(jm @ plus - 0.5 * plus) < 1e-12
+        assert np.linalg.norm(jm @ minus + 0.5 * minus) < 1e-12
 
     def test_singular_at_unity(self):
         # alpha = e^{2r} is 1 at r = 0.
@@ -207,3 +208,38 @@ class TestUncertaintyProduct:
             for state in haar_random_states(1000, seed=17):
                 *_, gap = uncertainty_product(state, psi)
                 assert gap >= -1e-13
+
+
+def same_bits(array, entries) -> bool:
+    return array.tobytes() == np.array(entries, dtype=complex).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_n=st.floats(-324, 154), psi=st.floats(-10.0, 20.0))
+def test_one_route_from_the_scalar_entries(log_n, psi):
+    # The arrays are the closed-form scalar entries that the report is formed from, bit for
+    # bit, and the report keeps the bounds of the oracle tests above: eig's, which holds
+    # where S is well conditioned (N in [1e-3, 1e2], as in test_matches_eig_oracle), the
+    # moments' and the residual's at every N.
+    b = BathParams.maximal(1e-160, 10.0**log_n, psi)
+    eig = s_eigensystem(b)
+    if eig.degenerate:
+        assert b.n == 0
+        return
+    assert same_bits(lindblad_s_operator(b), lindblad_s_entries(b))
+    r = b.squeeze_amplitude
+    assert same_bits(j_minus_alpha(b.psi, r), j_minus_alpha_entries(b.psi, r))
+    z1, z2 = zeno_states(b)
+    assert same_bits(z1, eig.state_minus) and same_bits(z2, eig.state_plus)
+    assert same_bits(np.array([z1, z2]), frozen_amplitudes(b))
+    if -3.0 <= log_n <= 2.0:
+        ref = eig_s_eigensystem(b)
+        assert abs(eig.lambda_plus - ref.lambda_plus) < 1e-12
+        assert abs(eig.lambda_minus - ref.lambda_minus) < 1e-12
+        assert np.max(np.abs(np.subtract(eig.state_plus, ref.state_plus))) < 1e-12
+        assert np.max(np.abs(np.subtract(eig.state_minus, ref.state_minus))) < 1e-12
+    for state in (eig.state_plus, eig.state_minus):
+        got = uncertainty_product(state, b.psi)
+        np.testing.assert_allclose(got, moment_uncertainty_product(state, b.psi), atol=1e-15)
+    scale = float(np.max(np.abs(lindblad_s_operator(b))))
+    assert factorization_residual(b, eig) <= 16 * np.finfo(float).eps * scale

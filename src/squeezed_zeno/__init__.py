@@ -6,16 +6,18 @@ Units: hbar = 1; rates in units of the vacuum decay constant gamma unless
 stated otherwise.
 
 The public names load their submodule on first access, and with it numpy, except
-those of bath, errors and intelligent (_NUMPY_FREE), so importing the package (or
-its CLI) costs no numpy until something computes with arrays.
+those of bath, errors and intelligent (_NUMPY_FREE), modules that import no numpy,
+so importing the package (or its CLI) costs no numpy until something computes with arrays.
 """
 
 from importlib import import_module as _import_module
 
 # Submodule -> the public names it defines.
 _PUBLIC = {
-    "bath": ("BathParams", "bloch_rates", "lindblad_s_operator", "maximal_m"),
-    "dynamics": ("TimeGrid", "analytic_free", "evolve_free", "evolve_measured", "relax"),
+    "bath": ("BathParams", "maximal_m"),
+    "dynamics": (
+        "TimeGrid", "analytic_free", "bloch_rates", "evolve_free", "evolve_measured", "relax",
+    ),
     "errors": ("InvalidStateError", "ParameterError", "SqueezedZenoError"),
     "intelligent": ("factorization_residual", "s_eigensystem", "uncertainty_product"),
     "pauli": (
@@ -29,7 +31,7 @@ _PUBLIC = {
     ),
 }
 _SUBMODULE = {name: module for module, names in _PUBLIC.items() for name in names}
-_NUMPY_FREE = ("bath", "errors", "intelligent")  # the submodules whose import loads no numpy
+_NUMPY_FREE = ("bath", "errors", "intelligent")  # the submodules that import no numpy
 
 __version__ = "0.1.0"
 

@@ -1,7 +1,7 @@
-"""numpy, loaded with one OpenBLAS thread; every module of the package takes np from here.
+"""numpy, loaded with one OpenBLAS thread; pauli, dynamics and zeno take np from here.
 
-bath and intelligent take it inside the functions that return arrays, so intelligent runs
-without it. The package's arrays are 2x2 and 3x3, and its largest product, evolve's
+bath, errors and intelligent (_NUMPY_FREE) import neither it nor numpy, so intelligent runs
+without numpy. The package's arrays are 2x2 and 3x3, and its largest product, evolve's
 (n, 3) @ (3,), takes as long on one thread as on two. OpenBLAS starts its worker threads
 when numpy loads and reads OPENBLAS_NUM_THREADS only then, so numpy loads with one thread
 unless the user chose a count, and the environment is left as it was for child processes.

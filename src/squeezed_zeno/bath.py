@@ -3,9 +3,9 @@
 Provides the bath parameters with the decay rates of the dissipator's
 three modes, the rotation by psi/2 into the mode frame where the affine
 Bloch equations of motion are diagonal, a pure state's Bloch vector, and
-the single jump operator (Lindblad form), valid at maximal two-photon
-correlation, with its eigenvectors, the frozen states. Every entry is a
-Python scalar: the module loads numpy only to return an array.
+the entries of the single jump operator (Lindblad form), valid at maximal
+two-photon correlation, with its eigenvectors, the frozen states. Every
+value is a Python scalar.
 """
 
 import cmath
@@ -22,7 +22,7 @@ MAX_RATE = 1e150
 
 def maximal_m(n: float) -> float:
     """Largest two-photon correlation magnitude sqrt(N(N+1)), for N >= 0 with N(N+1) finite."""
-    if n < 0:
+    if not n >= 0:
         raise ParameterError(f"mean photon number must be >= 0, got {n}")
     # A Python float, so that a product past the float range is inf without a warning.
     if float(n) * (float(n) + 1.0) == math.inf:
@@ -125,12 +125,6 @@ def lindblad_s_entries(bath: BathParams):
     return (0j, upper), (complex(math.sqrt(bath.n + 1)), 0j)
 
 
-def lindblad_s_operator(bath: BathParams):
-    """Jump operator S as a 2x2 complex array (lindblad_s_entries)."""
-    from ._numpy import np
-    return np.array(lindblad_s_entries(bath))
-
-
 def frozen_amplitudes(bath: BathParams):
     """The two frozen states as amplitude pairs (a, b) of a|+> + b|->.
 
@@ -148,21 +142,6 @@ def frozen_amplitudes(bath: BathParams):
     return (up, 1j * down), (up, -1j * down)
 
 
-def bloch_rates(bath: BathParams):
-    """Affine Bloch equations d(rho_vec)/dt = A rho_vec + c in the lab frame.
-
-    A[k, j] = Tr(L{sigma_j} sigma_k) / 2 and c[k] = Tr(L{1} sigma_k) / 2: A is
-    diag(-fast, -slow, -z) in the mode frame (generator_terms) and c = (0, 0, -gamma).
-    """
-    from ._numpy import np
-    fast, slow, z = bath.rates
-    # The transverse block is -fast r r^T - slow q q^T for the mode axes r, q in the lab frame.
-    r, q = to_mode_frame(bath.psi, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    a = np.diag([0.0, 0.0, -z])
-    a[:2, :2] = -fast * np.outer(r, r) - slow * np.outer(q, q)
-    return a, np.array([0.0, 0.0, -bath.gamma])
-
-
 def state_bloch(state):
     """Bloch vector (2 Re(a* b), 2 Im(a* b), |a|^2 - |b|^2) of the pure state (a, b) = a|+> + b|->.
 
@@ -170,7 +149,7 @@ def state_bloch(state):
     """
     a, b = map(complex, state)
     norm = math.hypot(abs(a), abs(b))
-    if abs(norm - 1.0) > 1e-10:
+    if not abs(norm - 1.0) <= 1e-10:
         raise InvalidStateError(f"state norm {norm} != 1")
     ab = a.conjugate() * b
     return 2 * ab.real, 2 * ab.imag, (a * a.conjugate()).real - (b * b.conjugate()).real

@@ -2,6 +2,7 @@
 
 Free evolution relaxes each mode of the affine Bloch system, and continuous monitoring
 of a spin component leaves one relaxing expectation value: one law (relax) serves both.
+bloch_rates gives that system's generator (A, c) in the lab frame as arrays.
 """
 
 from dataclasses import dataclass
@@ -96,6 +97,20 @@ def analytic_free(bath: BathParams, v0, t):
     over = norm_sq > 1.0
     v[over] /= (np.sqrt(norm_sq[over]) * (1.0 + 4 * np.finfo(float).eps))[..., None]
     return v
+
+
+def bloch_rates(bath: BathParams):
+    """Affine Bloch equations d(rho_vec)/dt = A rho_vec + c in the lab frame.
+
+    A[k, j] = Tr(L{sigma_j} sigma_k) / 2 and c[k] = Tr(L{1} sigma_k) / 2: A is
+    diag(-fast, -slow, -z) in the mode frame (generator_terms) and c = (0, 0, -gamma).
+    """
+    fast, slow, z = bath.rates
+    # The transverse block is -fast r r^T - slow q q^T for the mode axes r, q in the lab frame.
+    r, q = to_mode_frame(bath.psi, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    a = np.diag([0.0, 0.0, -z])
+    a[:2, :2] = -fast * np.outer(r, r) - slow * np.outer(q, q)
+    return a, np.array([0.0, 0.0, -bath.gamma])
 
 
 def evolve_measured(bath: BathParams, d: Direction, v0, grid: TimeGrid) -> np.ndarray:

@@ -3,8 +3,8 @@
 Eigensystem of the bath's single jump operator, the rotated spin
 observables aligned with the bath fluctuation ellipse, the non-Hermitian
 lowering-type operator whose eigenstates saturate the Heisenberg
-uncertainty relation, and the saturation check itself, all from Python scalars
-(numpy loads only to return an array). Its squeeze ratio is BathParams.squeeze_ratio.
+uncertainty relation, and the saturation check itself, all from Python scalars.
+Its squeeze ratio is BathParams.squeeze_ratio.
 """
 
 import cmath
@@ -56,12 +56,6 @@ def j_minus_alpha_entries(psi: float, r: float):
         raise ParameterError(f"J_-(alpha) needs squeezing r > 0, got r={r} (singular at r = 0)")
     t = math.sqrt(math.tanh(r))
     return (0j, 0.5j * t * cmath.exp(0.5j * psi)), (-0.5j / t * cmath.exp(-0.5j * psi), 0j)
-
-
-def j_minus_alpha(psi: float, r: float):
-    """J_-(alpha) as a 2x2 complex array (j_minus_alpha_entries)."""
-    from ._numpy import np
-    return np.array(j_minus_alpha_entries(psi, r))
 
 
 def factorization_residual(bath: BathParams, eig: SEigensystem) -> float:

@@ -1,9 +1,9 @@
 """Exact 2x2 complex algebra for a two-level atom.
 
-Pauli and ladder operator constants, the Bloch-vector check, the closed-form
-Bloch vector of a pure state, directions on the Bloch sphere with the
-eigenstates of the spin component along them, and the checked map from a
-density matrix to its Bloch vector.
+The basis states, the Bloch-vector check, the closed-form Bloch vector of a pure
+state, directions on the Bloch sphere with the eigenstates of the spin component
+along them, and the checked map from a density matrix to its Bloch vector, read
+off its entries.
 
 Basis convention: |+> = excited = (1, 0)^T, |-> = ground = (0, 1)^T, so
 sigma_z |+-> = +-|+-> and the lowering operator sends |+> to |->.
@@ -14,14 +14,6 @@ from dataclasses import dataclass
 from ._numpy import np
 from .bath import state_bloch
 from .errors import InvalidStateError
-
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-# Ladder operators: SIGMA_MINUS |+> = |->
-SIGMA_MINUS = 0.5 * (SIGMA_X - 1j * SIGMA_Y)
-SIGMA_PLUS = 0.5 * (SIGMA_X + 1j * SIGMA_Y)
 
 EXCITED = np.array([1, 0], dtype=complex)
 GROUND = np.array([0, 1], dtype=complex)
@@ -71,6 +63,7 @@ def bloch_vector(v) -> np.ndarray:
 def matrix_to_bloch(rho: np.ndarray) -> np.ndarray:
     """Bloch vector (Tr rho sigma_x, Tr rho sigma_y, Tr rho sigma_z) of a density matrix.
 
+    The traces are the real parts of rho01 + rho10, i(rho01 - rho10) and rho00 - rho11.
     rho must be 2x2, Hermitian within HERMITICITY_TOL and of unit trace, and its
     Bloch vector must pass bloch_vector, whose |v| <= 1 is rho's positivity;
     else InvalidStateError.
@@ -82,7 +75,8 @@ def matrix_to_bloch(rho: np.ndarray) -> np.ndarray:
         raise InvalidStateError(f"density matrix {rho.tolist()} is not Hermitian")
     if abs(np.trace(rho) - 1.0) > 1e-9:
         raise InvalidStateError(f"density matrix trace {np.trace(rho)} != 1")
-    return bloch_vector([np.trace(rho @ sigma).real for sigma in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
+    (r00, r01), (r10, r11) = rho
+    return bloch_vector([(r01 + r10).real, (1j * (r01 - r10)).real, (r00 - r11).real])
 
 
 def eigenstates_mu(d: Direction):

@@ -117,7 +117,10 @@ def step_survival_probability(bath: BathParams, state, dt: float) -> float:
     Each generator term T relaxes at its mode's rate r (z for the last two), so the loss
     1 - p = -sum T (1 - e^{-r dt}) / (2r) is exact, with no 1 - |v|^2 to cancel, and clipped
     to [0, 1]. Its slope at dt = 0 is -survival_rate and its dt^2 term -second_order_rate dt.
+    A NaN or negative dt raises ParameterError.
     """
+    if not dt >= 0:
+        raise ParameterError(f"dt must be >= 0, got {dt}")
     t_fast, t_slow, t_z, t_c = generator_terms(bath, pure_state_bloch(state))
     terms = (t_fast, t_slow, t_z + t_c)
     loss = -0.5 * sum(t * relax(0.0, rate, dt, 1.0) for t, rate in zip(terms, bath.rates))
@@ -149,8 +152,10 @@ def second_order_rate(bath: BathParams, state, dt: float) -> float:
     state about eps off the exact one, where the rate has curvature at most z;
     else ParameterError. A rate that passes without being 0 (-1e-14 gamma for the
     ground state at N = 1e-14) can make the value positive, so it is clipped at
-    0. It is -inf where gamma^2 dt overflows.
+    0. It is -inf where gamma^2 dt overflows. A NaN or negative dt raises ParameterError.
     """
+    if not dt >= 0:
+        raise ParameterError(f"dt must be >= 0, got {dt}")
     terms = generator_terms(bath, pure_state_bloch(state))
     fast, slow, rate_z = bath.rates
     first = 0.5 * float(sum(terms))

@@ -14,25 +14,21 @@ from squeezed_zeno import (
     BathParams,
     MeasurementSchedule,
     TimeGrid,
-    lindblad_s_operator,
     step_survival_probability,
     survival_functional_grid,
 )
+from squeezed_zeno.errors import ParameterError
 from squeezed_zeno.intelligent import SEigensystem
-from squeezed_zeno.pauli import (
-    GROUND,
-    SIGMA_MINUS,
-    SIGMA_PLUS,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    Direction,
-    bloch_vector,
-    eigenstates_mu,
-    pure_state_matrix,
-)
+from squeezed_zeno.pauli import GROUND, Direction, bloch_vector, eigenstates_mu, pure_state_matrix
 
+# The operators in the basis |+> = excited = (1, 0), |-> = ground = (0, 1).
 IDENTITY = np.eye(2, dtype=complex)
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+# Ladder operators: SIGMA_MINUS |+> = |-> and SIGMA_PLUS |-> = |+>.
+SIGMA_MINUS = np.array([[0, 0], [1, 0]], dtype=complex)
+SIGMA_PLUS = np.array([[0, 1], [0, 0]], dtype=complex)
 # Internal RK4 step as a fraction of the fastest relaxation time 1 / (gamma (2N + 1)).
 RK4_STEP_FRACTION = 1e-3
 
@@ -70,10 +66,20 @@ def liouvillian(bath: BathParams, rho: np.ndarray) -> np.ndarray:
     return down + up + squeeze
 
 
+def s_operator(bath: BathParams) -> np.ndarray:
+    """Jump operator S = sqrt(N+1) sigma- - sqrt(N) e^{i psi} sigma+ of the single-jump form.
+
+    It is the dissipator's jump operator at maximal M only; else ParameterError.
+    """
+    if not bath.is_maximal:
+        raise ParameterError(f"S needs maximal squeezing, got m={bath.m}")
+    return np.sqrt(bath.n + 1) * SIGMA_MINUS - np.sqrt(bath.n) * np.exp(1j * bath.psi) * SIGMA_PLUS
+
+
 def liouvillian_from_s(bath: BathParams, rho: np.ndarray) -> np.ndarray:
     """Dissipator in single-jump form: gamma/2 (2 S rho S+ - rho S+ S - S+ S rho)."""
     rho = np.asarray(rho, dtype=complex)
-    s = lindblad_s_operator(bath)
+    s = s_operator(bath)
     sd = s.conj().T
     return 0.5 * bath.gamma * (2 * s @ rho @ sd - rho @ sd @ s - sd @ s @ rho)
 
@@ -154,7 +160,7 @@ def eig_s_eigensystem(bath: BathParams) -> SEigensystem:
     and non-negative, and the eigenvalue nearer i sqrt(M) e^{i psi/2} is
     lambda_+. At N = 0 S is nilpotent and the case is reported as degenerate.
     """
-    s = lindblad_s_operator(bath)
+    s = s_operator(bath)
     if bath.n == 0:
         return SEigensystem(0.0, GROUND.copy(), 0.0, GROUND.copy(), degenerate=True)
     eigvals, eigvecs = np.linalg.eig(s)
@@ -179,6 +185,18 @@ def rotated_spin_operators(psi: float):
     J2 = (sin(psi/2) sigma_x + cos(psi/2) sigma_y) / 2 and Jz = sigma_z / 2."""
     c, s = np.cos(psi / 2), np.sin(psi / 2)
     return 0.5 * (c * SIGMA_X - s * SIGMA_Y), 0.5 * (s * SIGMA_X + c * SIGMA_Y), 0.5 * SIGMA_Z
+
+
+def j_minus_alpha_operator(psi: float, r: float) -> np.ndarray:
+    """J_-(alpha) = (J1 - i alpha J2) / sqrt(1 - alpha^2) with alpha = e^{2r}.
+
+    J1 and J2 are those of rotated_spin_operators. On the principal branch
+    sqrt(1 - alpha^2) = i alpha sqrt(1 - alpha^-2), so J_-(alpha) is
+    (J1 / alpha - i J2) / (i sqrt(1 - alpha^-2)), formed with 1 / alpha = e^{-2r} and
+    1 - alpha^-2 = -expm1(-4r): 1 - alpha^2 does not cancel at small r, nor alpha^2 overflow.
+    """
+    j1, j2, _ = rotated_spin_operators(psi)
+    return (np.exp(-2.0 * r) * j1 - 1j * j2) / (1j * np.sqrt(-np.expm1(-4.0 * r)))
 
 
 def moment_uncertainty_product(state, psi: float):

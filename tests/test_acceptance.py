@@ -13,7 +13,6 @@ from squeezed_zeno import (
     eigenstates_mu,
     evolve_free,
     evolve_measured,
-    lindblad_s_operator,
     monte_carlo_survival,
     pure_state_bloch,
     repeated_measurement_survival,
@@ -25,16 +24,17 @@ from squeezed_zeno import (
     zeno_directions,
     zeno_states,
 )
-from squeezed_zeno.intelligent import j_minus_alpha
 
 from oracles import (
     bloch_to_matrix,
     eig_s_eigensystem,
     find_zeno_directions_grid,
+    j_minus_alpha_operator,
     liouvillian,
     liouvillian_from_s,
     measurement_modified_rhs,
     rk4_free,
+    s_operator,
     sigma_mu,
 )
 
@@ -224,8 +224,8 @@ def test_criterion_10_s_eigensystem():
                 abs(np.vdot(eig.state_minus, z1)),
                 abs(np.vdot(eig.state_plus, z2)),
             )
-            s = lindblad_s_operator(b)
-            jm = j_minus_alpha(b.psi, b.squeeze_amplitude)
+            s = s_operator(b)
+            jm = j_minus_alpha_operator(b.psi, b.squeeze_amplitude)
             worst_res = max(
                 worst_res, float(np.max(np.abs(s - 2 * eig.lambda_plus * jm)))
             )

@@ -7,17 +7,23 @@ from hypothesis import strategies as st
 from squeezed_zeno import (
     BathParams,
     bloch_rates,
-    lindblad_s_operator,
     maximal_m,
     pure_state_matrix,
     second_order_rate,
     survival_rate,
     zeno_states,
 )
+from squeezed_zeno.bath import lindblad_s_entries
 from squeezed_zeno.errors import ParameterError
-from squeezed_zeno.pauli import GROUND, SIGMA_MINUS, SIGMA_PLUS
+from squeezed_zeno.pauli import GROUND
 
-from oracles import liouvillian, liouvillian_from_s, oracle_bloch_rates
+from oracles import (
+    SIGMA_MINUS,
+    SIGMA_PLUS,
+    liouvillian,
+    liouvillian_from_s,
+    oracle_bloch_rates,
+)
 
 
 def random_hermitian(rng):
@@ -107,24 +113,26 @@ class TestLiouvillian:
 
 
 class TestLindbladForm:
+    """The package's entries of S against the oracle's S, built from the ladder matrices."""
+
     def test_vacuum_limit_s_is_sigma(self):
         b = BathParams(gamma=1.0, n=0.0, m=0.0)
-        assert np.allclose(lindblad_s_operator(b), SIGMA_MINUS)
+        assert np.allclose(lindblad_s_entries(b), SIGMA_MINUS)
 
     def test_n1_psi0(self):
         b = BathParams.maximal(1.0, 1.0, 0.0)
         expected = np.sqrt(2) * SIGMA_MINUS - SIGMA_PLUS
-        assert np.allclose(lindblad_s_operator(b), expected, atol=1e-12)
+        assert np.allclose(lindblad_s_entries(b), expected, atol=1e-12)
 
     def test_n1_psi_pi(self):
         b = BathParams.maximal(1.0, 1.0, np.pi)
         expected = np.sqrt(2) * SIGMA_MINUS + SIGMA_PLUS
-        assert np.allclose(lindblad_s_operator(b), expected, atol=1e-12)
+        assert np.allclose(lindblad_s_entries(b), expected, atol=1e-12)
 
     def test_submaximal_rejected(self):
         b = BathParams(gamma=1.0, n=1.0, m=0.5)
         with pytest.raises(ParameterError):
-            lindblad_s_operator(b)
+            lindblad_s_entries(b)
         with pytest.raises(ParameterError):
             liouvillian_from_s(b, np.eye(2))
 

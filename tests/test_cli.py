@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import importlib
 import inspect
@@ -32,9 +33,10 @@ from squeezed_zeno.cli import (
     resolve_direction,
     resolve_state,
 )
-from squeezed_zeno.pauli import SIGMA_MINUS, SIGMA_PLUS
 
 from oracles import (
+    SIGMA_MINUS,
+    SIGMA_PLUS,
     bernstein_bound,
     expm_propagator,
     find_zeno_directions_grid,
@@ -885,6 +887,36 @@ def test_intelligent_loads_no_numpy(argv, code):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_numpy_free_names_whole_modules():
+    # No _NUMPY_FREE module imports numpy or _numpy, at the top level or in a function, and
+    # each imports from the package only other _NUMPY_FREE modules; the array modules take
+    # np from _numpy at their top level.
+    package = ROOT / "src" / "squeezed_zeno"
+    trees = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
+    free = set(squeezed_zeno._NUMPY_FREE)
+    for name in sorted(free):
+        for node in ast.walk(trees[name]):
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                assert node.level == 1, (name, node.lineno)
+                imported = [node.module] if node.module else [a.name for a in node.names]
+                assert {module.partition(".")[0] for module in imported} <= free, (name, imported)
+            elif isinstance(node, ast.ImportFrom):
+                imported = [node.module]
+            else:
+                continue
+            for module in imported:
+                assert module.partition(".")[0] not in ("numpy", "_numpy"), (name, module)
+                assert not module.startswith("squeezed_zeno._numpy"), (name, module)
+    for name in ("pauli", "dynamics", "zeno"):
+        top = trees[name].body
+        assert any(
+            isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "_numpy"
+            for node in top
+        ), name
+
+
 # The functions that a tracer of the cli -> layer boundary wraps: cli.write_table and
 # each layer function that cli calls.
 BOUNDARY_FUNCTIONS = (
@@ -1102,6 +1134,13 @@ REMOVED_NAMES = (
     "J_X",
     "J_Y",
     "J_Z",
+    "lindblad_s_operator",
+    "j_minus_alpha",
+    "SIGMA_X",
+    "SIGMA_Y",
+    "SIGMA_Z",
+    "SIGMA_MINUS",
+    "SIGMA_PLUS",
 )
 
 

@@ -6,18 +6,27 @@ from hypothesis import strategies as st
 from squeezed_zeno import (
     BathParams,
     factorization_residual,
-    lindblad_s_operator,
     s_eigensystem,
     uncertainty_product,
     zeno_states,
 )
 from squeezed_zeno.bath import frozen_amplitudes, lindblad_s_entries, to_mode_frame
 from squeezed_zeno.errors import ParameterError
-from squeezed_zeno.intelligent import j_minus_alpha, j_minus_alpha_entries
-from squeezed_zeno.pauli import GROUND, SIGMA_X, SIGMA_Y, SIGMA_Z
+from squeezed_zeno.intelligent import j_minus_alpha_entries
+from squeezed_zeno.pauli import GROUND
 
-from oracles import eig_s_eigensystem, moment_uncertainty_product, rotated_spin_operators
+from oracles import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    eig_s_eigensystem,
+    j_minus_alpha_operator,
+    moment_uncertainty_product,
+    rotated_spin_operators,
+    s_operator,
+)
 
+EPS = np.finfo(float).eps
 J_X, J_Y, J_Z = 0.5 * SIGMA_X, 0.5 * SIGMA_Y, 0.5 * SIGMA_Z
 
 
@@ -43,7 +52,7 @@ class TestSEigensystem:
 
     def test_eigen_relation(self):
         b = BathParams.maximal(1.0, 2.0, 1.1)
-        s = lindblad_s_operator(b)
+        s = s_operator(b)
         eig = s_eigensystem(b)
         plus, minus = np.array(eig.state_plus), np.array(eig.state_minus)
         assert np.linalg.norm(s @ plus - eig.lambda_plus * plus) < 1e-12
@@ -82,7 +91,7 @@ class TestSEigensystem:
 
 
 class TestRotatedJOperators:
-    """J1 and J2 as j_minus_alpha forms them: the mode-frame rotation of Jx and Jy."""
+    """J1 and J2 as j_minus_alpha_entries takes them: the mode-frame rotation of Jx and Jy."""
 
     def test_psi_zero(self):
         j1, j2 = to_mode_frame(0.0, J_X, J_Y)
@@ -112,21 +121,22 @@ class TestRotatedJOperators:
 
 
 class TestJMinusAlpha:
+    """The package's entries of J_-(alpha) against the oracle's, built from J1 and J2."""
+
     def test_factorization(self):
         for n, psi in [(1.0, 0.0), (2.0, 1.3), (0.5, np.pi)]:
             b = BathParams.maximal(1.0, n, psi)
             eig = s_eigensystem(b)
-            s = lindblad_s_operator(b)
-            jm = j_minus_alpha(b.psi, b.squeeze_amplitude)
-            residual = np.max(np.abs(s - 2 * eig.lambda_plus * jm))
-            assert factorization_residual(b, eig) == residual
+            jm = j_minus_alpha_operator(b.psi, b.squeeze_amplitude)
+            residual = np.max(np.abs(s_operator(b) - 2 * eig.lambda_plus * jm))
+            assert factorization_residual(b, eig) < 1e-12
             assert residual < 1e-12
 
     def test_factorization_chain(self):
         # S = e^{i psi/2} e^{-r} (J1 - i alpha J2) = 2 lambda_+ J_-(alpha)
         b = BathParams.maximal(1.0, 1.7, 0.9)
         j1, j2, _ = rotated_spin_operators(b.psi)
-        s = lindblad_s_operator(b)
+        s = s_operator(b)
         middle = (
             np.exp(1j * b.psi / 2)
             * np.exp(-b.squeeze_amplitude)
@@ -137,7 +147,7 @@ class TestJMinusAlpha:
     def test_eigenvalues_half(self):
         b = BathParams.maximal(1.0, 1.0, 0.0)
         eig = s_eigensystem(b)
-        jm = j_minus_alpha(b.psi, b.squeeze_amplitude)
+        jm = np.array(j_minus_alpha_entries(b.psi, b.squeeze_amplitude))
         plus, minus = np.array(eig.state_plus), np.array(eig.state_minus)
         assert np.linalg.norm(jm @ plus - 0.5 * plus) < 1e-12
         assert np.linalg.norm(jm @ minus + 0.5 * minus) < 1e-12
@@ -145,22 +155,27 @@ class TestJMinusAlpha:
     def test_singular_at_unity(self):
         # alpha = e^{2r} is 1 at r = 0.
         with pytest.raises(ParameterError):
-            j_minus_alpha(0.0, 0.0)
+            j_minus_alpha_entries(0.0, 0.0)
 
     @pytest.mark.parametrize("n", [5e-324, 1e-300, 1e-40, 1e-30, 1e-20, 1e-12, 1e-8, 1e150])
     def test_factorization_formed_from_r(self, n):
         # 1 - alpha^2 formed from the float alpha = e^{2r} is off by eps / (4r) relative (a
         # residual of 4e-4 at N = 1e-30), and alpha^2 overflows for N above 3e153. Formed
-        # from r, the worst of 20 000 draws of N in [1e-320, 1e153] was 2.4 eps |S|.
+        # from r, the worst of 20 000 draws of N in [1e-320, 1e153] was 2.4 eps |S|. The
+        # oracle forms it from e^{-2r} and expm1(-4r) instead, and the entries stay within
+        # a few eps of the oracle's.
         for psi in (0.0, 2.1):
             b = BathParams.maximal(1e-160, n, psi)
             eig = s_eigensystem(b)
-            jm = j_minus_alpha(b.psi, b.squeeze_amplitude)
-            s = lindblad_s_operator(b)
+            r = b.squeeze_amplitude
+            jm = j_minus_alpha_operator(b.psi, r)
+            s = s_operator(b)
             scale = float(np.max(np.abs(s)))
             residual = np.max(np.abs(s - 2 * eig.lambda_plus * jm))
             for value in (residual, factorization_residual(b, eig)):
-                assert value <= 16 * np.finfo(float).eps * scale
+                assert value <= 16 * EPS * scale
+            error = np.max(np.abs(np.subtract(j_minus_alpha_entries(b.psi, r), jm)))
+            assert error <= 4 * EPS * np.max(np.abs(jm))
 
 
 class TestSqueezeFrame:
@@ -217,18 +232,22 @@ def same_bits(array, entries) -> bool:
 @settings(max_examples=300, deadline=None)
 @given(log_n=st.floats(-324, 154), psi=st.floats(-10.0, 20.0))
 def test_one_route_from_the_scalar_entries(log_n, psi):
-    # The arrays are the closed-form scalar entries that the report is formed from, bit for
-    # bit, and the report keeps the bounds of the oracle tests above: eig's, which holds
-    # where S is well conditioned (N in [1e-3, 1e2], as in test_matches_eig_oracle), the
-    # moments' and the residual's at every N.
+    # The closed-form scalar entries that the report is formed from are the oracle's S and
+    # J_-(alpha) within a few eps, and the report keeps the bounds of the oracle tests above:
+    # eig's, which holds where S is well conditioned (N in [1e-3, 1e2], as in
+    # test_matches_eig_oracle), the moments' and the residual's at every N.
     b = BathParams.maximal(1e-160, 10.0**log_n, psi)
     eig = s_eigensystem(b)
     if eig.degenerate:
         assert b.n == 0
         return
-    assert same_bits(lindblad_s_operator(b), lindblad_s_entries(b))
+    s = s_operator(b)
+    scale = float(np.max(np.abs(s)))
+    assert np.max(np.abs(np.subtract(lindblad_s_entries(b), s))) <= 4 * EPS * scale
     r = b.squeeze_amplitude
-    assert same_bits(j_minus_alpha(b.psi, r), j_minus_alpha_entries(b.psi, r))
+    jm = j_minus_alpha_operator(b.psi, r)
+    error = np.max(np.abs(np.subtract(j_minus_alpha_entries(b.psi, r), jm)))
+    assert error <= 4 * EPS * np.max(np.abs(jm))
     z1, z2 = zeno_states(b)
     assert same_bits(z1, eig.state_minus) and same_bits(z2, eig.state_plus)
     assert same_bits(np.array([z1, z2]), frozen_amplitudes(b))
@@ -241,5 +260,4 @@ def test_one_route_from_the_scalar_entries(log_n, psi):
     for state in (eig.state_plus, eig.state_minus):
         got = uncertainty_product(state, b.psi)
         np.testing.assert_allclose(got, moment_uncertainty_product(state, b.psi), atol=1e-15)
-    scale = float(np.max(np.abs(lindblad_s_operator(b))))
-    assert factorization_residual(b, eig) <= 16 * np.finfo(float).eps * scale
+    assert factorization_residual(b, eig) <= 16 * EPS * scale

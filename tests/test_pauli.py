@@ -5,9 +5,6 @@ from squeezed_zeno.pauli import (
     Direction,
     EXCITED,
     GROUND,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
     bloch_vector,
     eigenstates_mu,
     matrix_to_bloch,
@@ -16,7 +13,16 @@ from squeezed_zeno.pauli import (
 )
 from squeezed_zeno.errors import InvalidStateError
 
-from oracles import IDENTITY, bloch_to_matrix, sigma_mu
+from oracles import (
+    IDENTITY,
+    SIGMA_MINUS,
+    SIGMA_PLUS,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    bloch_to_matrix,
+    sigma_mu,
+)
 
 
 def random_directions(n, seed=0):
@@ -140,7 +146,11 @@ class TestEigenstates:
 
 
 def test_pauli_algebra():
+    # The oracles' matrices: sigma_x sigma_y = i sigma_z, the anticommutators, and the ladder
+    # operators (sigma_x -+ i sigma_y) / 2.
     assert np.allclose(SIGMA_X @ SIGMA_Y, 1j * SIGMA_Z)
+    assert np.array_equal(SIGMA_MINUS, 0.5 * (SIGMA_X - 1j * SIGMA_Y))
+    assert np.array_equal(SIGMA_PLUS, 0.5 * (SIGMA_X + 1j * SIGMA_Y))
     paulis = [SIGMA_X, SIGMA_Y, SIGMA_Z]
     for i, a in enumerate(paulis):
         for j, b in enumerate(paulis):

@@ -13,11 +13,13 @@ from squeezed_zeno import (
     evolve_measured,
     matrix_to_bloch,
     maximal_m,
+    monte_carlo_survival,
     pure_state_bloch,
     pure_state_matrix,
     second_order_rate,
     step_survival_probability,
     survival_rate,
+    zeno_states,
 )
 from squeezed_zeno.cli import main
 from squeezed_zeno.errors import InvalidStateError, ParameterError
@@ -129,6 +131,12 @@ def test_library_rejects_non_finite(make, error):
             id="maximal-m-negative",
         ),
         pytest.param(
+            lambda: maximal_m(nan),
+            ParameterError,
+            r"^mean photon number must be >= 0, got nan$",
+            id="maximal-m-nan",
+        ),
+        pytest.param(
             lambda: maximal_m(1.35e154),
             ParameterError,
             r"^mean photon number must have a finite n\(n\+1\), got 1\.35e\+154$",
@@ -147,6 +155,12 @@ def test_library_rejects_non_finite(make, error):
             r"^state norm 1\.4142135623730951 != 1$",
             id="state-norm",
         ),
+        pytest.param(
+            lambda: pure_state_bloch([nan, 0]),
+            InvalidStateError,
+            r"^state norm nan != 1$",
+            id="state-norm-nan",
+        ),
     ],
 )
 def test_library_rejects_out_of_range(make, error, match):
@@ -156,6 +170,7 @@ def test_library_rejects_out_of_range(make, error, match):
 
 BATH = BathParams.maximal(1.0, 1.0, 0.0)
 GRID = TimeGrid(1.0, 4)
+SCHEDULE = MeasurementSchedule(0.01, 3)
 TAKES_BLOCH_VECTOR = {
     "bloch_vector": bloch_vector,
     "bloch_to_matrix": bloch_to_matrix,
@@ -178,8 +193,16 @@ TAKES_PURE_STATE = {
     "survival_rate": lambda s: survival_rate(BATH, s),
     "step_survival_probability": lambda s: step_survival_probability(BATH, s, 0.01),
     "second_order_rate": lambda s: second_order_rate(BATH, s, 0.01),
+    "monte_carlo_survival": lambda s: monte_carlo_survival(BATH, s, SCHEDULE, 10, 0),
 }
-MALFORMED_PURE_STATES = {"three": [1, 0, 0], "one": [1], "matrix": np.eye(2), "nested": [[1, 0]]}
+MALFORMED_PURE_STATES = {
+    "three": [1, 0, 0],
+    "one": [1],
+    "matrix": np.eye(2),
+    "nested": [[1, 0]],
+    "nan-first": [nan, 0],
+    "nan-second": [1, nan],
+}
 TAKES_DENSITY_MATRIX = {"matrix_to_bloch": matrix_to_bloch}
 MALFORMED_DENSITY_MATRICES = {
     "non-hermitian": np.array([[1, 1], [0, 0]]),
@@ -204,6 +227,16 @@ MALFORMED_DENSITY_MATRICES = {
 def test_malformed_state_rejected(call, value):
     with pytest.raises(InvalidStateError):
         call(value)
+
+
+@pytest.mark.parametrize("function", [step_survival_probability, second_order_rate])
+@pytest.mark.parametrize("dt", [nan, -1.0, -5e-324])
+def test_raw_dt_must_be_non_negative(function, dt):
+    # A MeasurementSchedule checks dt for the curves; these two take it raw. dt = -1 gave
+    # p = 1 and a positive second-order rate for a frozen state, dt = NaN NaN from both.
+    frozen = zeno_states(BATH)[0]
+    with pytest.raises(ParameterError, match=rf"^dt must be >= 0, got {dt}$"):
+        function(BATH, frozen, dt)
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,7 @@ from importlib import import_module as _import_module
 
 # Submodule -> the public names it defines.
 _PUBLIC = {
-    "bath": ("BathParams", "maximal_m"),
+    "bath": ("BathParams", "maximal_m", "survival_functional_rows", "zeno_angles"),
     "dynamics": (
         "TimeGrid", "analytic_free", "bloch_rates", "evolve_free", "evolve_measured", "relax",
     ),

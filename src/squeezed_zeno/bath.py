@@ -2,16 +2,19 @@
 
 Provides the bath parameters with the decay rates of the dissipator's
 three modes, the rotation by psi/2 into the mode frame where the affine
-Bloch equations of motion are diagonal, a pure state's Bloch vector, and
-the entries of the single jump operator (Lindblad form), valid at maximal
-two-photon correlation, with its eigenvectors, the frozen states. Every
-value is a Python scalar.
+Bloch equations of motion are diagonal, a pure state's Bloch vector, the
+survival functional on an angle grid with its two maxima, and the entries
+of the single jump operator (Lindblad form), valid at maximal two-photon
+correlation, with its eigenvectors, the frozen states. Every value is a
+Python scalar, or an array or list of them.
 """
 
 import cmath
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Number
 from typing import NamedTuple
 
 from .errors import InvalidStateError, ParameterError
@@ -145,9 +148,16 @@ def frozen_amplitudes(bath: BathParams):
 def state_bloch(state):
     """Bloch vector (2 Re(a* b), 2 Im(a* b), |a|^2 - |b|^2) of the pure state (a, b) = a|+> + b|->.
 
-    Its norm sqrt(|a|^2 + |b|^2) must be 1 within 1e-10, else InvalidStateError.
+    state must be exactly two numbers, and its norm sqrt(|a|^2 + |b|^2) 1 within 1e-10;
+    else InvalidStateError.
     """
-    a, b = map(complex, state)
+    try:
+        amplitudes = tuple(state)
+    except TypeError:  # not iterable, as a number or a 0-d array
+        amplitudes = ()
+    if len(amplitudes) != 2 or not all(isinstance(x, Number) for x in amplitudes):
+        raise InvalidStateError(f"a pure state is two amplitudes, got {state!r}")
+    a, b = map(complex, amplitudes)
     norm = math.hypot(abs(a), abs(b))
     if not abs(norm - 1.0) <= 1e-10:
         raise InvalidStateError(f"state norm {norm} != 1")
@@ -160,3 +170,56 @@ def generator_terms(bath: BathParams, v):
     fast, slow, z = bath.rates
     u_fast, u_slow = to_mode_frame(bath.psi, v[0], v[1])
     return -fast * u_fast**2, -slow * u_slow**2, -z * v[2] ** 2, -bath.gamma * v[2]
+
+
+def survival_functional_rows(bath: BathParams, n_theta: int, n_phi: int):
+    """The survival functional F on an (n_theta x n_phi) angle grid: (thetas, phis, rows).
+
+    The axes are arrays of doubles (array.array "d"), each point i * step as
+    numpy.linspace forms it: thetas from 0 to pi, both included, and phis from 0 to
+    2 pi, 2 pi excluded. rows yields, for each theta in turn, the list of F over phis as
+    Python floats, so a caller holds one grid row at a time. F is
+    (sin^2(theta) q(phi) + l(cos theta)) / 2 clipped at 0, with q and l the transverse and
+    longitudinal terms of generator_terms (squares taken as u * u), the value
+    survival_rate(bath, eigenstates_mu(d)[0]) has at a single direction d. q is a
+    quadratic form in (cos phi, sin phi), so q(phi + pi) = q(phi): for even n_phi, q is
+    evaluated on the first n_phi/2 angles only and each row is its first half twice, the
+    same float objects. Odd n_phi evaluates q at every angle.
+    """
+    fast, slow, z = bath.rates
+    theta_step, phi_step = math.pi / max(n_theta - 1, 1), 2 * math.pi / n_phi
+    thetas = array("d", (i * theta_step for i in range(n_theta)))
+    if n_theta > 1:
+        thetas[-1] = math.pi
+    phis = array("d", (j * phi_step for j in range(n_phi)))
+    period = n_phi // 2 if n_phi % 2 == 0 else n_phi
+    c, s = math.cos(bath.psi / 2), math.sin(bath.psi / 2)
+    q = array("d")
+    for phi in phis[:period]:
+        # to_mode_frame of (cos phi, sin phi), with its cos and sin of psi/2 taken once.
+        x, y = math.cos(phi), math.sin(phi)
+        u_fast, u_slow = c * x - s * y, s * x + c * y
+        q.append(-fast * (u_fast * u_fast) + -slow * (u_slow * u_slow))
+
+    def rows():
+        for theta in thetas:
+            sin, cos = math.sin(theta), math.cos(theta)
+            sin2, l = sin * sin, -z * (cos * cos) + -bath.gamma * cos
+            # Clipped as numpy.minimum(f, 0.0) clips: -0.0 becomes 0.0, NaN stays.
+            half = [0.0 if (f := (sin2 * t + l) * 0.5) >= 0.0 else f for t in q]
+            yield half * (n_phi // period)
+
+    return thetas, phis, rows()
+
+
+def zeno_angles(bath: BathParams):
+    """(theta, phi1, phi2) of the two maxima of the survival functional, in closed form.
+
+    phi1 = (pi - psi)/2 and phi2 = phi1 + pi lie on the slow mode axis, not reduced
+    modulo 2 pi, and the common polar angle has cos(theta) = -gamma / (2 fast) =
+    -1 / (2(N + 1/2 + M)), taken in the last form, which a subnormal gamma cannot round
+    outside [-1, 1]. theta is math.acos of it.
+    """
+    theta = math.acos(-0.5 / (bath.n + 0.5 + bath.m))
+    phi1 = (math.pi - bath.psi) / 2.0
+    return theta, phi1, phi1 + math.pi

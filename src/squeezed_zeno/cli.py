@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import sys
@@ -145,12 +146,13 @@ def _bind_compute(command: str) -> None:
     """Bind the package's public names that command computes with into this module.
 
     Importing cli loads no numpy, so --help, usage errors and config errors exit without it;
-    main binds once the config is checked. intelligent binds the names of the submodules that
-    load no numpy (_NUMPY_FREE), the others every public name, np, EXCITED and GROUND. A bound
-    name stays: a caller that replaces one, as a tracer does, keeps it for later commands.
+    main binds once the config is checked. surface and intelligent bind the names of the
+    submodules that load no numpy (_NUMPY_FREE), evolve and zeno every public name, np,
+    EXCITED and GROUND. A bound name stays: a caller that replaces one, as a tracer does,
+    keeps it for later commands.
     """
     package = sys.modules[__package__]
-    scalar = command == "intelligent"
+    scalar = command in ("surface", "intelligent")
     modules = package._NUMPY_FREE if scalar else package._PUBLIC
     names = {name: getattr(package, name) for key in modules for name in package._PUBLIC[key]}
     if not scalar:
@@ -257,15 +259,20 @@ _FORMATS = {
 def write_table(path: str | None, table: dict, fmt: str):
     """Write named float columns as CSV or JSON {"columns", "rows"}, a block of rows at a time.
 
-    The columns are of equal length, one row per index, or the table is a grid: its
-    last column is 2-D, of shape (len(first), len(second)), and each cell is a row
-    (first[i], second[j], last[i, j]), first axis major. CSV is a header line, then one
-    line per row with every value as %.17g. JSON is byte for byte
-    json.dumps({"columns": ..., "rows": ...}, sort_keys=True, indent=2) plus a newline.
+    The columns are of equal length, one row per index, or the table is a grid: its last
+    column is an iterator of rows, one per value of the first column, each a list of one
+    value per value of the second, and each cell is a row (first[i], second[j], row_i[j]),
+    first axis major. A grid's axes and rows hold Python floats, and writing one needs no
+    numpy. CSV is a header line, then one line per row with every value as %.17g. JSON is
+    byte for byte json.dumps({"columns": ..., "rows": ...}, sort_keys=True, indent=2) plus
+    a newline.
     """
     form = _FORMATS[fmt]
-    columns = [np.asarray(column, dtype=np.float64) for column in table.values()]
-    blocks = _grid_blocks(form, *columns) if columns[-1].ndim == 2 else _blocks(form, columns)
+    columns = list(table.values())
+    if iter(columns[-1]) is columns[-1]:
+        blocks = _grid_blocks(form, *columns)
+    else:
+        blocks = _blocks(form, [np.asarray(column, dtype=np.float64) for column in columns])
     _write_text(path, _table_text(form, list(table), blocks))
 
 
@@ -280,42 +287,66 @@ def _table_text(form: _TextFormat, names: list, blocks):
     yield form.empty if joint is None else form.closing
 
 
-def _texts(form: _TextFormat, values: np.ndarray) -> np.ndarray:
-    """The text of each float of values, in their shape, all formatted by one %-operation."""
-    flat = values.ravel().tolist()
-    texts = form.numbers((form.spec + "\n") * len(flat) % tuple(flat)).split("\n")[:-1]
-    return np.array(texts, dtype=object).reshape(values.shape)
+def _texts(form: _TextFormat, values: list) -> list:
+    """The texts of a list of Python floats, all formatted by one %-operation."""
+    return form.numbers((form.spec + "\n") * len(values) % tuple(values)).split("\n")[:-1]
 
 
-def _grid_blocks(form: _TextFormat, thetas: np.ndarray, phis: np.ndarray, f: np.ndarray):
-    """The texts of the rows (theta_i, phi_j, f[i, j]), theta-major, a block of grid rows each.
+def _grid_blocks(form: _TextFormat, thetas, phis, rows):
+    """The texts of the rows (theta_i, phi_j, row_i[j]), theta-major, a block of cells each.
 
-    A block is as many whole grid rows as fit in ROWS_PER_CHUNK rows. The phi texts
-    are formatted once per table into a template of one grid row, each theta's once
-    per grid row, and F once per half row where the block's two column halves agree
-    bit for bit (so 0.0 and -0.0 stay apart), as the phi and phi + pi halves do for
-    every even n_phi from survival_functional_grid. A grid row wider than
-    ROWS_PER_CHUNK is written as a table of its own three columns.
+    A block is as many whole grid rows as fit in ROWS_PER_CHUNK rows, and holds that many
+    grid rows at a time from rows. The phi texts are formatted once per table into the
+    pieces of a block, each theta's once per grid row. A grid row wider than
+    ROWS_PER_CHUNK is written in pieces of ROWS_PER_CHUNK cells, each with the pieces of
+    its own phis.
     """
     n_phi = len(phis)
     if n_phi > ROWS_PER_CHUNK:
-        for theta, f_row in zip(thetas.tolist(), f):
-            yield from _blocks(form, [np.broadcast_to(theta, n_phi), phis, f_row])
+        for theta, row in zip(thetas, rows):
+            for start in range(0, n_phi, ROWS_PER_CHUNK):
+                cells = slice(start, start + ROWS_PER_CHUNK)
+                yield _grid_text(form, _grid_pieces(form, phis[cells], 1), [theta], [row[cells]])
         return
-    # One grid row with the phi texts in place and %s for each cell's theta and F text.
-    row = form.separator.join([form.row(["%%s", "%s", "%%s"])] * n_phi) % tuple(_texts(form, phis))
-    half, odd = divmod(n_phi, 2)
     height = ROWS_PER_CHUNK // n_phi
-    for start in range(0, len(thetas), height):
-        block = f[start : start + height]
-        cells = np.empty(block.shape + (2,), dtype=object)
-        cells[:, :, 0] = _texts(form, thetas[start : start + height])[:, None]
-        bits = block.view(np.int64)
-        if odd or not np.array_equal(bits[:, :half], bits[:, half:]):
-            cells[:, :, 1] = _texts(form, block)
-        else:
-            cells[:, :half, 1] = cells[:, half:, 1] = _texts(form, block[:, :half])
-        yield form.separator.join([row] * len(block)) % tuple(cells.ravel().tolist())
+    pieces, thetas = _grid_pieces(form, phis, height), iter(thetas)
+    while block := list(itertools.islice(rows, height)):
+        yield _grid_text(form, pieces, list(itertools.islice(thetas, len(block))), block)
+
+
+def _grid_pieces(form: _TextFormat, phis, height: int) -> list:
+    """The text of height grid rows with the phi texts in place, split where theta and F go.
+
+    Its pieces alternate with the cells' texts, theta then F: pieces[0], theta_0,
+    pieces[1], F_0, pieces[2], theta_1, and so on.
+    """
+    row = form.separator.join([form.row(["\0", form.spec, "\0"])] * len(phis)) % tuple(phis)
+    return form.numbers(form.separator.join([row] * height)).split("\0")
+
+
+def _grid_text(form: _TextFormat, pieces: list, thetas: list, rows: list) -> str:
+    """The text of the grid rows (theta, F row) of a block, written into pieces.
+
+    The thetas and F values are formatted by one _texts call, F once per half row where
+    every row's two halves hold the same floats bit for bit, as the phi and phi + pi
+    halves of survival_functional_rows do for every even n_phi. Halves that compare equal
+    and hold no zero are equal bit for bit; others are formatted whole, so 0.0 and -0.0
+    stay apart.
+    """
+    width, half = len(rows[0]), len(rows[0]) // 2
+    firsts = [row[:half] for row in rows]
+    same = firsts == [row[half:] for row in rows] and 0.0 not in itertools.chain(*firsts)
+    texts = _texts(form, [*thetas, *itertools.chain.from_iterable(firsts if same else rows)])
+    theta_texts, cells = texts[: len(rows)], texts[len(rows) :]
+    if same:
+        halves = (cells[start : start + half] for start in range(0, len(cells), half))
+        cells = list(itertools.chain.from_iterable(part * 2 for part in halves))
+    text = [""] * (4 * len(cells) + 1)
+    # A last block of fewer rows takes the pieces of its rows, then the text that ends a row.
+    text[::2] = pieces[: 2 * len(cells)] + pieces[-1:]
+    text[1::4] = list(itertools.chain.from_iterable([theta] * width for theta in theta_texts))
+    text[3::4] = cells
+    return "".join(text)
 
 
 def _blocks(form: _TextFormat, columns: list):
@@ -325,10 +356,10 @@ def _blocks(form: _TextFormat, columns: list):
     as the block has rows is formatted once per run, by _texts, and spliced in with %s;
     the floats of any other column go to the format's spec as they are. Neighbours are
     equal when their bit patterns are, so 0.0 and -0.0 stay apart. Runs are what zeno's
-    survival columns repeat, since survival never increases, and the theta of a surface
-    grid row wider than a block. Without them, zeno --set count=2**22 --set n_traj=1000
-    took 16.5-22.3 s instead of 13.4-18.6 s as CSV and 25.4-31.0 s instead of
-    15.0-22.6 s as JSON, end to end on 2 shared vCPUs (four runs each).
+    survival columns repeat, since survival never increases. Without them,
+    zeno --set count=2**22 --set n_traj=1000 took 16.5-22.3 s instead of 13.4-18.6 s as
+    CSV and 25.4-31.0 s instead of 15.0-22.6 s as JSON, end to end on 2 shared vCPUs
+    (four runs each).
     """
     width = len(columns)
     for start in range(0, len(columns[0]), ROWS_PER_CHUNK):
@@ -339,7 +370,8 @@ def _blocks(form: _TextFormat, columns: list):
             starts = np.flatnonzero(np.r_[True, bits[1:] != bits[:-1]])
             if 2 * len(starts) <= len(block):
                 lengths = np.diff(starts, append=len(block))
-                values[index::width] = np.repeat(_texts(form, block[starts]), lengths).tolist()
+                texts = np.array(_texts(form, block[starts].tolist()), dtype=object)
+                values[index::width] = np.repeat(texts, lengths).tolist()
                 specs.append("%s")
             else:
                 values[index::width] = block.tolist()
@@ -368,15 +400,16 @@ def _write_text(path: str | None, parts):
 
 
 def cmd_surface(config: dict, bath: BathParams) -> None:
-    thetas, phis, f = survival_functional_grid(bath, config["n_theta"], config["n_phi"])
+    thetas, phis, rows = survival_functional_rows(bath, config["n_theta"], config["n_phi"])
     out = config.get("out")
-    write_table(out, {"theta": thetas, "phi": phis, "F": f}, config["format"])
-    zd = zeno_directions(bath)
+    write_table(out, {"theta": thetas, "phi": phis, "F": rows}, config["format"])
+    theta, phi1, phi2 = zeno_angles(bath)
+    # Reduced to [0, 2 pi) as Direction reduces the phis of zeno_directions.
     sidecar = {
-        "cos_theta_max": float(np.cos(zd.theta)),
-        "phi1": zd.mu1.phi,
-        "phi2": zd.mu2.phi,
-        "theta": zd.theta,
+        "cos_theta_max": math.cos(theta),
+        "phi1": phi1 % (2 * math.pi),
+        "phi2": phi2 % (2 * math.pi),
+        "theta": theta,
     }
     _write_json(None if out is None else out + ".maxima.json", sidecar)
 

@@ -12,7 +12,8 @@ eigenstate has Bloch vector mu, so F = mu . (A mu + c) / 2 (<= 0).
 from dataclasses import dataclass
 
 from ._numpy import np
-from .bath import BathParams, frozen_amplitudes, generator_terms
+from .bath import BathParams, frozen_amplitudes, generator_terms, survival_functional_rows
+from .bath import zeno_angles
 from .dynamics import relax
 from .errors import ParameterError
 from .pauli import Direction, pure_state_bloch
@@ -63,47 +64,24 @@ def survival_rate(bath: BathParams, state) -> float:
 
 
 def survival_functional_grid(bath: BathParams, n_theta: int = 256, n_phi: int = 256):
-    """Evaluate the survival functional on an (n_theta x n_phi) angle grid.
+    """The survival functional on an (n_theta x n_phi) angle grid, as arrays.
 
-    2F = sin^2(theta) q(phi) + l(cos theta) with q and l the transverse and
-    longitudinal terms (generator_terms); F is clipped at 0, as is
-    survival_rate(bath, eigenstates_mu(d)[0]), its value at a single direction d.
-    q is a quadratic form in (cos phi, sin phi), so q(phi + pi) = q(phi): for even
-    n_phi, q is evaluated on the first n_phi/2 angles only and repeated, and
-    F[:, j + n_phi/2] is F[:, j] bit for bit. Odd n_phi evaluates q at every angle.
-
-    Returns (theta axis, phi axis, F values of shape (n_theta, n_phi)).
+    Returns (theta axis, phi axis, F values of shape (n_theta, n_phi)): the axes and rows
+    of bath.survival_functional_rows as numpy arrays, whose docstring gives F. For even
+    n_phi, F[:, j + n_phi/2] is F[:, j] bit for bit.
     """
-    thetas = np.linspace(0.0, np.pi, n_theta)
-    phis = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
-    period = n_phi // 2 if n_phi % 2 == 0 else n_phi
-    t_fast, t_slow, _, _ = generator_terms(
-        bath, (np.cos(phis[:period]), np.sin(phis[:period]), 0.0)
-    )
-    _, _, t_z, t_c = generator_terms(bath, (0.0, 0.0, np.cos(thetas)))
-    f = np.multiply.outer(np.sin(thetas) ** 2, np.tile(t_fast + t_slow, n_phi // period))
-    f += (t_z + t_c)[:, None]
-    f *= 0.5
-    np.minimum(f, 0.0, out=f)
-    return thetas, phis, f
+    thetas, phis, rows = survival_functional_rows(bath, n_theta, n_phi)
+    return np.array(thetas), np.array(phis), np.array(list(rows))
 
 
 def zeno_directions(bath: BathParams) -> ZenoDirections:
-    """Closed-form maxima of the survival functional.
+    """Closed-form maxima of the survival functional (bath.zeno_angles), as directions.
 
-    phi_1 = (pi - psi)/2 and phi_2 = phi_1 + pi lie on the slow mode axis, and the
-    common polar angle has cos(theta) = -gamma / (2 fast) = -1 / (2(N + 1/2 + M)), taken in
-    the last form, which a subnormal gamma cannot round outside [-1, 1].
     For every M, F there is -gamma delta / (2(N + 1/2 + M)) with delta = N(N+1) - M^2: it
     vanishes (the state freezes) only at maximal squeezing. For N -> 0 both tend to -z.
     """
-    theta = float(np.arccos(-0.5 / (bath.n + 0.5 + bath.m)))
-    phi1 = (np.pi - bath.psi) / 2.0
-    return ZenoDirections(
-        mu1=Direction(theta, phi1),
-        mu2=Direction(theta, phi1 + np.pi),
-        theta=theta,
-    )
+    theta, phi1, phi2 = zeno_angles(bath)
+    return ZenoDirections(mu1=Direction(theta, phi1), mu2=Direction(theta, phi2), theta=theta)
 
 
 def zeno_states(bath: BathParams):
@@ -152,7 +130,8 @@ def second_order_rate(bath: BathParams, state, dt: float) -> float:
     state about eps off the exact one, where the rate has curvature at most z;
     else ParameterError. A rate that passes without being 0 (-1e-14 gamma for the
     ground state at N = 1e-14) can make the value positive, so it is clipped at
-    0. It is -inf where gamma^2 dt overflows. A NaN or negative dt raises ParameterError.
+    0. It is -inf where gamma^2 dt overflows, and 0 wherever the clipped value is, dt = inf
+    included. A NaN or negative dt raises ParameterError.
     """
     if not dt >= 0:
         raise ParameterError(f"dt must be >= 0, got {dt}")
@@ -166,7 +145,9 @@ def second_order_rate(bath: BathParams, state, dt: float) -> float:
     # <a| L{L{|a><a|}} |a> = v . A (A v + c) / 2, and with A diagonal in the mode frame
     # v . A (A v + c) is each term times minus its mode's rate.
     value = -0.5 * float(fast * terms[0] + slow * terms[1] + rate_z * (terms[2] + terms[3]))
-    return 0.5 * min(value, 0.0) * dt
+    clipped = min(value, 0.0)
+    # A clipped 0 stays 0 at dt = inf, where 0 * dt would be NaN.
+    return 0.5 * clipped * dt if clipped else 0.5 * clipped
 
 
 def survival_laws(bath: BathParams, state, sched: MeasurementSchedule):

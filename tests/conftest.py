@@ -7,6 +7,6 @@ from squeezed_zeno import cli
 def bound_cli():
     """cli's compute names, which main binds, bound before any test calls a cli entry.
 
-    A table command binds every name, intelligent only those that load no numpy.
+    evolve and zeno bind every name, surface and intelligent only those that load no numpy.
     """
-    cli._bind_compute("surface")
+    cli._bind_compute("evolve")

@@ -15,8 +15,8 @@ from squeezed_zeno import (
     MeasurementSchedule,
     TimeGrid,
     step_survival_probability,
-    survival_functional_grid,
 )
+from squeezed_zeno.bath import generator_terms
 from squeezed_zeno.errors import ParameterError
 from squeezed_zeno.intelligent import SEigensystem
 from squeezed_zeno.pauli import GROUND, Direction, bloch_vector, eigenstates_mu, pure_state_matrix
@@ -233,6 +233,27 @@ def measurement_modified_rhs(bath: BathParams, d: Direction, rho: np.ndarray) ->
     return p @ image @ p + q @ image @ q
 
 
+def oracle_survival_functional_grid(bath: BathParams, n_theta: int, n_phi: int):
+    """The survival functional on an (n_theta x n_phi) angle grid, vectorized with numpy.
+
+    2F = sin^2(theta) q(phi) + l(cos theta) with q and l the transverse and longitudinal
+    generator_terms, clipped at 0; q is evaluated on one period in phi (n_phi/2 angles
+    for even n_phi) and tiled. Returns (theta axis, phi axis, F of shape (n_theta, n_phi)).
+    """
+    thetas = np.linspace(0.0, np.pi, n_theta)
+    phis = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
+    period = n_phi // 2 if n_phi % 2 == 0 else n_phi
+    t_fast, t_slow, _, _ = generator_terms(
+        bath, (np.cos(phis[:period]), np.sin(phis[:period]), 0.0)
+    )
+    _, _, t_z, t_c = generator_terms(bath, (0.0, 0.0, np.cos(thetas)))
+    f = np.multiply.outer(np.sin(thetas) ** 2, np.tile(t_fast + t_slow, n_phi // period))
+    f += (t_z + t_c)[:, None]
+    f *= 0.5
+    np.minimum(f, 0.0, out=f)
+    return thetas, phis, f
+
+
 def find_zeno_directions_grid(bath: BathParams, n_theta: int = 256, n_phi: int = 256):
     """Locate the survival-functional maxima by grid scan plus local polish.
 
@@ -247,7 +268,7 @@ def find_zeno_directions_grid(bath: BathParams, n_theta: int = 256, n_phi: int =
         mu = Direction(float(np.clip(x[0], 0, np.pi)), float(x[1])).unit_vector
         return 0.5 * float(mu @ (a @ mu + c))
 
-    thetas, phis, f = survival_functional_grid(bath, n_theta, n_phi)
+    thetas, phis, f = oracle_survival_functional_grid(bath, n_theta, n_phi)
     fmax = f.max()
     candidates = np.argwhere(f >= fmax - 1e-9 * max(1.0, abs(fmax)))
     # Cluster neighbouring grid hits: keep maxima separated by > 2 cells.

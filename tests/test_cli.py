@@ -887,6 +887,42 @@ def test_intelligent_loads_no_numpy(argv, code):
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["surface", "--set", "n_theta=5", "--set", "n_phi=6"], 0),
+        (["surface", "--set", "n_theta=5", "--set", "n_phi=7", "--format", "json"], 0),
+        (["surface", "--set", "N=0", "--out", "{out}.csv"], 0),
+        (["surface", "--set", "M=0.5", "--format", "json", "--out", "{out}.json"], 0),
+        (["surface", "--set", "M=2"], 2),
+    ],
+    ids=["csv", "json", "csv-out", "json-out", "config-error"],
+)
+def test_surface_loads_no_numpy(tmp_path, argv, code):
+    # surface computes its grid and its maxima from Python floats: with or without --out
+    # (and so its sidecar file), as CSV or JSON, and on a config error, numpy stays
+    # unloaded, and the kernel and the angles are cli attributes, the ones a tracer wraps.
+    argv = [arg.format(out=tmp_path / "surface") for arg in argv]
+    script = (
+        "import contextlib, io, sys\n"
+        "from squeezed_zeno import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    assert cli.main({argv!r}) == {code}\n"
+        "assert 'numpy' not in sys.modules\n"
+        "for name in ('survival_functional_rows', 'zeno_angles'):\n"
+        "    assert vars(cli)[name].__module__ == 'squeezed_zeno.bath', name\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    if "--out" in argv:
+        out = argv[argv.index("--out") + 1]
+        assert Path(out).stat().st_size > 0
+        assert json.loads(Path(out + ".maxima.json").read_text())["theta"] > 0
+
+
 def test_numpy_free_names_whole_modules():
     # No _NUMPY_FREE module imports numpy or _numpy, at the top level or in a function, and
     # each imports from the package only other _NUMPY_FREE modules; the array modules take
@@ -929,10 +965,11 @@ BOUNDARY_FUNCTIONS = (
     "pure_state_bloch",
     "repeated_measurement_survival",
     "s_eigensystem",
-    "survival_functional_grid",
+    "survival_functional_rows",
     "survival_laws",
     "uncertainty_product",
     "write_table",
+    "zeno_angles",
     "zeno_directions",
     "zeno_states",
 )

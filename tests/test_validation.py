@@ -19,6 +19,7 @@ from squeezed_zeno import (
     second_order_rate,
     step_survival_probability,
     survival_rate,
+    uncertainty_product,
     zeno_states,
 )
 from squeezed_zeno.cli import main
@@ -194,6 +195,7 @@ TAKES_PURE_STATE = {
     "step_survival_probability": lambda s: step_survival_probability(BATH, s, 0.01),
     "second_order_rate": lambda s: second_order_rate(BATH, s, 0.01),
     "monte_carlo_survival": lambda s: monte_carlo_survival(BATH, s, SCHEDULE, 10, 0),
+    "uncertainty_product": lambda s: uncertainty_product(s, 0.0),
 }
 MALFORMED_PURE_STATES = {
     "three": [1, 0, 0],

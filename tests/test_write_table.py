@@ -12,11 +12,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from squeezed_zeno import BathParams, survival_functional_grid, zeno_directions
+from squeezed_zeno import BathParams, zeno_directions
 from squeezed_zeno import cli
+from squeezed_zeno.bath import survival_functional_rows
 from squeezed_zeno.cli import ROWS_PER_CHUNK, main, write_table
 
-from oracles import reference_csv, reference_json
+from oracles import oracle_survival_functional_grid, reference_csv, reference_json
 
 SPECIAL_VALUES = [
     np.nan,
@@ -112,6 +113,8 @@ def tables(draw):
 def grid_tables(draw):
     """theta, phi and a 2-D F of random bits, whose phi halves agree bit for bit or not.
 
+    write_table takes such a grid as written(table) gives it: lists and an iterator of rows.
+
     "mirrored" F repeats its first half of columns, as survival_functional_grid does for
     even n_phi; "signed" does too, but with 0.0 in one half where the other has -0.0.
     """
@@ -144,6 +147,15 @@ def mixed_table(n_rows: int = 2 * ROWS_PER_CHUNK + 5) -> dict:
     }
 
 
+def written(table: dict) -> dict:
+    """The table as write_table takes it: a grid's axes as lists, its F as an iterator of rows."""
+    columns = list(table.values())
+    if np.ndim(columns[-1]) != 2:
+        return table
+    first, second, last = columns
+    return dict(zip(table, (first.tolist(), second.tolist(), iter(last.tolist()))))
+
+
 def _reference(table: dict, fmt: str) -> str:
     """The table formatted value by value; a grid has a row per cell, first axis major."""
     columns = list(table.values())
@@ -163,11 +175,11 @@ def test_write_table_matches_reference(table, fmt):
     expected = _reference(table, fmt)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "table"
-        write_table(str(path), table, fmt)
+        write_table(str(path), written(table), fmt)
         assert path.read_bytes() == expected.encode("utf-8")
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
-        write_table(None, table, fmt)
+        write_table(None, written(table), fmt)
     assert stdout.getvalue() == expected
 
 
@@ -202,9 +214,10 @@ def surface_sidecar(bath: BathParams) -> str:
 @example(n_theta=3, n_phi=ROWS_PER_CHUNK + 1, n=1.0, psi=0.7, fmt="csv", direct=True)
 @example(n_theta=2, n_phi=ROWS_PER_CHUNK + 2, n=1.0, psi=0.7, fmt="json", direct=True)
 def test_surface_stdout_is_table_then_sidecar(n_theta, n_phi, n, psi, fmt, direct):
-    # direct: write_table writes the grid table itself, without the sidecar.
+    # direct: write_table writes the kernel's grid itself, without the sidecar. Either way
+    # the table is the numpy oracle's grid, byte for byte.
     bath = BathParams.maximal(1.0, n, psi)
-    thetas, phis, f = survival_functional_grid(bath, n_theta, n_phi)
+    thetas, phis, f = oracle_survival_functional_grid(bath, n_theta, n_phi)
     argv = ["surface", "--format", fmt]
     for key, value in {"n_theta": n_theta, "n_phi": n_phi, "N": n, "psi": psi}.items():
         argv += ["--set", f"{key}={value!r}"]
@@ -212,7 +225,8 @@ def test_surface_stdout_is_table_then_sidecar(n_theta, n_phi, n, psi, fmt, direc
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         if direct:
-            write_table(None, table, fmt)
+            grid = survival_functional_rows(bath, n_theta, n_phi)
+            write_table(None, dict(zip(table, grid)), fmt)
         else:
             assert main(argv) == 0
     expected = _reference(table, fmt) + ("" if direct else surface_sidecar(bath))
@@ -224,8 +238,10 @@ def test_surface_goes_through_write_table(monkeypatch):
     calls = []
 
     def spy(path, table, fmt):
-        calls.append((path, list(table), np.shape(table["F"]), fmt))
-        return write_table(path, table, fmt)
+        rows = list(table["F"])
+        shape = (len(rows), *{len(row) for row in rows})
+        calls.append((path, list(table), shape, fmt))
+        return write_table(path, {**table, "F": iter(rows)}, fmt)
 
     monkeypatch.setattr(cli, "write_table", spy)
     with contextlib.redirect_stdout(io.StringIO()):
@@ -262,12 +278,19 @@ def test_memory_is_bounded_by_the_block(tmp_path, fmt):
 
 def traced_surface_peak(monkeypatch, path: Path, grid: tuple, fmt: str) -> int:
     """Peak bytes traced by tracemalloc while the surface command writes a given grid to path."""
-    monkeypatch.setattr(cli, "survival_functional_grid", lambda bath, n_theta, n_phi: grid)
-    thetas, phis, _ = grid
+    thetas, phis, rows = grid
+    monkeypatch.setattr(
+        cli, "survival_functional_rows", lambda bath, n_theta, n_phi: (thetas, phis, iter(rows))
+    )
     argv = ["surface", "--set", f"n_theta={len(thetas)}", "--set", f"n_phi={len(phis)}"]
+    return traced_main_peak(argv + ["--format", fmt, "--out", str(path)])
+
+
+def traced_main_peak(argv: list) -> int:
+    """Peak bytes traced by tracemalloc while main runs argv, which must exit 0."""
     tracemalloc.start()
     try:
-        assert main(argv + ["--format", fmt, "--out", str(path)]) == 0
+        assert main(argv) == 0
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -284,8 +307,18 @@ def test_surface_memory_is_bounded_by_the_block(monkeypatch, tmp_path, fmt, shap
     # ROWS_PER_CHUNK rows at a time, so 16 times the cells must not double its peak.
     bath = BathParams.maximal(1.0, 1.0, 0.7)
     path = tmp_path / "surface"
-    small, large = (
-        traced_surface_peak(monkeypatch, path, survival_functional_grid(bath, *shape), fmt)
-        for shape in shapes
-    )
+    grids = []
+    for shape in shapes:
+        thetas, phis, rows = survival_functional_rows(bath, *shape)
+        grids.append((thetas, phis, list(rows)))
+    small, large = (traced_surface_peak(monkeypatch, path, grid, fmt) for grid in grids)
+    assert large <= 2 * small, (small, large)
+
+
+def test_surface_command_memory_is_bounded_by_the_block(tmp_path):
+    # The kernel makes one grid row at a time and the writer holds one block of rows, so 16
+    # times the grid rows, computed inside the traced call, must not double the peak.
+    out = ["--set", "n_phi=512", "--out", str(tmp_path / "surface")]
+    runs = (["surface", "--set", f"n_theta={n_theta}", *out] for n_theta in (256, 4096))
+    small, large = map(traced_main_peak, runs)
     assert large <= 2 * small, (small, large)

@@ -27,6 +27,8 @@ from squeezed_zeno import (
     zeno_directions,
     zeno_states,
 )
+from squeezed_zeno.bath import survival_functional_rows, zeno_angles
+from squeezed_zeno.cli import ROWS_PER_CHUNK
 from squeezed_zeno.errors import ParameterError
 from squeezed_zeno.zeno import ZenoDirections
 
@@ -34,6 +36,7 @@ from oracles import (
     bernstein_bound,
     find_zeno_directions_grid,
     oracle_bloch_rates,
+    oracle_survival_functional_grid,
     per_trajectory_survival,
 )
 
@@ -154,7 +157,81 @@ class TestSurvivalFunctionalGridPeriod:
         assert np.max(np.abs(f - expected)) <= tol
 
 
+def bits(values) -> np.ndarray:
+    """The int64 bit patterns of floats, so that 0.0 and -0.0, and NaN payloads, differ."""
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+class TestSurvivalFunctionalRows:
+    """The scalar kernel against the vectorized numpy oracle, bit for bit."""
+
+    # One grid row, one angle, odd widths, and rows one and two cells wider than a block.
+    SHAPES = [
+        (1, 1), (1, 6), (7, 1), (5, 7), (16, 16), (9, 33),
+        (2, ROWS_PER_CHUNK + 1), (2, ROWS_PER_CHUNK + 2),
+    ]
+
+    def assert_same_bits(self, bath, n_theta, n_phi):
+        thetas, phis, rows = survival_functional_rows(bath, n_theta, n_phi)
+        rows = list(rows)
+        want_thetas, want_phis, want_f = oracle_survival_functional_grid(bath, n_theta, n_phi)
+        assert thetas.typecode == phis.typecode == "d"
+        assert all(type(x) is float for row in rows for x in row)
+        assert np.array_equal(bits(thetas), bits(want_thetas))
+        assert np.array_equal(bits(phis), bits(want_phis))
+        assert np.array_equal(bits(rows), bits(want_f))
+        got = survival_functional_grid(bath, n_theta, n_phi)
+        for array, want in zip(got, (want_thetas, want_phis, want_f)):
+            assert array.dtype == np.float64 and np.array_equal(bits(array), bits(want))
+
+    @pytest.mark.parametrize("n_theta, n_phi", SHAPES)
+    @pytest.mark.parametrize(
+        "bath",
+        [
+            BathParams(1.0, 0.0, 0.0, 0.0),
+            BathParams.maximal(1.0, 1.0, 0.7),
+            BathParams(2.5, 3.0, 1.2, 4.0),
+            BathParams.maximal(1e-3, 1e8, 5.5),
+            # Every term rounds to -0.0 off the poles, so F is -0.0 there before the clip.
+            BathParams(5e-324, 0.0, 0.0, 0.0),
+        ],
+        ids=["vacuum", "maximal", "non-maximal", "strong", "subnormal-gamma"],
+    )
+    def test_matches_the_oracle(self, bath, n_theta, n_phi):
+        self.assert_same_bits(bath, n_theta, n_phi)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        gamma=st.floats(1e-3, 1e3),
+        n=st.one_of(st.just(0.0), st.floats(0.0, 50.0), st.floats(1e-45, 1e-15)),
+        fraction=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+        psi=st.floats(-10.0, 10.0),
+        n_theta=st.integers(1, 12),
+        n_phi=st.integers(1, 40),
+    )
+    def test_random_baths_match_the_oracle(self, gamma, n, fraction, psi, n_theta, n_phi):
+        bath = BathParams(gamma=gamma, n=n, m=fraction * maximal_m(n), psi=psi)
+        self.assert_same_bits(bath, n_theta, n_phi)
+
+    def test_rows_are_made_one_at_a_time(self):
+        _, _, rows = survival_functional_rows(BathParams.maximal(1.0, 1.0), 3, 4)
+        assert len(next(rows)) == 4
+        assert len(list(rows)) == 2
+
+
 class TestZenoDirections:
+    @pytest.mark.parametrize("n, m, psi", [(1.0, None, 0.3), (0.0, 0.0, 6.0), (3.0, 0.4, np.pi)])
+    def test_directions_are_the_closed_form_angles(self, n, m, psi):
+        b = BathParams.maximal(1.0, n, psi) if m is None else BathParams(1.0, n, m, psi)
+        theta, phi1, phi2 = zeno_angles(b)
+        zd = zeno_directions(b)
+        assert zd.theta == zd.mu1.theta == zd.mu2.theta == theta
+        assert (zd.mu1.phi, zd.mu2.phi) == (phi1 % (2 * np.pi), phi2 % (2 * np.pi))
+        # theta is within an ulp of the exact arccos of its rounded cosine.
+        with mpmath.workdps(50):
+            error = abs(mpmath.mpf(theta) - mpmath.acos(mpmath.mpf(-0.5 / (b.n + 0.5 + b.m))))
+        assert error <= np.spacing(theta)
+
     def test_closed_form_n1_psi0(self):
         zd = zeno_directions(BathParams.maximal(1.0, 1.0, 0.0))
         assert isinstance(zd, ZenoDirections)
@@ -337,6 +414,13 @@ def checked_survival_laws(bath, state, sched):
 
 
 class TestSecondOrderRate:
+    def test_vanishing_value_is_zero_at_infinite_dt(self):
+        # At N = 0 the ground state's value is 0: 0 * inf would give NaN, not a rate <= 0.
+        b = BathParams(1.0, 0.0, 0.0)
+        assert second_order_rate(b, [0, 1], np.inf) == 0.0
+        z1, _ = zeno_states(BathParams.maximal(1.0, 1.0))
+        assert second_order_rate(BathParams.maximal(1.0, 1.0), z1, np.inf) == -np.inf
+
     def test_vacuum_ground_zero(self):
         b = BathParams(gamma=1.0, n=0.0, m=0.0)
         assert second_order_rate(b, GROUND, 0.01) == pytest.approx(0.0, abs=1e-14)

@@ -1,4 +1,4 @@
-"""numpy, loaded with one OpenBLAS thread; pauli, dynamics and zeno take np from here.
+"""numpy, loaded with one OpenBLAS thread; pauli, dynamics, zeno and table take np from here.
 
 bath, errors and intelligent (_NUMPY_FREE) import neither it nor numpy, so intelligent runs
 without numpy. The package's arrays are 2x2 and 3x3, and its largest product, evolve's

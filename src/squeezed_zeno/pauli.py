@@ -93,21 +93,13 @@ def eigenstates_mu(d: Direction):
     return plus, minus
 
 
-def _pure_state(state) -> np.ndarray:
-    """state as a complex array of two amplitudes; state_bloch checks that their norm is 1."""
-    state = np.asarray(state, dtype=complex)
-    if state.shape != (2,):
-        raise InvalidStateError(f"a pure state is two amplitudes, got shape {state.shape}")
-    return state
-
-
 def pure_state_matrix(state) -> np.ndarray:
     """Projector |state><state| for a normalized two-component state."""
-    state = _pure_state(state)
-    state_bloch(state)  # the norm check
+    state_bloch(state)  # the check of two amplitudes and their norm
+    state = np.asarray(state, dtype=complex)
     return np.outer(state, state.conj())
 
 
 def pure_state_bloch(state) -> np.ndarray:
     """Bloch vector of the pure state a|+> + b|-> as an array (bath.state_bloch)."""
-    return np.array(state_bloch(_pure_state(state)))
+    return np.array(state_bloch(state))

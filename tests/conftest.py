@@ -7,6 +7,8 @@ from squeezed_zeno import cli
 def bound_cli():
     """cli's compute names, which main binds, bound before any test calls a cli entry.
 
-    evolve and zeno bind every name, surface and intelligent only those that load no numpy.
+    The entries that need them are STATES, the resolve_* functions and bath_from_config;
+    the table writer lives in squeezed_zeno.table and needs none. evolve binds every
+    public name, surface and intelligent only those that load no numpy.
     """
     cli._bind_compute("evolve")

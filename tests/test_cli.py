@@ -1,4 +1,5 @@
 import ast
+import builtins
 import contextlib
 import importlib
 import inspect
@@ -119,6 +120,20 @@ class TestSurface:
         cfg = tmp_path / "bad.json"
         cfg.write_text("{not json")
         assert main(["surface", "--config", str(cfg)]) == 2
+
+    def test_no_sidecar_next_to_a_device(self, capsys):
+        # Only a regular file gets a sidecar next to it: --out /dev/null writes none, where
+        # a process may not be allowed to create one.
+        sidecar = Path(os.devnull + ".maxima.json")
+        existed = sidecar.exists()
+        try:
+            argv = ["surface", "--set", "n_theta=4", "--set", "n_phi=5", "--out", os.devnull]
+            assert main(argv) == 0
+            assert capsys.readouterr() == ("", "")
+            assert not sidecar.exists()
+        finally:
+            if not existed:
+                sidecar.unlink(missing_ok=True)
 
     def test_unwritable_path(self, tmp_path):
         code = run(
@@ -977,8 +992,9 @@ BOUNDARY_FUNCTIONS = (
 
 def test_a_command_binds_the_boundary_functions_once(capsys, monkeypatch):
     # After a command, each boundary function and every public function of the
-    # package is a cli attribute, the package's own object, and so are np, EXCITED
-    # and GROUND; one replaced there serves later commands, so the binding ran once.
+    # package is a cli attribute, the package's own object; write_table is the table
+    # module's, and no private name of the package (np, EXCITED, GROUND) is bound. One
+    # replaced there serves later commands, so the binding ran once.
     assert main(["evolve", "--set", "n_steps=3"]) == 0
     table = capsys.readouterr().out
     for name in BOUNDARY_FUNCTIONS:
@@ -991,9 +1007,9 @@ def test_a_command_binds_the_boundary_functions_once(capsys, monkeypatch):
     assert set(BOUNDARY_FUNCTIONS) - {"write_table"} <= set(public)
     for name in public:
         assert vars(cli).get(name) is getattr(squeezed_zeno, name), name
-    assert cli.np is np
-    assert cli.EXCITED is squeezed_zeno.pauli.EXCITED
-    assert cli.GROUND is squeezed_zeno.pauli.GROUND
+    for name in ("np", "EXCITED", "GROUND"):
+        assert name not in vars(cli), name
+    assert cli.write_table is squeezed_zeno.table.write_table
     calls = []
     evolve_free = cli.evolve_free
 
@@ -1005,6 +1021,27 @@ def test_a_command_binds_the_boundary_functions_once(capsys, monkeypatch):
     assert main(["evolve", "--set", "n_steps=3"]) == 0
     assert len(calls) == 1
     assert capsys.readouterr().out == table
+
+
+def test_cli_reads_no_name_but_its_own_and_the_packages():
+    # Every name that cli.py reads and no statement of it binds, builtins aside, is a
+    # public name of the package, one that _bind_compute binds.
+    tree = ast.parse((ROOT / "src" / "squeezed_zeno" / "cli.py").read_text())
+    bound, loaded = set(vars(builtins)), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            (loaded if isinstance(node.ctx, ast.Load) else bound).add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.arg):
+            bound.add(node.arg)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound.add(node.name)
+        elif isinstance(node, ast.alias):
+            bound.add((node.asname or node.name).partition(".")[0])
+    unbound, public = loaded - bound, set(squeezed_zeno._SUBMODULE)
+    assert unbound <= public, sorted(unbound - public)
+    assert {"BathParams", "evolve_free", "survival_functional_rows"} <= unbound
 
 
 def run_module(argv):

@@ -147,7 +147,7 @@ def test_library_rejects_non_finite(make, error):
         pytest.param(
             lambda: pure_state_bloch([1, 0, 0]),
             InvalidStateError,
-            r"^a pure state is two amplitudes, got shape \(3,\)$",
+            r"^a pure state is two amplitudes, got \[1, 0, 0\]$",
             id="state-three-amplitudes",
         ),
         pytest.param(

@@ -1,8 +1,12 @@
-"""The CLI table writer against the per-value reference formatting, byte for byte."""
+"""The table writer against the per-value reference formatting, byte for byte."""
 
 import contextlib
 import io
 import json
+import math
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -15,7 +19,8 @@ from hypothesis import strategies as st
 from squeezed_zeno import BathParams, zeno_directions
 from squeezed_zeno import cli
 from squeezed_zeno.bath import survival_functional_rows
-from squeezed_zeno.cli import ROWS_PER_CHUNK, main, write_table
+from squeezed_zeno.cli import main
+from squeezed_zeno.table import ROWS_PER_CHUNK, write_table
 
 from oracles import oracle_survival_functional_grid, reference_csv, reference_json
 
@@ -234,19 +239,74 @@ def test_surface_stdout_is_table_then_sidecar(n_theta, n_phi, n, psi, fmt, direc
     assert stderr.getvalue() == ""
 
 
-def test_surface_goes_through_write_table(monkeypatch):
+# Each table command's argv, with the columns and the shape its table has: a grid's
+# (rows, cells per row), or the columns' one length.
+TABLE_RUNS = {
+    "surface": (
+        ["surface", "--set", "n_theta=3", "--set", "n_phi=4"], ["theta", "phi", "F"], (3, 4)
+    ),
+    "evolve": (["evolve", "--set", "n_steps=3"], ["t", "sigma_mu_free", "sigma_mu_measured"], (4,)),
+    "zeno": (
+        ["zeno", "--set", "count=3", "--set", "n_traj=10"],
+        ["t", "P_exact", "P_first_order", "P_second_order", "P_mc", "P_mc_stderr"],
+        (4,),
+    ),
+}
+
+
+@pytest.mark.parametrize("command", TABLE_RUNS)
+def test_each_table_command_goes_through_write_table(monkeypatch, command):
+    # A table command writes its table with one call of cli.write_table, the attribute
+    # that a tracer replaces.
+    argv, names, shape = TABLE_RUNS[command]
     calls = []
 
     def spy(path, table, fmt):
-        rows = list(table["F"])
-        shape = (len(rows), *{len(row) for row in rows})
-        calls.append((path, list(table), shape, fmt))
-        return write_table(path, {**table, "F": iter(rows)}, fmt)
+        *_, last = table
+        if iter(table[last]) is table[last]:  # a grid: its rows, counted, then written
+            rows = list(table[last])
+            table = {**table, last: iter(rows)}
+            got = (len(rows), *{len(row) for row in rows})
+        else:
+            got = tuple({len(column) for column in table.values()})
+        calls.append((path, list(table), got, fmt))
+        return write_table(path, table, fmt)
 
     monkeypatch.setattr(cli, "write_table", spy)
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["surface", "--set", "n_theta=3", "--set", "n_phi=4", "--format", "json"]) == 0
-    assert calls == [(None, ["theta", "phi", "F"], (3, 4), "json")]
+        assert main([*argv, "--format", "json"]) == 0
+    assert calls == [(None, names, shape, "json")]
+
+
+# Grid rows whose halves are equal, which the writer formats once per half, and rows
+# whose halves differ or hold zeros, which it formats whole.
+BLOCKED_GRIDS = {
+    "equal-halves": [[-1.0, -0.25, -1.0, -0.25], [-2.0, -1e-300, -2.0, -1e-300]],
+    "other-halves": [[0.0, -0.0, 0.0, -0.0], [-2.5, math.nan, -math.inf, 1e-300]],
+}
+
+
+@pytest.mark.parametrize("rows", BLOCKED_GRIDS.values(), ids=BLOCKED_GRIDS)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_grid_is_written_with_numpy_blocked(fmt, rows):
+    # Importing the writer loads no numpy, and a grid of Python floats is written without
+    # it, byte for byte as the per-value reference formats it.
+    thetas, phis = [0.0, math.pi], [0.0, 0.5, math.pi, 3.5]
+    script = (
+        "import sys\n"
+        "from math import inf, nan\n"
+        "sys.modules['numpy'] = None\n"
+        "from squeezed_zeno.table import write_table\n"
+        f"table = {{'theta': {thetas!r}, 'phi': {phis!r}, 'F': iter({rows!r})}}\n"
+        f"write_table(None, table, {fmt!r})\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    table = {"theta": np.array(thetas), "phi": np.array(phis), "F": np.array(rows)}
+    assert proc.stdout == _reference(table, fmt)
 
 
 def surface_like_table(n_rows: int) -> dict:

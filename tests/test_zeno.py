@@ -28,8 +28,8 @@ from squeezed_zeno import (
     zeno_states,
 )
 from squeezed_zeno.bath import survival_functional_rows, zeno_angles
-from squeezed_zeno.cli import ROWS_PER_CHUNK
 from squeezed_zeno.errors import ParameterError
+from squeezed_zeno.table import ROWS_PER_CHUNK
 from squeezed_zeno.zeno import ZenoDirections
 
 from oracles import (

@@ -11,7 +11,6 @@ import numpy as np
 from squeezed_zeno import (
     BathParams,
     TimeGrid,
-    eigenstates_mu,
     evolve_free,
     evolve_measured,
     pure_state_bloch,
@@ -25,7 +24,7 @@ mu = direction.unit_vector
 grid = TimeGrid(8.0, 16)
 
 frozen = pure_state_bloch(zeno_states(bath)[0])
-opposite = pure_state_bloch(eigenstates_mu(direction)[1])
+opposite = -mu  # the Bloch vector of the -1 eigenstate of sigma . mu_hat
 
 print("initial state = frozen (+1) eigenstate")
 print(f"{'t':>5} {'free':>10} {'monitored':>10}")

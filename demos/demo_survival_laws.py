@@ -20,14 +20,14 @@ from squeezed_zeno import (
     zeno_states,
 )
 
-EXCITED = np.array([1.0, 0.0], dtype=complex)
+excited = (1 + 0j, 0j)  # the amplitudes (a, b) of a|+> + b|->
 
 print("--- excited state, vacuum bath: continuous-monitoring limit ---")
 vacuum = BathParams(gamma=1.0, n=0.0, m=0.0)
-print(f"first-order rate: {survival_rate(vacuum, EXCITED):+.6f}  (free decay = -1)")
+print(f"first-order rate: {survival_rate(vacuum, excited):+.6f}  (free decay = -1)")
 for dt in (0.1, 0.01, 0.001):
     sched = MeasurementSchedule(dt, int(1 / dt))
-    curve = repeated_measurement_survival(vacuum, EXCITED, sched)
+    curve = repeated_measurement_survival(vacuum, excited, sched)
     fitted = np.log(curve[-1]) / sched.times[-1]
     print(f"  dt = {dt:6.3f}: fitted rate {fitted:+.6f}")
 
@@ -44,8 +44,8 @@ for dt in (0.01, 0.005, 0.0025):
 
 print("\n--- Monte Carlo oracle vs exact curve ---")
 sched = MeasurementSchedule(0.05, 40)
-exact = repeated_measurement_survival(bath, EXCITED, sched)
-mc, sigma = monte_carlo_survival(bath, EXCITED, sched, n_traj=50000, seed=2024)
+exact = repeated_measurement_survival(bath, excited, sched)
+mc, sigma = monte_carlo_survival(bath, excited, sched, n_traj=50000, seed=2024)
 print(f"{'t':>5} {'exact':>8} {'mc':>8} {'sigma':>8}")
 for k in range(0, 41, 8):
     print(f"{sched.times[k]:5.2f} {exact[k]:8.4f} {mc[k]:8.4f} {sigma[k]:8.4f}")

@@ -8,11 +8,12 @@ F <= 0 everywhere; the frozen directions are exactly the zeros.
 
 import numpy as np
 
-from squeezed_zeno import BathParams, survival_functional_grid, zeno_directions
+from squeezed_zeno import BathParams, survival_functional_rows, zeno_directions
 
 bath = BathParams.maximal(gamma=1.0, n=1.0, psi=0.0)
 
-thetas, phis, f = survival_functional_grid(bath, 256, 256)
+thetas, phis, rows = survival_functional_rows(bath, 256, 256)
+thetas, phis, f = np.array(thetas), np.array(phis), np.array(list(rows))
 print(f"F range on the 256x256 grid: [{f.min():.4f}, {f.max():.3e}]")
 
 closed = zeno_directions(bath)

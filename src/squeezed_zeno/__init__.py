@@ -14,20 +14,19 @@ from importlib import import_module as _import_module
 
 # Submodule -> the public names it defines.
 _PUBLIC = {
-    "bath": ("BathParams", "maximal_m", "survival_functional_rows", "zeno_angles"),
+    "bath": ("BathParams", "maximal_m", "survival_functional_rows", "zeno_angles", "zeno_states"),
     "dynamics": (
         "TimeGrid", "analytic_free", "bloch_rates", "evolve_free", "evolve_measured", "relax",
     ),
     "errors": ("InvalidStateError", "ParameterError", "SqueezedZenoError"),
     "intelligent": ("factorization_residual", "s_eigensystem", "uncertainty_product"),
     "pauli": (
-        "Direction", "bloch_vector", "eigenstates_mu", "matrix_to_bloch", "pure_state_bloch",
-        "pure_state_matrix",
+        "Direction", "bloch_vector", "matrix_to_bloch", "pure_state_bloch", "pure_state_matrix",
     ),
     "zeno": (
         "MeasurementSchedule", "monte_carlo_survival", "repeated_measurement_survival",
-        "second_order_rate", "step_survival_probability", "survival_functional_grid",
-        "survival_laws", "survival_rate", "zeno_directions", "zeno_states",
+        "second_order_rate", "step_survival_probability", "survival_laws", "survival_rate",
+        "zeno_directions",
     ),
 }
 _SUBMODULE = {name: module for module, names in _PUBLIC.items() for name in names}

@@ -128,8 +128,8 @@ def lindblad_s_entries(bath: BathParams):
     return (0j, upper), (complex(math.sqrt(bath.n + 1)), 0j)
 
 
-def frozen_amplitudes(bath: BathParams):
-    """The two frozen states as amplitude pairs (a, b) of a|+> + b|->.
+def zeno_states(bath: BathParams):
+    """The two frozen states |z1>, |z2> as pairs (a, b) of Python complex, a|+> + b|->.
 
     |z1> = sqrt(N/(N+M)) |+> + i sqrt(M/(N+M)) e^{-i psi/2} |->
     |z2> = sqrt(N/(N+M)) |+> - i sqrt(M/(N+M)) e^{-i psi/2} |->
@@ -180,8 +180,9 @@ def survival_functional_rows(bath: BathParams, n_theta: int, n_phi: int):
     2 pi, 2 pi excluded. rows yields, for each theta in turn, the list of F over phis as
     Python floats, so a caller holds one grid row at a time. F is
     (sin^2(theta) q(phi) + l(cos theta)) / 2 clipped at 0, with q and l the transverse and
-    longitudinal terms of generator_terms (squares taken as u * u), the value
-    survival_rate(bath, eigenstates_mu(d)[0]) has at a single direction d. q is a
+    longitudinal terms of generator_terms (squares taken as u * u): F = mu . (A mu + c) / 2
+    at the unit vector mu of (theta, phi), the survival rate of the +1 eigenstate of
+    sigma . mu_hat, whose Bloch vector is mu. q is a
     quadratic form in (cos phi, sin phi), so q(phi + pi) = q(phi): for even n_phi, q is
     evaluated on the first n_phi/2 angles only and each row is its first half twice, the
     same float objects. Odd n_phi evaluates q at every angle.

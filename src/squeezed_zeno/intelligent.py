@@ -11,8 +11,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .bath import BathParams, _require_maximal, frozen_amplitudes, lindblad_s_entries
-from .bath import state_bloch, to_mode_frame
+from .bath import BathParams, _require_maximal, lindblad_s_entries, state_bloch
+from .bath import to_mode_frame, zeno_states
 from .errors import ParameterError
 
 
@@ -31,14 +31,15 @@ def s_eigensystem(bath: BathParams) -> SEigensystem:
     """Eigensystem of S = sqrt(N+1) sigma - sqrt(N) e^{i psi} sigma+ (maximal squeezing).
 
     The eigenvalues are +-i sqrt(M) e^{i psi/2} and the eigenvectors the frozen
-    states z2 and z1 (frozen_amplitudes). At N = 0 the operator is nilpotent with the
+    states z2 and z1 of bath.zeno_states, the +1 eigenstates of sigma . mu_hat along the
+    two maxima of F = mu . (A mu + c) / 2. At N = 0 the operator is nilpotent with the
     single eigenvector |->; that case is reported as degenerate.
     """
     _require_maximal(bath)
     if bath.n == 0:
         return SEigensystem(0.0, (0j, 1 + 0j), 0.0, (0j, 1 + 0j), degenerate=True)
     lam = 1j * math.sqrt(bath.m) * cmath.exp(1j * bath.psi / 2)
-    z1, z2 = frozen_amplitudes(bath)
+    z1, z2 = zeno_states(bath)
     return SEigensystem(lambda_plus=lam, state_plus=z2, lambda_minus=-lam, state_minus=z1)
 
 

@@ -1,9 +1,8 @@
 """Exact 2x2 complex algebra for a two-level atom.
 
-The basis states, the Bloch-vector check, the closed-form Bloch vector of a pure
-state, directions on the Bloch sphere with the eigenstates of the spin component
-along them, and the checked map from a density matrix to its Bloch vector, read
-off its entries.
+The Bloch-vector check, the closed-form Bloch vector of a pure state, directions
+on the Bloch sphere, and the checked map from a density matrix to its Bloch
+vector, read off its entries.
 
 Basis convention: |+> = excited = (1, 0)^T, |-> = ground = (0, 1)^T, so
 sigma_z |+-> = +-|+-> and the lowering operator sends |+> to |->.
@@ -14,9 +13,6 @@ from dataclasses import dataclass
 from ._numpy import np
 from .bath import state_bloch
 from .errors import InvalidStateError
-
-EXCITED = np.array([1, 0], dtype=complex)
-GROUND = np.array([0, 1], dtype=complex)
 
 HERMITICITY_TOL = 1e-12
 BLOCH_NORM_TOL = 1e-9
@@ -77,20 +73,6 @@ def matrix_to_bloch(rho: np.ndarray) -> np.ndarray:
         raise InvalidStateError(f"density matrix trace {np.trace(rho)} != 1")
     (r00, r01), (r10, r11) = rho
     return bloch_vector([(r01 + r10).real, (1j * (r01 - r10)).real, (r00 - r11).real])
-
-
-def eigenstates_mu(d: Direction):
-    """The +1 and -1 eigenstates of the spin component sigma . mu_hat along d.
-
-    Returns (plus, minus) with
-        plus  =  cos(theta/2) |+> + sin(theta/2) e^{i phi} |->
-        minus = -sin(theta/2) |+> + cos(theta/2) e^{i phi} |->
-    """
-    c, s = np.cos(d.theta / 2), np.sin(d.theta / 2)
-    phase = np.exp(1j * d.phi)
-    plus = np.array([c, s * phase])
-    minus = np.array([-s, c * phase])
-    return plus, minus
 
 
 def pure_state_matrix(state) -> np.ndarray:

@@ -1,19 +1,18 @@
-"""Survival probabilities under repeated measurement and the frozen states.
+"""Survival probabilities under repeated measurement.
 
 Covers the first- and second-order survival rates under the master
-equation, the survival functional over measurement directions, its two
-maxima (the bath-determined "preferential" directions), the corresponding
-frozen states, and exact / Monte Carlo repeated-measurement survival curves.
-The survival functional F at a direction d is the survival rate of the +1
-eigenstate of sigma . mu_hat, survival_rate(bath, eigenstates_mu(d)[0]); that
-eigenstate has Bloch vector mu, so F = mu . (A mu + c) / 2 (<= 0).
+equation, the two maxima of the survival functional over measurement
+directions (the bath-determined "preferential" directions), and exact /
+Monte Carlo repeated-measurement survival curves. The survival functional
+at a direction d is F = mu_hat . (A mu_hat + c) / 2 (<= 0), the survival rate of
+the +1 eigenstate of sigma . mu_hat, whose Bloch vector is mu_hat; its grid is
+bath.survival_functional_rows and its frozen states bath.zeno_states.
 """
 
 from dataclasses import dataclass
 
 from ._numpy import np
-from .bath import BathParams, frozen_amplitudes, generator_terms, survival_functional_rows
-from .bath import zeno_angles
+from .bath import BathParams, generator_terms, zeno_angles
 from .dynamics import relax
 from .errors import ParameterError
 from .pauli import Direction, pure_state_bloch
@@ -63,17 +62,6 @@ def survival_rate(bath: BathParams, state) -> float:
     return min(0.5 * float(sum(generator_terms(bath, pure_state_bloch(state)))), 0.0)
 
 
-def survival_functional_grid(bath: BathParams, n_theta: int = 256, n_phi: int = 256):
-    """The survival functional on an (n_theta x n_phi) angle grid, as arrays.
-
-    Returns (theta axis, phi axis, F values of shape (n_theta, n_phi)): the axes and rows
-    of bath.survival_functional_rows as numpy arrays, whose docstring gives F. For even
-    n_phi, F[:, j + n_phi/2] is F[:, j] bit for bit.
-    """
-    thetas, phis, rows = survival_functional_rows(bath, n_theta, n_phi)
-    return np.array(thetas), np.array(phis), np.array(list(rows))
-
-
 def zeno_directions(bath: BathParams) -> ZenoDirections:
     """Closed-form maxima of the survival functional (bath.zeno_angles), as directions.
 
@@ -82,11 +70,6 @@ def zeno_directions(bath: BathParams) -> ZenoDirections:
     """
     theta, phi1, phi2 = zeno_angles(bath)
     return ZenoDirections(mu1=Direction(theta, phi1), mu2=Direction(theta, phi2), theta=theta)
-
-
-def zeno_states(bath: BathParams):
-    """The two frozen states |z1>, |z2> as complex arrays (bath.frozen_amplitudes)."""
-    return tuple(np.array(state) for state in frozen_amplitudes(bath))
 
 
 def step_survival_probability(bath: BathParams, state, dt: float) -> float:

@@ -19,9 +19,11 @@ from squeezed_zeno import (
 from squeezed_zeno.bath import generator_terms
 from squeezed_zeno.errors import ParameterError
 from squeezed_zeno.intelligent import SEigensystem
-from squeezed_zeno.pauli import GROUND, Direction, bloch_vector, eigenstates_mu, pure_state_matrix
+from squeezed_zeno.pauli import Direction, bloch_vector, pure_state_matrix
 
-# The operators in the basis |+> = excited = (1, 0), |-> = ground = (0, 1).
+# The basis states |+> = excited = (1, 0), |-> = ground = (0, 1), and the operators in it.
+EXCITED = np.array([1, 0], dtype=complex)
+GROUND = np.array([0, 1], dtype=complex)
 IDENTITY = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -43,6 +45,18 @@ def sigma_mu(d: Direction) -> np.ndarray:
     """Spin component along d: sigma . mu_hat."""
     mu = d.unit_vector
     return mu[0] * SIGMA_X + mu[1] * SIGMA_Y + mu[2] * SIGMA_Z
+
+
+def eigenstates_mu(d: Direction):
+    """The +1 and -1 eigenstates of sigma_mu(d), as complex arrays.
+
+    Returns (plus, minus) with
+        plus  =  cos(theta/2) |+> + sin(theta/2) e^{i phi} |->
+        minus = -sin(theta/2) |+> + cos(theta/2) e^{i phi} |->
+    """
+    c, s = np.cos(d.theta / 2), np.sin(d.theta / 2)
+    phase = np.exp(1j * d.phi)
+    return np.array([c, s * phase]), np.array([-s, c * phase])
 
 
 def liouvillian(bath: BathParams, rho: np.ndarray) -> np.ndarray:

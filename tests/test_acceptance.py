@@ -10,7 +10,6 @@ from squeezed_zeno import (
     BathParams,
     MeasurementSchedule,
     TimeGrid,
-    eigenstates_mu,
     evolve_free,
     evolve_measured,
     monte_carlo_survival,
@@ -18,7 +17,6 @@ from squeezed_zeno import (
     repeated_measurement_survival,
     s_eigensystem,
     second_order_rate,
-    survival_functional_grid,
     survival_rate,
     uncertainty_product,
     zeno_directions,
@@ -26,13 +24,17 @@ from squeezed_zeno import (
 )
 
 from oracles import (
+    EXCITED,
+    GROUND,
     bloch_to_matrix,
     eig_s_eigensystem,
+    eigenstates_mu,
     find_zeno_directions_grid,
     j_minus_alpha_operator,
     liouvillian,
     liouvillian_from_s,
     measurement_modified_rhs,
+    oracle_survival_functional_grid,
     rk4_free,
     s_operator,
     sigma_mu,
@@ -40,10 +42,6 @@ from oracles import (
 
 SWEEP_N = (0.5, 1.0, 2.0, 5.0)
 SWEEP_PSI = (0.0, 1.0, np.pi, 5.0)
-
-EXCITED = np.array([1.0, 0.0], dtype=complex)
-GROUND = np.array([0.0, 1.0], dtype=complex)
-
 
 def report(name, ok):
     print(f"{'PASS' if ok else 'FAIL'}  {name}")
@@ -66,7 +64,7 @@ def test_criterion_02_closed_form_angles_match_grid():
         for psi in SWEEP_PSI:
             b = BathParams.maximal(1.0, n, psi)
             zd = zeno_directions(b)
-            thetas, phis, f = survival_functional_grid(b, 256, 256)
+            thetas, phis, f = oracle_survival_functional_grid(b, 256, 256)
             dtheta = np.pi / 255
             dphi = 2 * np.pi / 256
             # every grid point within numerical reach of the max

@@ -10,14 +10,15 @@ from squeezed_zeno import (
     maximal_m,
     pure_state_matrix,
     second_order_rate,
+    step_survival_probability,
     survival_rate,
     zeno_states,
 )
 from squeezed_zeno.bath import lindblad_s_entries
 from squeezed_zeno.errors import ParameterError
-from squeezed_zeno.pauli import GROUND
 
 from oracles import (
+    GROUND,
     SIGMA_MINUS,
     SIGMA_PLUS,
     liouvillian,
@@ -259,3 +260,20 @@ class TestRatesAgainstDissipator:
 def test_maximal_m_helper():
     assert maximal_m(0.0) == 0.0
     assert maximal_m(1.0) == pytest.approx(np.sqrt(2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(log_n=st.floats(-300, 149), psi=st.floats(-10.0, 20.0))
+def test_zeno_states_are_pairs_of_complex(log_n, psi):
+    # A pure state has one representation, the pair (a, b) of a|+> + b|->: zeno_states
+    # gives two of Python complex, and the array functions take such a pair as given.
+    b = BathParams.maximal(1.0, 10.0**log_n, psi)
+    states = zeno_states(b)
+    assert type(states) is tuple and len(states) == 2
+    for state in states:
+        assert type(state) is tuple and [type(a) for a in state] == [complex, complex]
+        array = np.array(state)
+        assert np.array_equal(pure_state_matrix(state), np.outer(array, array.conj()))
+        for dt in (0.0, 0.01, 10.0):
+            p = step_survival_probability(b, state, dt)
+            assert p == step_survival_probability(b, array, dt)

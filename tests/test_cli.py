@@ -993,8 +993,8 @@ BOUNDARY_FUNCTIONS = (
 def test_a_command_binds_the_boundary_functions_once(capsys, monkeypatch):
     # After a command, each boundary function and every public function of the
     # package is a cli attribute, the package's own object; write_table is the table
-    # module's, and no private name of the package (np, EXCITED, GROUND) is bound. One
-    # replaced there serves later commands, so the binding ran once.
+    # module's, and no private name of the package (np) is bound. One replaced there
+    # serves later commands, so the binding ran once.
     assert main(["evolve", "--set", "n_steps=3"]) == 0
     table = capsys.readouterr().out
     for name in BOUNDARY_FUNCTIONS:
@@ -1007,8 +1007,7 @@ def test_a_command_binds_the_boundary_functions_once(capsys, monkeypatch):
     assert set(BOUNDARY_FUNCTIONS) - {"write_table"} <= set(public)
     for name in public:
         assert vars(cli).get(name) is getattr(squeezed_zeno, name), name
-    for name in ("np", "EXCITED", "GROUND"):
-        assert name not in vars(cli), name
+    assert "np" not in vars(cli)
     assert cli.write_table is squeezed_zeno.table.write_table
     calls = []
     evolve_free = cli.evolve_free
@@ -1215,6 +1214,11 @@ REMOVED_NAMES = (
     "SIGMA_Z",
     "SIGMA_MINUS",
     "SIGMA_PLUS",
+    "eigenstates_mu",
+    "survival_functional_grid",
+    "EXCITED",
+    "GROUND",
+    "frozen_amplitudes",
 )
 
 
@@ -1246,6 +1250,59 @@ def test_public_names_are_readmes_list():
     listed = re.findall(r"`([A-Za-z_]\w*)`", items)
     assert len(listed) == len(set(listed))
     assert set(listed) == public_names()
+
+
+def readmes_library_only() -> dict:
+    """README's library-only functions: name -> the bench/ file that imports it."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("are library-only:", 1)[1].split("\n\n", 2)[1]
+    return dict(re.findall(r"^- `(\w+)`, imported by `(bench/\w+\.py)`", section, re.M))
+
+
+# A few configs of each command, such that together they reach every code path that
+# calls a package function: named and [x, y, z] states, named and [theta, phi]
+# directions, Monte Carlo on, and the degenerate eigensystem at N = 0.
+PROFILED_RUNS = (
+    ["surface", "--set", "n_theta=3", "--set", "n_phi=4"],
+    ["evolve", "--set", "n_steps=3"],
+    ["evolve", "--set", "n_steps=3", "--set", "state=[0.1, 0.2, 0.3]", "--set", "measure=[1, 2]"],
+    ["zeno", "--set", "count=3", "--set", "n_traj=5"],
+    ["zeno", "--set", "count=3", "--set", "state=zeno-minus", "--set", "M=0.5"],
+    ["intelligent"],
+    ["intelligent", "--set", "N=0"],
+)
+
+
+def test_every_public_function_is_on_a_commands_path(capsys):
+    # Each public function runs under one of the commands, but for README's library-only
+    # list, whose functions only the benchmark harness calls; and that list is exactly the
+    # public functions that no command calls, each imported by the bench/ file it names.
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        statuses = [main(argv) for argv in PROFILED_RUNS]
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert statuses == [0] * len(PROFILED_RUNS)
+    functions = [getattr(squeezed_zeno, name) for name in public_names()]
+    uncalled = {f.__name__ for f in functions if inspect.isfunction(f) and f.__code__ not in called}
+    library_only = readmes_library_only()
+    assert uncalled == set(library_only) == {"bloch_rates", "matrix_to_bloch", "pure_state_matrix"}
+    for name, path in library_only.items():
+        tree = ast.parse((ROOT / path).read_text())
+        imported = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "squeezed_zeno"
+            for alias in node.names
+        }
+        assert name in imported, (name, path)
 
 
 def test_public_names_are_their_submodules_objects():

@@ -9,7 +9,6 @@ from squeezed_zeno import (
     BathParams,
     TimeGrid,
     analytic_free,
-    eigenstates_mu,
     evolve_free,
     evolve_measured,
     matrix_to_bloch,
@@ -27,6 +26,7 @@ from squeezed_zeno.pauli import Direction
 
 from oracles import (
     bloch_to_matrix,
+    eigenstates_mu,
     expm_propagator,
     liouvillian,
     measurement_modified_rhs,

@@ -3,10 +3,7 @@ import pytest
 
 from squeezed_zeno.pauli import (
     Direction,
-    EXCITED,
-    GROUND,
     bloch_vector,
-    eigenstates_mu,
     matrix_to_bloch,
     pure_state_bloch,
     pure_state_matrix,
@@ -14,6 +11,8 @@ from squeezed_zeno.pauli import (
 from squeezed_zeno.errors import InvalidStateError
 
 from oracles import (
+    EXCITED,
+    GROUND,
     IDENTITY,
     SIGMA_MINUS,
     SIGMA_PLUS,
@@ -21,6 +20,7 @@ from oracles import (
     SIGMA_Y,
     SIGMA_Z,
     bloch_to_matrix,
+    eigenstates_mu,
     sigma_mu,
 )
 

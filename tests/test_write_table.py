@@ -120,7 +120,7 @@ def grid_tables(draw):
 
     write_table takes such a grid as written(table) gives it: lists and an iterator of rows.
 
-    "mirrored" F repeats its first half of columns, as survival_functional_grid does for
+    "mirrored" F repeats its first half of columns, as survival_functional_rows does for
     even n_phi; "signed" does too, but with 0.0 in one half where the other has -0.0.
     """
     n_phi = draw(st.integers(1, 300) | st.sampled_from([ROWS_PER_CHUNK, ROWS_PER_CHUNK + 1]))

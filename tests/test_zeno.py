@@ -12,7 +12,6 @@ from squeezed_zeno import (
     Direction,
     MeasurementSchedule,
     TimeGrid,
-    eigenstates_mu,
     evolve_measured,
     maximal_m,
     monte_carlo_survival,
@@ -21,7 +20,6 @@ from squeezed_zeno import (
     repeated_measurement_survival,
     second_order_rate,
     step_survival_probability,
-    survival_functional_grid,
     survival_laws,
     survival_rate,
     zeno_directions,
@@ -33,7 +31,10 @@ from squeezed_zeno.table import ROWS_PER_CHUNK
 from squeezed_zeno.zeno import ZenoDirections
 
 from oracles import (
+    EXCITED,
+    GROUND,
     bernstein_bound,
+    eigenstates_mu,
     find_zeno_directions_grid,
     oracle_bloch_rates,
     oracle_survival_functional_grid,
@@ -41,9 +42,6 @@ from oracles import (
 )
 
 EPS = np.finfo(float).eps
-
-EXCITED = np.array([1.0, 0.0], dtype=complex)
-GROUND = np.array([0.0, 1.0], dtype=complex)
 
 
 class TestSurvivalRate:
@@ -64,6 +62,12 @@ class TestSurvivalRate:
 def survival_functional(b, d):
     """F at d: the survival rate of the +1 eigenstate of sigma . mu_hat."""
     return survival_rate(b, eigenstates_mu(d)[0])
+
+
+def functional_grid(b, n_theta=256, n_phi=256):
+    """survival_functional_rows as arrays: (thetas, phis, F of shape (n_theta, n_phi))."""
+    thetas, phis, rows = survival_functional_rows(b, n_theta, n_phi)
+    return np.array(thetas), np.array(phis), np.array(list(rows))
 
 
 class TestSurvivalFunctional:
@@ -90,12 +94,12 @@ class TestSurvivalFunctional:
     def test_nonpositive_on_grid(self):
         for n, psi in [(0.5, 0.0), (1.0, np.pi / 3), (2.0, np.pi), (5.0, 4.7)]:
             b = BathParams.maximal(1.0, n, psi)
-            _, _, f = survival_functional_grid(b)
+            _, _, f = functional_grid(b)
             assert f.max() < 1e-9
 
     def test_vacuum_max_at_south_pole(self):
         b = BathParams(gamma=1.0, n=0.0, m=0.0)
-        thetas, _, f = survival_functional_grid(b)
+        thetas, _, f = functional_grid(b)
         i, _ = np.unravel_index(np.argmax(f), f.shape)
         assert thetas[i] == pytest.approx(np.pi)
         assert f.max() == pytest.approx(0.0, abs=1e-12)
@@ -127,7 +131,7 @@ class TestSurvivalFunctionalMaximum:
         zd = zeno_directions(b)
         for d in (zd.mu1, zd.mu2):
             assert abs(survival_functional(b, d) - f_max) <= tol
-        _, _, f = survival_functional_grid(b, 16, 16)
+        _, _, f = functional_grid(b, 16, 16)
         assert f.max() <= f_max + tol
 
 
@@ -143,7 +147,7 @@ class TestSurvivalFunctionalGridPeriod:
     )
     def test_second_half_repeats_the_first(self, gamma, n, fraction, psi, n_theta, half):
         b = BathParams(gamma=gamma, n=n, m=fraction * maximal_m(n), psi=psi)
-        thetas, phis, f = survival_functional_grid(b, n_theta, 2 * half)
+        thetas, phis, f = functional_grid(b, n_theta, 2 * half)
         # q(phi + pi) = q(phi): the grid repeats its values, bit for bit (0.0 and -0.0 apart).
         assert np.array_equal(f[:, :half].view(np.int64), f[:, half:].view(np.int64))
         # Each cell against F at its own angles. Both sum four terms of size at most
@@ -180,9 +184,6 @@ class TestSurvivalFunctionalRows:
         assert np.array_equal(bits(thetas), bits(want_thetas))
         assert np.array_equal(bits(phis), bits(want_phis))
         assert np.array_equal(bits(rows), bits(want_f))
-        got = survival_functional_grid(bath, n_theta, n_phi)
-        for array, want in zip(got, (want_thetas, want_phis, want_f)):
-            assert array.dtype == np.float64 and np.array_equal(bits(array), bits(want))
 
     @pytest.mark.parametrize("n_theta, n_phi", SHAPES)
     @pytest.mark.parametrize(

@@ -54,7 +54,8 @@ class BathParams:
     gamma: vacuum decay rate (> 0)
     n:     mean photon number (>= 0)
     m:     two-photon correlation magnitude (0 <= m <= sqrt(n(n+1)))
-    psi:   squeezing phase in radians, reduced to [0, 2*pi)
+    psi:   squeezing phase in radians, reduced to [0, 2*pi] (2*pi only from rounding: the
+           nearest double to the exact reduction of a psi just below a multiple of 2*pi)
 
     The largest rate gamma(2N+1) is at most MAX_RATE.
     """

@@ -211,7 +211,8 @@ def cmd_surface(config: dict, bath: BathParams) -> None:
     out = config.get("out")
     write_table(out, {"theta": thetas, "phi": phis, "F": rows}, config["format"])
     theta, phi1, phi2 = zeno_angles(bath)
-    # Reduced to [0, 2 pi) as Direction reduces the phis of zeno_directions.
+    # Reduced to [0, 2 pi] as Direction reduces the phis of zeno_directions (2 pi only by
+    # rounding a phi just below a multiple of 2 pi, as the nearest double).
     sidecar = {
         "cos_theta_max": math.cos(theta),
         "phi1": phi1 % (2 * math.pi),

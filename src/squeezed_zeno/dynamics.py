@@ -7,7 +7,8 @@ bloch_rates gives that system's generator (A, c) in the lab frame as arrays.
 
 from dataclasses import dataclass
 
-from ._numpy import np
+import numpy as np
+
 from .bath import BathParams, generator_terms, to_mode_frame
 from .errors import ParameterError
 from .pauli import Direction, bloch_vector

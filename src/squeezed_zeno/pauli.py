@@ -10,7 +10,8 @@ sigma_z |+-> = +-|+-> and the lowering operator sends |+> to |->.
 
 from dataclasses import dataclass
 
-from ._numpy import np
+import numpy as np
+
 from .bath import state_bloch
 from .errors import InvalidStateError
 
@@ -22,7 +23,9 @@ BLOCH_NORM_TOL = 1e-9
 class Direction:
     """A point (theta, phi) on the Bloch sphere, in radians.
 
-    Finite, with theta in [0, pi] (else InvalidStateError); phi is reduced to [0, 2*pi).
+    Finite, with theta in [0, pi] (else InvalidStateError); phi is reduced to [0, 2*pi],
+    where 2*pi comes only from rounding: the nearest double to the exact reduction of a
+    phi within half an ulp below a multiple of 2*pi.
     """
 
     theta: float

@@ -158,7 +158,7 @@ def _blocks(form: _TextFormat, columns: list):
     instead of 13.4-18.6 s as CSV and 25.4-31.0 s instead of 15.0-22.6 s as JSON, end to
     end on 2 shared vCPUs (four runs each).
     """
-    from ._numpy import np
+    import numpy as np
 
     columns = [np.asarray(column, dtype=np.float64) for column in columns]
     width = len(columns)

@@ -11,7 +11,8 @@ bath.survival_functional_rows and its frozen states bath.zeno_states.
 
 from dataclasses import dataclass
 
-from ._numpy import np
+import numpy as np
+
 from .bath import BathParams, generator_terms, zeno_angles
 from .dynamics import relax
 from .errors import ParameterError

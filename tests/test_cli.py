@@ -5,6 +5,7 @@ import importlib
 import inspect
 import io
 import json
+import math
 import os
 import pkgutil
 import re
@@ -83,6 +84,16 @@ class TestSurface:
         sidecar = json.loads((tmp_path / "surface.csv.maxima.json").read_text())
         assert sidecar["phi1"] == pytest.approx(np.pi / 2)
         assert sidecar["cos_theta_max"] == pytest.approx(-0.17157287525, abs=1e-9)
+
+    def test_sidecar_phi_just_below_a_period_is_two_pi(self, capsys):
+        # At psi one ulp above pi, phi1 = (pi - psi)/2 is -2.2e-16, within half an ulp of 2 pi
+        # below 0: its reduction rounds to the double 2 pi, kept, not mapped to 0.
+        argv = ["surface", "--set", "psi=3.1415926535897936", "--set", "n_theta=2", "--set", "n_phi=2"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert '  "phi1": 6.283185307179586,' in out.splitlines()
+        sidecar = json.loads(out[out.index("{") :])
+        assert sidecar["phi1"] == 2 * math.pi and sidecar["phi2"] == math.pi
 
     def test_vacuum_max_at_south_pole(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -819,8 +830,7 @@ CONFIG_ERRORS = (
 def test_cli_import_loads_no_scipy(tmp_path):
     # Importing the package and the CLI, --help, and every usage or config error load
     # no numpy. Running every subcommand then loads numpy alone, and no module of the
-    # test extra, on one thread unless OPENBLAS_NUM_THREADS chose a count, and leaves
-    # the environment as it was.
+    # test extra.
     src = ROOT / "src"
     invalid = tmp_path / "invalid.json"
     invalid.write_text("{")
@@ -848,29 +858,72 @@ def test_cli_import_loads_no_scipy(tmp_path):
         "    assert code(argv) == 0, argv\n"
         f"print(sorted(m for m in sys.modules if m.partition('.')[0] in {TEST_EXTRA_MODULES!r}))\n"
         "print('numpy' in sys.modules)\n"
-        "tasks = '/proc/self/task'\n"
-        "print(len(os.listdir(tasks)) if os.path.isdir(tasks) else None)\n"
-        "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
     )
-    for blas_threads in (None, "2"):
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-        env["PYTHONPATH"] = str(src)
-        if blas_threads is not None:
-            env["OPENBLAS_NUM_THREADS"] = blas_threads
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        modules, numpy_loaded, threads, blas_env = proc.stdout.splitlines()
-        assert modules == "[]"
-        assert numpy_loaded == "True"
-        assert blas_env == str(blas_threads)
-        if blas_threads is None and threads != "None":
-            assert threads == "1"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True"]
+
+
+# Printed to stderr at the end of a script: the threads of its process, or None where
+# /proc/self/task is missing.
+PRINT_THREADS = (
+    "tasks = '/proc/self/task'\n"
+    "print(len(os.listdir(tasks)) if os.path.isdir(tasks) else None, file=sys.stderr)\n"
+)
+
+
+def threads_after(script, blas_threads=None):
+    """The thread count that script leaves, as text, run with OPENBLAS_NUM_THREADS set to
+    blas_threads (unset for None), after checking that it exits 0."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    proc = subprocess.run(
+        [sys.executable, "-c", "import os, sys\n" + script + PRINT_THREADS],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stderr.splitlines()[-1]
+
+
+@pytest.mark.parametrize("blas_threads", [None, "2"])
+def test_process_entry_runs_numpy_on_one_blas_thread(blas_threads):
+    # run, the entry of python -m squeezed_zeno and of the console script, loads numpy
+    # with one OpenBLAS thread unless OPENBLAS_NUM_THREADS chose a count, which it keeps:
+    # with 2, the process has the threads of plain numpy under the same setting, 2 on a
+    # host with 2 or more CPUs.
+    script = (
+        "from squeezed_zeno.__main__ import run\n"
+        "assert run(['zeno', '--set', 'count=5', '--set', 'n_traj=10']) == 0\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+    threads = threads_after(script, blas_threads)
+    if threads != "None":
+        expected = "1" if blas_threads is None else threads_after("import numpy\n", "2")
+        assert threads == expected
+
+
+def test_library_keeps_numpys_thread_default():
+    # The library leaves numpy's thread count and the environment alone: after a computation
+    # os.environ is as it was, and the process has the threads of plain numpy.
+    script = (
+        "import squeezed_zeno\n"
+        "before = dict(os.environ)\n"
+        "bath = squeezed_zeno.BathParams.maximal(1.0, 1.0)\n"
+        "grid = squeezed_zeno.TimeGrid(1.0, 4)\n"
+        "assert squeezed_zeno.evolve_free(bath, [0.0, 0.0, 1.0], grid).shape == (5, 3)\n"
+        "assert dict(os.environ) == before\n"
+    )
+    threads = threads_after(script)
+    if threads != "None":
+        assert threads == threads_after("import numpy\n")
 
 
 @pytest.mark.parametrize(
@@ -939,9 +992,10 @@ def test_surface_loads_no_numpy(tmp_path, argv, code):
 
 
 def test_numpy_free_names_whole_modules():
-    # No _NUMPY_FREE module imports numpy or _numpy, at the top level or in a function, and
-    # each imports from the package only other _NUMPY_FREE modules; the array modules take
-    # np from _numpy at their top level.
+    # No _NUMPY_FREE module imports numpy, at the top level or in a function, and each
+    # imports from the package only other _NUMPY_FREE modules. Only the array modules import
+    # numpy at their top level, and only table._blocks imports it in a function. No module
+    # but __main__ reads or writes os.environ.
     package = ROOT / "src" / "squeezed_zeno"
     trees = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
     free = set(squeezed_zeno._NUMPY_FREE)
@@ -958,14 +1012,30 @@ def test_numpy_free_names_whole_modules():
             else:
                 continue
             for module in imported:
-                assert module.partition(".")[0] not in ("numpy", "_numpy"), (name, module)
-                assert not module.startswith("squeezed_zeno._numpy"), (name, module)
-    for name in ("pauli", "dynamics", "zeno"):
-        top = trees[name].body
-        assert any(
-            isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "_numpy"
-            for node in top
-        ), name
+                assert module.partition(".")[0] != "numpy", (name, module)
+
+    def imports_numpy(node):
+        if isinstance(node, ast.Import):
+            return any(alias.name.partition(".")[0] == "numpy" for alias in node.names)
+        return isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "numpy"
+
+    top_level, in_function = set(), set()
+    for name, tree in trees.items():
+        top_level |= {name for node in tree.body if imports_numpy(node)}
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(imports_numpy(node) for node in ast.walk(func)):
+                    in_function.add(f"{name}.{func.name}")
+    assert top_level == {"pauli", "dynamics", "zeno"}
+    assert in_function == {"table._blocks"}
+    environ = {
+        name
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == "environ")
+        or (isinstance(node, ast.alias) and node.name == "environ")
+    }
+    assert environ == {"__main__"}
 
 
 # The functions that a tracer of the cli -> layer boundary wraps: cli.write_table and

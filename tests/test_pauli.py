@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from squeezed_zeno.bath import BathParams
 from squeezed_zeno.pauli import (
     Direction,
     bloch_vector,
@@ -157,6 +160,14 @@ def test_pauli_algebra():
             anti = a @ b + b @ a
             expected = 2 * IDENTITY if i == j else np.zeros((2, 2))
             assert np.allclose(anti, expected)
+
+
+def test_angle_just_below_a_period_reduces_to_two_pi():
+    # Within half an ulp below 0, phi and psi reduce to the double 2 pi, the nearest one to
+    # the exact reduction, which both keep rather than map to 0.
+    assert Direction(1.0, -1e-17).phi == 2 * math.pi
+    assert BathParams(1.0, 1.0, 0.5, -1e-17).psi == 2 * math.pi
+    assert Direction(1.0, 2 * math.pi).phi == 0.0
 
 
 def test_direction_validation():

@@ -8,25 +8,23 @@ Subcommands:
 
 Configuration is a single flat JSON file; individual keys can be
 overridden with --set key=value. All output is deterministic given the
-config (including the seed). Exit codes: 0 success, 2 config error,
-3 numeric contract violation, 4 I/O error.
+config (including the seed). Exit codes: 0 success, 2 config error, 4 I/O error.
+A config error is any package error: a value that the CLI or the library rejects.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import os
 import sys
 
-from .errors import InvalidStateError, ParameterError, SqueezedZenoError
+from .errors import SqueezedZenoError
 from .table import _FORMATS, _write_json, write_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 _BATH_KEYS = {"gamma": 1.0, "N": 1.0, "M": "maximal", "psi": 0.0}
@@ -51,7 +49,7 @@ INTEGER_BOUNDS = {
 }
 
 
-class ConfigError(Exception):
+class ConfigError(SqueezedZenoError):
     pass
 
 
@@ -75,15 +73,6 @@ def _integer(key: str, value, minimum: int, maximum: float) -> int:
     if value > maximum:
         raise ConfigError(f"{key} must be at most {maximum}, got {value!r}")
     return value
-
-
-@contextlib.contextmanager
-def _config_checked():
-    """Report an input that the library rejects as a config error, with its message."""
-    try:
-        yield
-    except (ParameterError, InvalidStateError) as exc:
-        raise ConfigError(str(exc))
 
 
 def load_config(path: str | None, overrides, command: str, flags=None) -> dict:
@@ -117,7 +106,7 @@ def load_config(path: str | None, overrides, command: str, flags=None) -> dict:
     unknown = set(config) - set(KEYS[command]) - {"out"}
     if unknown:
         raise ConfigError(
-            f"unknown config key(s) for {command}: {', '.join(sorted(unknown))}"
+            f"unknown config key(s) for {command}: {', '.join(map(repr, sorted(unknown)))}"
         )
     merged = {**KEYS[command], **config}
     if "out" in merged and not (isinstance(merged["out"], str) and merged["out"]):
@@ -224,10 +213,9 @@ def cmd_surface(config: dict, bath: BathParams) -> None:
 
 
 def cmd_evolve(config: dict, bath: BathParams) -> None:
-    with _config_checked():
-        v0 = resolve_state(config["state"], bath)
-        direction = resolve_direction(config["measure"], bath)
-        grid = TimeGrid(config["t_end"], config["n_steps"])
+    v0 = resolve_state(config["state"], bath)
+    direction = resolve_direction(config["measure"], bath)
+    grid = TimeGrid(config["t_end"], config["n_steps"])
 
     free = evolve_free(bath, v0, grid)
     measured = evolve_measured(bath, direction, v0, grid)
@@ -241,11 +229,10 @@ def cmd_evolve(config: dict, bath: BathParams) -> None:
 
 
 def cmd_zeno(config: dict, bath: BathParams) -> None:
-    with _config_checked():
-        if not isinstance(config["state"], str):
-            raise ConfigError("zeno requires a named pure initial state")
-        state = _named(STATES, "state", config["state"])(bath)
-        sched = MeasurementSchedule(config["dt"], config["count"])
+    if not isinstance(config["state"], str):
+        raise ConfigError("zeno requires a named pure initial state")
+    state = _named(STATES, "state", config["state"])(bath)
+    sched = MeasurementSchedule(config["dt"], config["count"])
 
     table = {"t": sched.times, "P_exact": repeated_measurement_survival(bath, state, sched)}
     table["P_first_order"], table["P_second_order"] = survival_laws(bath, state, sched)
@@ -257,8 +244,7 @@ def cmd_zeno(config: dict, bath: BathParams) -> None:
 
 
 def cmd_intelligent(config: dict, bath: BathParams) -> None:
-    with _config_checked():
-        eig = s_eigensystem(bath)
+    eig = s_eigensystem(bath)
     report: dict = {"N": bath.n, "M": bath.m, "gamma": bath.gamma, "psi": bath.psi}
     report["degenerate"] = eig.degenerate
     if eig.degenerate:
@@ -311,16 +297,11 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config, args.overrides, args.command, flags)
         _bind_compute(args.command)
-        with _config_checked():
-            bath = bath_from_config(config)
-        COMMANDS[args.command](config, bath)
-    except ConfigError as exc:
+        COMMANDS[args.command](config, bath_from_config(config))
+    except SqueezedZenoError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except IOError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except SqueezedZenoError as exc:
-        print(f"numeric contract violation: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     return EXIT_OK

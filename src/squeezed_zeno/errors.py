@@ -2,7 +2,10 @@
 
 
 class SqueezedZenoError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    Every one is a rejected input: the CLI reports any of them as a config error (exit 2).
+    """
 
 
 class InvalidStateError(SqueezedZenoError):

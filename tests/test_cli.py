@@ -35,6 +35,7 @@ from squeezed_zeno.cli import (
     resolve_direction,
     resolve_state,
 )
+from squeezed_zeno.errors import InvalidStateError, ParameterError
 
 from oracles import (
     SIGMA_MINUS,
@@ -126,6 +127,11 @@ class TestSurface:
         code = run(tmp_path, "surface", {"N": 1.0, "bogus": 3})
         assert code == 2
         assert "bogus" in capsys.readouterr().err
+
+    def test_unknown_key_is_named_even_when_empty(self, capsys):
+        # Each key is printed as its repr, so the empty key of --set =5 reads as ''.
+        assert main(["surface", "--set", "=5"]) == 2
+        assert capsys.readouterr().err == "config error: unknown config key(s) for surface: ''\n"
 
     def test_malformed_config(self, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -685,7 +691,7 @@ class TestCliInvariants:
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = main(argv)
         out, err = stdout.getvalue(), stderr.getvalue()
-        # No valid config is a numeric failure (exit 3).
+        # Every config either runs or is rejected with a config error.
         assert code in (0, 2), err
         if code:
             assert out == ""
@@ -1142,6 +1148,30 @@ def test_module_entry_exit_codes(tmp_path):
     unwritable = run_module(["intelligent", "--out", str(tmp_path / "missing" / "report.json")])
     assert unwritable.returncode == 4
     assert unwritable.stderr.startswith(b"i/o error:")
+
+
+@pytest.mark.parametrize("error", [ParameterError, InvalidStateError])
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        ("surface", "survival_functional_rows"),
+        ("evolve", "evolve_free"),
+        ("zeno", "repeated_measurement_survival"),
+        ("intelligent", "uncertainty_product"),
+    ],
+)
+def test_a_library_error_in_a_computation_is_a_config_error(command, name, error, monkeypatch):
+    # Every package error is a rejected input: one raised inside a command's computation,
+    # not only in its input checks, exits 2 with its message.
+    def reject(*args):
+        raise error("injected")
+
+    monkeypatch.setattr(cli, name, reject, raising=False)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        assert main([command]) == 2
+    assert stdout.getvalue() == ""
+    assert stderr.getvalue() == "config error: injected\n"
 
 
 class _FullStream(io.StringIO):

@@ -16,13 +16,11 @@ from importlib import import_module as _import_module
 _PUBLIC = {
     "bath": ("BathParams", "maximal_m", "survival_functional_rows", "zeno_angles", "zeno_states"),
     "dynamics": (
-        "TimeGrid", "analytic_free", "bloch_rates", "evolve_free", "evolve_measured", "relax",
+        "Direction", "TimeGrid", "analytic_free", "bloch_rates", "bloch_vector", "evolve_free",
+        "evolve_measured", "matrix_to_bloch", "pure_state_bloch", "pure_state_matrix", "relax",
     ),
     "errors": ("InvalidStateError", "ParameterError", "SqueezedZenoError"),
     "intelligent": ("factorization_residual", "s_eigensystem", "uncertainty_product"),
-    "pauli": (
-        "Direction", "bloch_vector", "matrix_to_bloch", "pure_state_bloch", "pure_state_matrix",
-    ),
     "zeno": (
         "MeasurementSchedule", "monte_carlo_survival", "repeated_measurement_survival",
         "second_order_rate", "step_survival_probability", "survival_laws", "survival_rate",

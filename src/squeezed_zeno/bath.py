@@ -1,12 +1,11 @@
 """The squeezed-vacuum dissipator for a two-level atom.
 
-Provides the bath parameters with the decay rates of the dissipator's
-three modes, the rotation by psi/2 into the mode frame where the affine
-Bloch equations of motion are diagonal, a pure state's Bloch vector, the
-survival functional on an angle grid with its two maxima, and the entries
-of the single jump operator (Lindblad form), valid at maximal two-photon
-correlation, with its eigenvectors, the frozen states. Every value is a
-Python scalar, or an array or list of them.
+Provides the bath parameters with the decay rates of the dissipator's three modes, the
+rotation by psi/2 into the mode frame where the affine Bloch equations of motion are
+diagonal, a pure state's Bloch vector, the survival functional on an angle grid with its
+two maxima, and the two frozen states. Every value is a Python scalar, or an array or
+list of them. Basis convention: |+> = excited = (1, 0)^T, |-> = ground = (0, 1)^T, so
+sigma_z |+-> = +-|+-> and the lowering operator sends |+> to |->.
 """
 
 import cmath
@@ -112,21 +111,6 @@ class BathParams:
     def squeeze_ratio(self) -> float:
         """Squeeze ratio alpha = e^{2r}, the bath's at maximal m."""
         return math.exp(2.0 * self.squeeze_amplitude)
-
-
-def _require_maximal(bath: BathParams) -> None:
-    """Reject a bath without maximal squeezing, where S and its eigensystem are not defined."""
-    if not bath.is_maximal:
-        raise ParameterError(
-            f"S is only defined at maximal m = sqrt(n(n+1)) = {maximal_m(bath.n)}, got m={bath.m}"
-        )
-
-
-def lindblad_s_entries(bath: BathParams):
-    """Rows of the jump operator S = sqrt(N+1) sigma- - sqrt(N) e^{i psi} sigma+ (maximal M)."""
-    _require_maximal(bath)
-    upper = -(math.sqrt(bath.n) * cmath.exp(1j * bath.psi))
-    return (0j, upper), (complex(math.sqrt(bath.n + 1)), 0j)
 
 
 def zeno_states(bath: BathParams):

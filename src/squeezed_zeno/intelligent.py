@@ -1,6 +1,6 @@
 """Intelligent-state structure of the frozen states.
 
-Eigensystem of the bath's single jump operator, the rotated spin
+Entries and eigensystem of the bath's single jump operator, the rotated spin
 observables aligned with the bath fluctuation ellipse, the non-Hermitian
 lowering-type operator whose eigenstates saturate the Heisenberg
 uncertainty relation, and the saturation check itself, all from Python scalars.
@@ -11,9 +11,23 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .bath import BathParams, _require_maximal, lindblad_s_entries, state_bloch
-from .bath import to_mode_frame, zeno_states
+from .bath import BathParams, maximal_m, state_bloch, to_mode_frame, zeno_states
 from .errors import ParameterError
+
+
+def _require_maximal(bath: BathParams) -> None:
+    """Reject a bath without maximal squeezing, where S and its eigensystem are not defined."""
+    if not bath.is_maximal:
+        raise ParameterError(
+            f"S is only defined at maximal m = sqrt(n(n+1)) = {maximal_m(bath.n)}, got m={bath.m}"
+        )
+
+
+def lindblad_s_entries(bath: BathParams):
+    """Rows of the jump operator S = sqrt(N+1) sigma- - sqrt(N) e^{i psi} sigma+ (maximal M)."""
+    _require_maximal(bath)
+    upper = -(math.sqrt(bath.n) * cmath.exp(1j * bath.psi))
+    return (0j, upper), (complex(math.sqrt(bath.n + 1)), 0j)
 
 
 @dataclass(frozen=True)

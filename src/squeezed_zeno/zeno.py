@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import BathParams, generator_terms, zeno_angles
-from .dynamics import relax
+from .bath import BathParams, generator_terms, state_bloch, zeno_angles
+from .dynamics import Direction, checked_integer, relax
 from .errors import ParameterError
-from .pauli import Direction, pure_state_bloch
 
 FIRST_ORDER_ZERO_TOL = 1e-10
 
@@ -31,8 +30,7 @@ class MeasurementSchedule:
     def __post_init__(self):
         if not np.isfinite(self.dt) or self.dt <= 0:
             raise ParameterError(f"dt must be positive and finite, got {self.dt}")
-        if self.count < 1:
-            raise ParameterError("count must be >= 1")
+        checked_integer("count", self.count, 1)
         if not np.isfinite(self.dt * self.count):
             raise ParameterError(
                 f"the last measurement time dt * count = {self.dt} * {self.count} is not finite"
@@ -60,7 +58,7 @@ def survival_rate(bath: BathParams, state) -> float:
     0.5 v . (A v + c). For a frozen state rounding can leave it a few ulp above 0,
     which would make exp(rate t) exceed 1, so it is clipped at 0.
     """
-    return min(0.5 * float(sum(generator_terms(bath, pure_state_bloch(state)))), 0.0)
+    return min(0.5 * float(sum(generator_terms(bath, state_bloch(state)))), 0.0)
 
 
 def zeno_directions(bath: BathParams) -> ZenoDirections:
@@ -83,7 +81,7 @@ def step_survival_probability(bath: BathParams, state, dt: float) -> float:
     """
     if not dt >= 0:
         raise ParameterError(f"dt must be >= 0, got {dt}")
-    t_fast, t_slow, t_z, t_c = generator_terms(bath, pure_state_bloch(state))
+    t_fast, t_slow, t_z, t_c = generator_terms(bath, state_bloch(state))
     terms = (t_fast, t_slow, t_z + t_c)
     loss = -0.5 * sum(t * relax(0.0, rate, dt, 1.0) for t, rate in zip(terms, bath.rates))
     return float(np.clip(1.0 - loss, 0.0, 1.0))
@@ -119,7 +117,7 @@ def second_order_rate(bath: BathParams, state, dt: float) -> float:
     """
     if not dt >= 0:
         raise ParameterError(f"dt must be >= 0, got {dt}")
-    terms = generator_terms(bath, pure_state_bloch(state))
+    terms = generator_terms(bath, state_bloch(state))
     fast, slow, rate_z = bath.rates
     first = 0.5 * float(sum(terms))
     tolerance = FIRST_ORDER_ZERO_TOL * 0.5 * float(sum(map(abs, terms)))
@@ -153,16 +151,16 @@ def monte_carlo_survival(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stochastic estimate of the repeated-measurement survival curve.
 
-    Each trajectory alive before measurement k survives it on its own
-    with probability p, so the number alive after step k is
-    Binomial(alive before, p). Step k consumes one binomial draw from a
-    counter-based Philox generator keyed by the seed, so the cost does
-    not depend on n_traj and reruns with a fixed seed are bit-identical.
-    Returns (survival fractions, binomial standard errors) at sched.times,
-    each of shape (count + 1,).
+    Each trajectory alive before measurement k survives it on its own with probability p,
+    so the number alive after step k is Binomial(alive before, p). Step k consumes one
+    binomial draw from a counter-based Philox generator keyed by the seed, so the cost does
+    not depend on n_traj and reruns with a fixed seed are bit-identical. n_traj must be an
+    integer in [1, 2**53], where every survivor count is an exact float, and seed one >= 0;
+    else ParameterError. Returns (survival fractions, binomial standard errors) at
+    sched.times, each of shape (count + 1,).
     """
-    if n_traj < 1:
-        raise ParameterError("n_traj must be >= 1")
+    n_traj = checked_integer("n_traj", n_traj, 1, 2**53)
+    seed = checked_integer("seed", seed, 0)
     p = step_survival_probability(bath, state, sched.dt)
     rng = np.random.Generator(np.random.Philox(seed))
     alive = np.empty(sched.count + 1, dtype=np.int64)

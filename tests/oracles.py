@@ -17,9 +17,9 @@ from squeezed_zeno import (
     step_survival_probability,
 )
 from squeezed_zeno.bath import generator_terms
+from squeezed_zeno.dynamics import Direction, bloch_vector, pure_state_matrix
 from squeezed_zeno.errors import ParameterError
 from squeezed_zeno.intelligent import SEigensystem
-from squeezed_zeno.pauli import Direction, bloch_vector, pure_state_matrix
 
 # The basis states |+> = excited = (1, 0), |-> = ground = (0, 1), and the operators in it.
 EXCITED = np.array([1, 0], dtype=complex)

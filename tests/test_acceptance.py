@@ -121,7 +121,7 @@ def test_criterion_04_measured_exponential_law():
 
 
 def test_criterion_05_trace_identity():
-    from squeezed_zeno.pauli import Direction
+    from squeezed_zeno.dynamics import Direction
 
     rng = np.random.default_rng(102)
     b = BathParams.maximal(1.0, 1.0, 0.9)

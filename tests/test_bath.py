@@ -14,8 +14,8 @@ from squeezed_zeno import (
     survival_rate,
     zeno_states,
 )
-from squeezed_zeno.bath import lindblad_s_entries
 from squeezed_zeno.errors import ParameterError
+from squeezed_zeno.intelligent import lindblad_s_entries
 
 from oracles import (
     GROUND,

@@ -1,7 +1,7 @@
 import ast
 import builtins
 import contextlib
-import importlib
+import importlib.util
 import inspect
 import io
 import json
@@ -1032,7 +1032,7 @@ def test_numpy_free_names_whole_modules():
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if any(imports_numpy(node) for node in ast.walk(func)):
                     in_function.add(f"{name}.{func.name}")
-    assert top_level == {"pauli", "dynamics", "zeno"}
+    assert top_level == {"dynamics", "zeno"}
     assert in_function == {"table._blocks"}
     environ = {
         name
@@ -1350,6 +1350,23 @@ def test_public_names_are_readmes_list():
     listed = re.findall(r"`([A-Za-z_]\w*)`", items)
     assert len(listed) == len(set(listed))
     assert set(listed) == public_names()
+
+
+def test_readme_layout_lists_the_modules():
+    # One bullet of README's Layout per module of the package, and none for a module that
+    # is gone.
+    section = (ROOT / "README.md").read_text().split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^- `src/squeezed_zeno/(\w+)\.py`", section, re.M)
+    assert len(listed) == len(set(listed))
+    assert set(listed) == {path.stem for path in (ROOT / "src" / "squeezed_zeno").glob("*.py")}
+
+
+def test_pauli_module_is_gone():
+    # Its names live in dynamics, and each stays a top-level name.
+    assert importlib.util.find_spec("squeezed_zeno.pauli") is None
+    names = ("Direction", "bloch_vector", "matrix_to_bloch", "pure_state_bloch", "pure_state_matrix")
+    for name in names:
+        assert getattr(squeezed_zeno, name).__module__ == "squeezed_zeno.dynamics", name
 
 
 def readmes_library_only() -> dict:

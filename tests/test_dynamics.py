@@ -21,8 +21,8 @@ from squeezed_zeno import (
     zeno_states,
 )
 from squeezed_zeno.bath import generator_terms
+from squeezed_zeno.dynamics import Direction
 from squeezed_zeno.errors import ParameterError
-from squeezed_zeno.pauli import Direction
 
 from oracles import (
     bloch_to_matrix,

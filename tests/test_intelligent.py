@@ -10,9 +10,9 @@ from squeezed_zeno import (
     uncertainty_product,
     zeno_states,
 )
-from squeezed_zeno.bath import lindblad_s_entries, to_mode_frame
+from squeezed_zeno.bath import to_mode_frame
 from squeezed_zeno.errors import ParameterError
-from squeezed_zeno.intelligent import j_minus_alpha_entries
+from squeezed_zeno.intelligent import j_minus_alpha_entries, lindblad_s_entries
 
 from oracles import (
     GROUND,

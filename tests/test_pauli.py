@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from squeezed_zeno.bath import BathParams
-from squeezed_zeno.pauli import (
+from squeezed_zeno.dynamics import (
     Direction,
     bloch_vector,
     matrix_to_bloch,

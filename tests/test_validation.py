@@ -28,6 +28,8 @@ from squeezed_zeno.errors import InvalidStateError, ParameterError
 from oracles import bloch_to_matrix
 
 nan, inf = np.nan, np.inf
+# A bath, state and schedule for Monte Carlo, before its n_traj and seed.
+MC_ARGS = (BathParams(gamma=1.0, n=0.0, m=0.0), [1, 0], MeasurementSchedule(0.1, 5))
 
 
 def run_cli(capsys, command, *items):
@@ -162,11 +164,76 @@ def test_library_rejects_non_finite(make, error):
             r"^state norm nan != 1$",
             id="state-norm-nan",
         ),
+        # Integer inputs: an int or a numpy integer, not a bool, within its bounds, as the
+        # CLI's config checks require; each message is pinned whole.
+        pytest.param(
+            lambda: TimeGrid(1.0, 2.5),
+            ParameterError,
+            r"^n_steps must be an integer, got 2\.5$",
+            id="grid-n-steps-float",
+        ),
+        pytest.param(
+            lambda: TimeGrid(1.0, True),
+            ParameterError,
+            r"^n_steps must be an integer, got True$",
+            id="grid-n-steps-bool",
+        ),
+        pytest.param(
+            lambda: MeasurementSchedule(0.01, 2.5),
+            ParameterError,
+            r"^count must be an integer, got 2\.5$",
+            id="schedule-count-float",
+        ),
+        pytest.param(
+            lambda: monte_carlo_survival(*MC_ARGS, 2.5, 0),
+            ParameterError,
+            r"^n_traj must be an integer, got 2\.5$",
+            id="mc-n-traj-float",
+        ),
+        pytest.param(
+            lambda: monte_carlo_survival(*MC_ARGS, np.float64(10.0), 0),
+            ParameterError,
+            r"^n_traj must be an integer, got (np\.float64\(10\.0\)|10\.0)$",
+            id="mc-n-traj-numpy-float",
+        ),
+        pytest.param(
+            lambda: monte_carlo_survival(*MC_ARGS, True, 0),
+            ParameterError,
+            r"^n_traj must be an integer, got True$",
+            id="mc-n-traj-bool",
+        ),
+        pytest.param(
+            lambda: monte_carlo_survival(*MC_ARGS, 2**63, 0),
+            ParameterError,
+            r"^n_traj must be <= 9007199254740992, got 9223372036854775808$",
+            id="mc-n-traj-2**63",
+        ),
+        pytest.param(
+            lambda: monte_carlo_survival(*MC_ARGS, 10, -1),
+            ParameterError,
+            r"^seed must be >= 0$",
+            id="mc-seed-negative",
+        ),
+        pytest.param(
+            lambda: monte_carlo_survival(*MC_ARGS, 10, 1.5),
+            ParameterError,
+            r"^seed must be an integer, got 1\.5$",
+            id="mc-seed-float",
+        ),
     ],
 )
 def test_library_rejects_out_of_range(make, error, match):
     with pytest.raises(error, match=match):
         make()
+
+
+def test_library_takes_numpy_integers():
+    # A numpy integer counts as its int: the same times, and the same Monte Carlo draws.
+    assert np.array_equal(TimeGrid(1.0, np.int64(4)).times, TimeGrid(1.0, 4).times)
+    assert np.array_equal(MeasurementSchedule(0.1, np.uint16(5)).times, MC_ARGS[2].times)
+    ours = monte_carlo_survival(*MC_ARGS, np.int32(10), np.uint8(3))
+    theirs = monte_carlo_survival(*MC_ARGS, 10, 3)
+    assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
 
 
 BATH = BathParams.maximal(1.0, 1.0, 0.0)

@@ -20,7 +20,7 @@ from squeezed_zeno import (
 
 bath = BathParams.maximal(gamma=1.0, n=1.0, psi=0.0)
 direction = zeno_directions(bath).mu1
-mu = direction.unit_vector
+mu = np.array(direction.unit_vector)
 grid = TimeGrid(8.0, 16)
 
 frozen = pure_state_bloch(zeno_states(bath)[0])

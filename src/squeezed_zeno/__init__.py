@@ -14,9 +14,12 @@ from importlib import import_module as _import_module
 
 # Submodule -> the public names it defines.
 _PUBLIC = {
-    "bath": ("BathParams", "maximal_m", "survival_functional_rows", "zeno_angles", "zeno_states"),
+    "bath": (
+        "BathParams", "Direction", "maximal_m", "survival_functional_rows", "zeno_directions",
+        "zeno_states",
+    ),
     "dynamics": (
-        "Direction", "TimeGrid", "analytic_free", "bloch_rates", "bloch_vector", "evolve_free",
+        "TimeGrid", "analytic_free", "bloch_rates", "bloch_vector", "evolve_free",
         "evolve_measured", "matrix_to_bloch", "pure_state_bloch", "pure_state_matrix", "relax",
     ),
     "errors": ("InvalidStateError", "ParameterError", "SqueezedZenoError"),
@@ -24,7 +27,6 @@ _PUBLIC = {
     "zeno": (
         "MeasurementSchedule", "monte_carlo_survival", "repeated_measurement_survival",
         "second_order_rate", "step_survival_probability", "survival_laws", "survival_rate",
-        "zeno_directions",
     ),
 }
 _SUBMODULE = {name: module for module, names in _PUBLIC.items() for name in names}

@@ -2,10 +2,11 @@
 
 Provides the bath parameters with the decay rates of the dissipator's three modes, the
 rotation by psi/2 into the mode frame where the affine Bloch equations of motion are
-diagonal, a pure state's Bloch vector, the survival functional on an angle grid with its
-two maxima, and the two frozen states. Every value is a Python scalar, or an array or
-list of them. Basis convention: |+> = excited = (1, 0)^T, |-> = ground = (0, 1)^T, so
-sigma_z |+-> = +-|+-> and the lowering operator sends |+> to |->.
+diagonal, a pure state's Bloch vector, directions on the Bloch sphere, the survival
+functional on an angle grid with its two maxima as directions, and the two frozen states.
+Every value is a Python scalar, or an array, list or tuple of them. Basis convention:
+|+> = excited = (1, 0)^T, |-> = ground = (0, 1)^T, so sigma_z |+-> = +-|+-> and the
+lowering operator sends |+> to |->.
 """
 
 import cmath
@@ -198,14 +199,51 @@ def survival_functional_rows(bath: BathParams, n_theta: int, n_phi: int):
     return thetas, phis, rows()
 
 
-def zeno_angles(bath: BathParams):
-    """(theta, phi1, phi2) of the two maxima of the survival functional, in closed form.
+@dataclass(frozen=True)
+class Direction:
+    """A point (theta, phi) on the Bloch sphere, in radians.
 
-    phi1 = (pi - psi)/2 and phi2 = phi1 + pi lie on the slow mode axis, not reduced
-    modulo 2 pi, and the common polar angle has cos(theta) = -gamma / (2 fast) =
+    Finite, with theta in [0, pi] (else InvalidStateError); phi is reduced to [0, 2*pi],
+    where 2*pi comes only from rounding: the nearest double to the exact reduction of a
+    phi within half an ulp below a multiple of 2*pi.
+    """
+
+    theta: float
+    phi: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
+            raise InvalidStateError(f"theta and phi must be finite, got {self.theta}, {self.phi}")
+        if not 0.0 <= self.theta <= math.pi:
+            raise InvalidStateError(f"theta must lie in [0, pi], got {self.theta}")
+        object.__setattr__(self, "phi", float(self.phi % (2 * math.pi)))
+
+    @property
+    def unit_vector(self):
+        """Cartesian unit vector (cos phi sin theta, sin phi sin theta, cos theta), as floats."""
+        st = math.sin(self.theta)
+        return math.cos(self.phi) * st, math.sin(self.phi) * st, math.cos(self.theta)
+
+
+@dataclass(frozen=True)
+class ZenoDirections:
+    """The two maxima of the survival functional; their +1 eigenstates freeze only at maximal M."""
+
+    mu1: Direction
+    mu2: Direction
+    theta: float
+
+
+def zeno_directions(bath: BathParams) -> ZenoDirections:
+    """The two maxima of the survival functional, in closed form.
+
+    phi1 = (pi - psi)/2 and phi2 = phi1 + pi, before Direction reduces them, lie on the slow
+    mode axis, and the common polar angle has cos(theta) = -gamma / (2 fast) =
     -1 / (2(N + 1/2 + M)), taken in the last form, which a subnormal gamma cannot round
-    outside [-1, 1]. theta is math.acos of it.
+    outside [-1, 1]; theta is math.acos of it. For every M, F there is
+    -gamma delta / (2(N + 1/2 + M)) with delta = N(N+1) - M^2: it vanishes (the state
+    freezes) only at maximal squeezing. For N -> 0 both maxima tend to -z.
     """
     theta = math.acos(-0.5 / (bath.n + 0.5 + bath.m))
     phi1 = (math.pi - bath.psi) / 2.0
-    return theta, phi1, phi1 + math.pi
+    return ZenoDirections(Direction(theta, phi1), Direction(theta, phi1 + math.pi), theta)

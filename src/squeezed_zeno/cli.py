@@ -21,7 +21,7 @@ import os
 import sys
 
 from .errors import SqueezedZenoError
-from .table import _FORMATS, _write_json, write_table
+from .table import FORMATS, write_json, write_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -122,7 +122,7 @@ def load_config(path: str | None, overrides, command: str, flags=None) -> dict:
             f"got {merged['n_theta']}*{merged['n_phi']}"
         )
     if "format" in merged and not (
-        isinstance(merged["format"], str) and merged["format"] in _FORMATS
+        isinstance(merged["format"], str) and merged["format"] in FORMATS
     ):
         raise ConfigError(f"format must be csv or json, got {merged['format']!r}")
     return merged
@@ -199,17 +199,15 @@ def cmd_surface(config: dict, bath: BathParams) -> None:
     thetas, phis, rows = survival_functional_rows(bath, config["n_theta"], config["n_phi"])
     out = config.get("out")
     write_table(out, {"theta": thetas, "phi": phis, "F": rows}, config["format"])
-    theta, phi1, phi2 = zeno_angles(bath)
-    # Reduced to [0, 2 pi] as Direction reduces the phis of zeno_directions (2 pi only by
-    # rounding a phi just below a multiple of 2 pi, as the nearest double).
+    maxima = zeno_directions(bath)
     sidecar = {
-        "cos_theta_max": math.cos(theta),
-        "phi1": phi1 % (2 * math.pi),
-        "phi2": phi2 % (2 * math.pi),
-        "theta": theta,
+        "cos_theta_max": math.cos(maxima.theta),
+        "phi1": maxima.mu1.phi,
+        "phi2": maxima.mu2.phi,
+        "theta": maxima.theta,
     }
     if out is None or os.path.isfile(out):  # not next to /dev/null or a pipe
-        _write_json(None if out is None else out + ".maxima.json", sidecar)
+        write_json(None if out is None else out + ".maxima.json", sidecar)
 
 
 def cmd_evolve(config: dict, bath: BathParams) -> None:
@@ -263,7 +261,7 @@ def cmd_intelligent(config: dict, bath: BathParams) -> None:
         report["factorization_residual"] = factorization_residual(bath, eig)
         report["alpha_ratio"] = bath.squeeze_ratio
         report["squeeze_amplitude"] = bath.squeeze_amplitude
-    _write_json(config.get("out"), report)
+    write_json(config.get("out"), report)
 
 
 COMMANDS = {

@@ -1,9 +1,9 @@
 """Bloch vectors and their evolution with and without frequent measurements.
 
-Checked Bloch vectors (of a pure state or a density matrix), the directions along which a
-spin component is measured, and free evolution, which relaxes each mode of the affine Bloch
-system; continuous monitoring of a spin component leaves one relaxing expectation value:
-one law (relax) serves both. bloch_rates gives that system's generator (A, c) as arrays.
+Checked Bloch vectors (of a pure state or a density matrix) and free evolution, which
+relaxes each mode of the affine Bloch system; continuous monitoring of a spin component
+along a bath.Direction leaves one relaxing expectation value: one law (relax) serves both.
+bloch_rates gives that system's generator (A, c) as arrays.
 """
 
 import operator
@@ -11,37 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import BathParams, generator_terms, state_bloch, to_mode_frame
+from .bath import BathParams, Direction, generator_terms, state_bloch, to_mode_frame
 from .errors import InvalidStateError, ParameterError
 
 HERMITICITY_TOL = 1e-12
 BLOCH_NORM_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class Direction:
-    """A point (theta, phi) on the Bloch sphere, in radians.
-
-    Finite, with theta in [0, pi] (else InvalidStateError); phi is reduced to [0, 2*pi],
-    where 2*pi comes only from rounding: the nearest double to the exact reduction of a
-    phi within half an ulp below a multiple of 2*pi.
-    """
-
-    theta: float
-    phi: float
-
-    def __post_init__(self):
-        if not np.all(np.isfinite([self.theta, self.phi])):
-            raise InvalidStateError(f"theta and phi must be finite, got {self.theta}, {self.phi}")
-        if not 0.0 <= self.theta <= np.pi:
-            raise InvalidStateError(f"theta must lie in [0, pi], got {self.theta}")
-        object.__setattr__(self, "phi", float(np.mod(self.phi, 2 * np.pi)))
-
-    @property
-    def unit_vector(self) -> np.ndarray:
-        """Cartesian unit vector (cos phi sin theta, sin phi sin theta, cos theta)."""
-        st = np.sin(self.theta)
-        return np.array([np.cos(self.phi) * st, np.sin(self.phi) * st, np.cos(self.theta)])
 
 
 def bloch_vector(v) -> np.ndarray:

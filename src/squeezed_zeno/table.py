@@ -26,7 +26,7 @@ class _TextFormat(NamedTuple):
     empty: str
 
 
-_FORMATS = {
+FORMATS = {
     "csv": _TextFormat(
         spec="%.17g",
         numbers=lambda text: text,
@@ -64,7 +64,7 @@ def write_table(path: str | None, table: dict, fmt: str):
     byte for byte json.dumps({"columns": ..., "rows": ...}, sort_keys=True, indent=2) plus
     a newline.
     """
-    form = _FORMATS[fmt]
+    form = FORMATS[fmt]
     columns = list(table.values())
     if iter(columns[-1]) is columns[-1]:
         blocks = _grid_blocks(form, *columns)
@@ -180,7 +180,8 @@ def _blocks(form: _TextFormat, columns: list):
         yield form.numbers(rows % tuple(values))
 
 
-def _write_json(path: str | None, obj):
+def write_json(path: str | None, obj):
+    """Write obj to path, or to stdout, as sorted JSON indented by 2 with a newline."""
     _write_text(path, [json.dumps(obj, sort_keys=True, indent=2) + "\n"])
 
 

@@ -1,20 +1,19 @@
 """Survival probabilities under repeated measurement.
 
 Covers the first- and second-order survival rates under the master
-equation, the two maxima of the survival functional over measurement
-directions (the bath-determined "preferential" directions), and exact /
-Monte Carlo repeated-measurement survival curves. The survival functional
-at a direction d is F = mu_hat . (A mu_hat + c) / 2 (<= 0), the survival rate of
-the +1 eigenstate of sigma . mu_hat, whose Bloch vector is mu_hat; its grid is
-bath.survival_functional_rows and its frozen states bath.zeno_states.
+equation and exact / Monte Carlo repeated-measurement survival curves. The
+survival functional at a direction d is F = mu_hat . (A mu_hat + c) / 2 (<= 0), the
+survival rate of the +1 eigenstate of sigma . mu_hat, whose Bloch vector is mu_hat;
+its grid is bath.survival_functional_rows, its two maxima (the bath-determined
+"preferential" directions) bath.zeno_directions and its frozen states bath.zeno_states.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import BathParams, generator_terms, state_bloch, zeno_angles
-from .dynamics import Direction, checked_integer, relax
+from .bath import BathParams, generator_terms, state_bloch
+from .dynamics import checked_integer, relax
 from .errors import ParameterError
 
 FIRST_ORDER_ZERO_TOL = 1e-10
@@ -42,15 +41,6 @@ class MeasurementSchedule:
         return np.arange(self.count + 1) * self.dt
 
 
-@dataclass(frozen=True)
-class ZenoDirections:
-    """The two maxima of the survival functional; their +1 eigenstates freeze only at maximal M."""
-
-    mu1: Direction
-    mu2: Direction
-    theta: float
-
-
 def survival_rate(bath: BathParams, state) -> float:
     """First-order survival rate <a| L{|a><a|} |a> (real, <= 0).
 
@@ -59,16 +49,6 @@ def survival_rate(bath: BathParams, state) -> float:
     which would make exp(rate t) exceed 1, so it is clipped at 0.
     """
     return min(0.5 * float(sum(generator_terms(bath, state_bloch(state)))), 0.0)
-
-
-def zeno_directions(bath: BathParams) -> ZenoDirections:
-    """Closed-form maxima of the survival functional (bath.zeno_angles), as directions.
-
-    For every M, F there is -gamma delta / (2(N + 1/2 + M)) with delta = N(N+1) - M^2: it
-    vanishes (the state freezes) only at maximal squeezing. For N -> 0 both tend to -z.
-    """
-    theta, phi1, phi2 = zeno_angles(bath)
-    return ZenoDirections(mu1=Direction(theta, phi1), mu2=Direction(theta, phi2), theta=theta)
 
 
 def step_survival_probability(bath: BathParams, state, dt: float) -> float:

@@ -16,8 +16,8 @@ from squeezed_zeno import (
     TimeGrid,
     step_survival_probability,
 )
-from squeezed_zeno.bath import generator_terms
-from squeezed_zeno.dynamics import Direction, bloch_vector, pure_state_matrix
+from squeezed_zeno.bath import Direction, generator_terms
+from squeezed_zeno.dynamics import bloch_vector, pure_state_matrix
 from squeezed_zeno.errors import ParameterError
 from squeezed_zeno.intelligent import SEigensystem
 

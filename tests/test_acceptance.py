@@ -78,7 +78,7 @@ def test_criterion_02_closed_form_angles_match_grid():
             found = find_zeno_directions_grid(b, 256, 256)
             ok &= len(found) == 2
             for d, fval in found:
-                ok &= max(d.unit_vector @ t.unit_vector for t in (zd.mu1, zd.mu2)) > 1 - 1e-8
+                ok &= max(np.array(d.unit_vector) @ t.unit_vector for t in (zd.mu1, zd.mu2)) > 1 - 1e-8
                 ok &= abs(fval) < 1e-10
     report("2. grid argmax within one cell of, and its polish at, the closed-form angles", ok)
 
@@ -121,13 +121,13 @@ def test_criterion_04_measured_exponential_law():
 
 
 def test_criterion_05_trace_identity():
-    from squeezed_zeno.dynamics import Direction
+    from squeezed_zeno.bath import Direction
 
     rng = np.random.default_rng(102)
     b = BathParams.maximal(1.0, 1.0, 0.9)
     d = Direction(1.2, 0.4)
     smu = sigma_mu(d)
-    mu = d.unit_vector
+    mu = np.array(d.unit_vector)
     worst = 0.0
     for _ in range(100):
         rho = bloch_to_matrix(rng.uniform(-1, 1) * mu)

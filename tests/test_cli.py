@@ -26,6 +26,7 @@ from squeezed_zeno import (
     cli,
     maximal_m,
     pure_state_bloch,
+    zeno_directions,
 )
 from squeezed_zeno.cli import (
     KEYS,
@@ -576,7 +577,7 @@ def assert_evolve_holds(config: dict, table: dict):
     config = dict(KEYS["evolve"], **config)
     bath = bath_from_config(config)
     v0 = resolve_state(config["state"], bath)
-    mu = resolve_direction(config["measure"], bath).unit_vector
+    mu = np.array(resolve_direction(config["measure"], bath).unit_vector)
     t = table["t"]
     with np.errstate(over="ignore"):
         x = bath.gamma * (2 * bath.n + 1) * t
@@ -627,8 +628,8 @@ def assert_surface_holds(config: dict, table: dict, sidecar: dict):
     found = find_zeno_directions_grid(unit)
     within = np.sqrt(2 * (1e-14 + 4 * EPS * (2 * bath.n + 1)) / kappa)
     targets = [
-        Direction(sidecar["theta"], sidecar["phi1"]).unit_vector,
-        Direction(sidecar["theta"], sidecar["phi2"]).unit_vector,
+        np.array(Direction(sidecar["theta"], sidecar["phi1"]).unit_vector),
+        np.array(Direction(sidecar["theta"], sidecar["phi2"]).unit_vector),
     ]
     distances = [[np.linalg.norm(d.unit_vector - target) for target in targets] for d, _ in found]
     assert len(found) == 2 and np.all(np.min(distances, axis=0) <= within), distances
@@ -975,7 +976,7 @@ def test_intelligent_loads_no_numpy(argv, code):
 def test_surface_loads_no_numpy(tmp_path, argv, code):
     # surface computes its grid and its maxima from Python floats: with or without --out
     # (and so its sidecar file), as CSV or JSON, and on a config error, numpy stays
-    # unloaded, and the kernel and the angles are cli attributes, the ones a tracer wraps.
+    # unloaded, and the kernel and the maxima are cli attributes, the ones a tracer wraps.
     argv = [arg.format(out=tmp_path / "surface") for arg in argv]
     script = (
         "import contextlib, io, sys\n"
@@ -983,7 +984,7 @@ def test_surface_loads_no_numpy(tmp_path, argv, code):
         "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
         f"    assert cli.main({argv!r}) == {code}\n"
         "assert 'numpy' not in sys.modules\n"
-        "for name in ('survival_functional_rows', 'zeno_angles'):\n"
+        "for name in ('survival_functional_rows', 'zeno_directions'):\n"
         "    assert vars(cli)[name].__module__ == 'squeezed_zeno.bath', name\n"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -1044,6 +1045,54 @@ def test_numpy_free_names_whole_modules():
     assert environ == {"__main__"}
 
 
+def test_no_module_imports_a_private_name():
+    # A package module imports only the public names of another: no from .x import _y.
+    package = ROOT / "src" / "squeezed_zeno"
+    private = [
+        (path.stem, node.module, alias.name)
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+
+
+def test_directions_need_no_numpy():
+    # Direction and zeno_directions compute from Python floats: with numpy blocked, a
+    # unit vector is a tuple of three floats, and phi is reduced to [0, 2 pi].
+    script = (
+        "import math, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from squeezed_zeno.bath import BathParams, Direction, zeno_directions\n"
+        "v = zeno_directions(BathParams.maximal(1.0, 1.0, 0.7)).mu1.unit_vector\n"
+        "assert type(v) is tuple and len(v) == 3 and all(type(x) is float for x in v), v\n"
+        "assert Direction(1.0, -1e-17).phi == 2 * math.pi\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("psi", [0.0, 0.7, math.pi, 3.1415926535897936, 6.283185307179586])
+def test_sidecar_holds_the_zeno_directions(tmp_path, psi):
+    # JSON round-trips doubles exactly, so the sidecar's numbers are zeno_directions' bit for bit.
+    out = tmp_path / "surface.csv"
+    argv = ["surface", "--set", f"psi={psi!r}", "--set", "n_theta=2", "--set", "n_phi=3"]
+    assert main(argv + ["--out", str(out)]) == 0
+    sidecar = json.loads(Path(f"{out}.maxima.json").read_text())
+    zd = zeno_directions(BathParams.maximal(1.0, 1.0, psi))
+    assert sidecar == {
+        "cos_theta_max": math.cos(zd.theta),
+        "phi1": zd.mu1.phi,
+        "phi2": zd.mu2.phi,
+        "theta": zd.theta,
+    }
+
+
 # The functions that a tracer of the cli -> layer boundary wraps: cli.write_table and
 # each layer function that cli calls.
 BOUNDARY_FUNCTIONS = (
@@ -1060,7 +1109,6 @@ BOUNDARY_FUNCTIONS = (
     "survival_laws",
     "uncertainty_product",
     "write_table",
-    "zeno_angles",
     "zeno_directions",
     "zeno_states",
 )
@@ -1362,11 +1410,13 @@ def test_readme_layout_lists_the_modules():
 
 
 def test_pauli_module_is_gone():
-    # Its names live in dynamics, and each stays a top-level name.
+    # Its names live in dynamics, but Direction, which lives in bath with the maxima it
+    # makes; each stays a top-level name.
     assert importlib.util.find_spec("squeezed_zeno.pauli") is None
-    names = ("Direction", "bloch_vector", "matrix_to_bloch", "pure_state_bloch", "pure_state_matrix")
+    names = ("bloch_vector", "matrix_to_bloch", "pure_state_bloch", "pure_state_matrix")
     for name in names:
         assert getattr(squeezed_zeno, name).__module__ == "squeezed_zeno.dynamics", name
+    assert squeezed_zeno.Direction.__module__ == "squeezed_zeno.bath"
 
 
 def readmes_library_only() -> dict:

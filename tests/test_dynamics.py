@@ -20,8 +20,7 @@ from squeezed_zeno import (
     zeno_directions,
     zeno_states,
 )
-from squeezed_zeno.bath import generator_terms
-from squeezed_zeno.dynamics import Direction
+from squeezed_zeno.bath import Direction, generator_terms
 from squeezed_zeno.errors import ParameterError
 
 from oracles import (
@@ -231,7 +230,7 @@ class TestMeasuredCoefficients:
     GRID = TimeGrid(10.0, 50)
 
     def relaxes(self, b, d, x0, rate, drift):
-        values = evolve_measured(b, d, x0 * d.unit_vector, self.GRID)
+        values = evolve_measured(b, d, x0 * np.array(d.unit_vector), self.GRID)
         expected = [mp_relax(x0, rate, t, drift) for t in self.GRID.times]
         np.testing.assert_allclose(values, expected, rtol=0, atol=4e-14)
 
@@ -246,7 +245,7 @@ class TestMeasuredCoefficients:
     def test_mu2_same_coefficients(self):
         b = BathParams.maximal(1.0, 1.0, 0.0)
         zd = zeno_directions(b)
-        curves = [evolve_measured(b, d, -d.unit_vector, self.GRID) for d in (zd.mu1, zd.mu2)]
+        curves = [evolve_measured(b, d, -np.array(d.unit_vector), self.GRID) for d in (zd.mu1, zd.mu2)]
         np.testing.assert_allclose(curves[0], curves[1], rtol=0, atol=4e-14)
 
     def test_n1_value(self):
@@ -321,7 +320,7 @@ class TestEvolveMeasured:
         rng = np.random.default_rng(13)
         b = BathParams.maximal(1.0, 1.5, 0.7)
         d = zeno_directions(b).mu1
-        mu = d.unit_vector
+        mu = np.array(d.unit_vector)
         for _ in range(10):
             rho_mu0 = rng.uniform(-1, 1)
             values = evolve_measured(b, d, rho_mu0 * mu, TimeGrid(150, 50))
@@ -395,7 +394,7 @@ class TestEvolveMeasuredScaling:
     ):
         gamma, k = 10.0**log_gamma, 10.0**log_k
         d = Direction(*direction)
-        v0 = rho_mu0 * d.unit_vector
+        v0 = rho_mu0 * np.array(d.unit_vector)
 
         def bath(rate_scale):
             return BathParams(gamma=gamma * rate_scale, n=n, m=fraction * maximal_m(n), psi=psi)
@@ -419,7 +418,7 @@ class TestTraceIdentity:
         b = BathParams.maximal(1.0, 1.0, 0.9)
         d = Direction(1.1, 2.3)
         smu = sigma_mu(d)
-        mu = d.unit_vector
+        mu = np.array(d.unit_vector)
         for _ in range(100):
             rho = bloch_to_matrix(rng.uniform(-1, 1) * mu)
             lhs = np.trace(measurement_modified_rhs(b, d, rho) @ smu).real

@@ -25,10 +25,9 @@ from squeezed_zeno import (
     zeno_directions,
     zeno_states,
 )
-from squeezed_zeno.bath import survival_functional_rows, zeno_angles
+from squeezed_zeno.bath import ZenoDirections, survival_functional_rows
 from squeezed_zeno.errors import ParameterError
 from squeezed_zeno.table import ROWS_PER_CHUNK
-from squeezed_zeno.zeno import ZenoDirections
 
 from oracles import (
     EXCITED,
@@ -78,7 +77,7 @@ class TestSurvivalFunctional:
         a, c = oracle_bloch_rates(b)
         for _ in range(25):
             d = Direction(np.arccos(rng.uniform(-1, 1)), rng.uniform(0, 2 * np.pi))
-            mu = d.unit_vector
+            mu = np.array(d.unit_vector)
             assert survival_functional(b, d) == pytest.approx(0.5 * mu @ (a @ mu + c), abs=1e-12)
 
     def test_zero_at_maxima(self):
@@ -224,14 +223,15 @@ class TestZenoDirections:
     @pytest.mark.parametrize("n, m, psi", [(1.0, None, 0.3), (0.0, 0.0, 6.0), (3.0, 0.4, np.pi)])
     def test_directions_are_the_closed_form_angles(self, n, m, psi):
         b = BathParams.maximal(1.0, n, psi) if m is None else BathParams(1.0, n, m, psi)
-        theta, phi1, phi2 = zeno_angles(b)
         zd = zeno_directions(b)
-        assert zd.theta == zd.mu1.theta == zd.mu2.theta == theta
-        assert (zd.mu1.phi, zd.mu2.phi) == (phi1 % (2 * np.pi), phi2 % (2 * np.pi))
-        # theta is within an ulp of the exact arccos of its rounded cosine.
+        # phi1 = (pi - psi)/2 and phi2 = phi1 + pi, on the slow mode axis, reduced to [0, 2 pi].
+        phi1 = (np.pi - b.psi) / 2
+        assert zd.theta == zd.mu1.theta == zd.mu2.theta
+        assert (zd.mu1.phi, zd.mu2.phi) == (phi1 % (2 * np.pi), (phi1 + np.pi) % (2 * np.pi))
+        # theta is within an ulp of the exact arccos of its rounded cosine -1/(2(N + 1/2 + M)).
         with mpmath.workdps(50):
-            error = abs(mpmath.mpf(theta) - mpmath.acos(mpmath.mpf(-0.5 / (b.n + 0.5 + b.m))))
-        assert error <= np.spacing(theta)
+            error = abs(mpmath.mpf(zd.theta) - mpmath.acos(mpmath.mpf(-0.5 / (b.n + 0.5 + b.m))))
+        assert error <= np.spacing(zd.theta)
 
     def test_closed_form_n1_psi0(self):
         zd = zeno_directions(BathParams.maximal(1.0, 1.0, 0.0))
@@ -271,7 +271,7 @@ class TestZenoDirections:
                 assert len(found) == 2
                 targets = [zd.mu1, zd.mu2]
                 for d, fval in found:
-                    dots = [d.unit_vector @ t.unit_vector for t in targets]
+                    dots = [np.array(d.unit_vector) @ t.unit_vector for t in targets]
                     assert max(dots) > 1 - 1e-8
                     assert abs(fval) < 1e-10
 
@@ -319,7 +319,7 @@ class TestZenoStates:
                     best = (rate, d)
         assert best[0] > -1e-4  # limited by the scan resolution
         # the -1 eigenstate along -mu is the +1 eigenstate along mu
-        axis = best[1].unit_vector
+        axis = np.array(best[1].unit_vector)
         dots = [abs(axis @ zd.mu1.unit_vector), abs(axis @ zd.mu2.unit_vector)]
         assert max(dots) > 1 - 1e-3
 
